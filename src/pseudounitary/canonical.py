@@ -291,8 +291,57 @@ def invariant_from_blocks(blocks) -> CanonicalInvariant:
 
 
 def canonical_invariant(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> CanonicalInvariant:
-    """Equivalence invariant of a Hermitian member of U(p, p)."""
-    return invariant_from_blocks(block_decompose(M, metric, tol).blocks)
+    """Equivalence invariant of a Hermitian member of U(p, p), read off block spectra.
+
+    With M = Q* B Q and Q = U + V, the diagonal blocks M11 and M22 have the
+    eigenvalues of B11 and B22 and M12 has the singular values of B12, so the
+    pieces follow from two p x p eigenvalue problems and one p x p SVD:
+
+    - members have |eig| >= 1 in both diagonal blocks, so sign counts are
+      exact; hyperbolic pieces put the same sign into M11 and M22, iota
+      pieces opposite signs, hence (after iota-pair merging) the iota count
+      is |#pos(M11) - #pos(M22)| and its sign is the sign of the difference;
+    - the remaining M11 eigenvalues, by descending magnitude, pair with the
+      descending singular values s_j of M12: t_j = arcsinh(s_j), and the
+      piece sign is the sign of the paired eigenvalue.
+
+    Raises MembershipError when rounding of size eps * ||M12||_2 could move
+    some t_j past the comparison tolerance of CanonicalInvariant.matches (the
+    zero couplings of iota pieces included, which also keeps the sign counts
+    far from their gap), or when the paired spectra violate
+    |lambda|^2 - s^2 = 1 beyond the reassembly bound of block_decompose.
+    """
+    if metric.p != metric.q:
+        raise ValueError("the canonical invariant is defined for signature (p, p)")
+    p = metric.p
+    a = require_member(M, metric, tol)
+    lam11 = np.linalg.eigvalsh(a[:p, :p])
+    lam11 = lam11[np.argsort(-np.abs(lam11))]
+    lam22 = np.linalg.eigvalsh(a[p:, p:])
+    s = np.linalg.svd(a[:p, p:], compute_uv=False)
+    t = np.arcsinh(s)
+    c = np.hypot(1.0, s)
+    eps = np.finfo(float).eps
+    if np.any(eps * s[0] / c > T_COMPARE_TOL * np.maximum(1.0, t / 20.0)):
+        raise MembershipError(
+            f"hyperbolic parameters not resolvable: coupling norm {s[0]:.3e} "
+            f"against smallest parameter {t[-1]:.3e}"
+        )
+    err = max(np.max(np.abs(np.abs(lam11) - c)),
+              np.max(np.abs(np.sort(np.abs(lam22))[::-1] - c)))
+    if err > 1000.0 * tol * max(1.0, float(np.linalg.norm(a))):
+        raise MembershipError(f"block spectra inconsistent: residual {err:.3e}")
+    pos11 = lam11 > 0
+    excess = int(np.count_nonzero(pos11)) - int(np.count_nonzero(lam22 > 0))
+    n_iota = abs(excess)
+    # the iota pieces take the smallest-magnitude eigenvalues of their sign
+    same_sign = np.flatnonzero(pos11 == (excess > 0))
+    keep = np.ones(p, dtype=bool)
+    keep[same_sign[len(same_sign) - n_iota:]] = False
+    blocks = [HyperbolicBlock(HYPERBOLIC, float(tj), 1 if pos else -1)
+              for tj, pos in zip(t, pos11[keep])]
+    blocks.extend([HyperbolicBlock(IOTA, 0.0, 1 if excess > 0 else -1)] * n_iota)
+    return invariant_from_blocks(blocks)
 
 
 def are_equivalent(M1, M2, metric: SignatureMetric, tol: float = DEFAULT_TOL,

@@ -47,14 +47,21 @@ from .sampler import SampleSpec, haar_unitary, sample_upq, sample_us_lie, sample
 from .spectral import extract_generators
 
 
+def _checked_tol(tol: float, source: str) -> float:
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"{source} must be a finite nonnegative number, got {tol!r}")
+    return tol
+
+
 def _default_tol() -> float:
     raw = os.environ.get("UPQ_TOL")
     if raw is None:
         return DEFAULT_TOL
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError:
         raise ValueError(f"UPQ_TOL must be a number, got {raw!r}") from None
+    return _checked_tol(tol, "UPQ_TOL")
 
 
 def _entries(m: np.ndarray) -> list:
@@ -139,8 +146,9 @@ def _cmd_generators(args) -> int:
     return 0
 
 
-def _blocks_payload(blocks) -> list:
-    return [{"kind": b.kind, "t": float(b.t), "sign": int(b.sign)} for b in blocks]
+def _pieces_payload(triples) -> list:
+    """JSON form of (kind, t, sign) triples, from an invariant or a block list."""
+    return [{"kind": k, "t": float(t), "sign": int(s)} for (k, t, s) in triples]
 
 
 def _cmd_decompose(args) -> int:
@@ -155,7 +163,7 @@ def _cmd_decompose(args) -> int:
         "result": {
             "p": doc.metric.p,
             "q": doc.metric.q,
-            "blocks": _blocks_payload(dec.blocks),
+            "blocks": _pieces_payload((b.kind, b.t, b.sign) for b in dec.blocks),
             "unitary": _entries(dec.q),
             "reconstruction_residual": residual,
         },
@@ -174,9 +182,7 @@ def _cmd_invariants(args) -> int:
         "result": {
             "p": doc.metric.p,
             "q": doc.metric.q,
-            "invariant": [
-                {"kind": k, "t": float(t), "sign": int(s)} for (k, t, s) in inv.triples
-            ],
+            "invariant": _pieces_payload(inv.triples),
         },
     })
     return 0
@@ -201,12 +207,8 @@ def _cmd_equiv(args) -> int:
         "tolerances": {"membership": args.tol, "t_compare": T_COMPARE_TOL},
         "result": {
             "equivalent": bool(equivalent),
-            "invariant_1": [
-                {"kind": k, "t": float(t), "sign": int(s)} for (k, t, s) in inv1.triples
-            ],
-            "invariant_2": [
-                {"kind": k, "t": float(t), "sign": int(s)} for (k, t, s) in inv2.triples
-            ],
+            "invariant_1": _pieces_payload(inv1.triples),
+            "invariant_2": _pieces_payload(inv2.triples),
         },
     })
     return 0 if equivalent else 1
@@ -235,11 +237,8 @@ def _cmd_sample(args) -> int:
         m, truth = sample_us_pp(spec)
         extra = {
             "ground_truth": {
-                "blocks": _blocks_payload(truth.blocks),
-                "invariant": [
-                    {"kind": k, "t": float(t), "sign": int(s)}
-                    for (k, t, s) in invariant_from_blocks(truth.blocks).triples
-                ],
+                "blocks": _pieces_payload((b.kind, b.t, b.sign) for b in truth.blocks),
+                "invariant": _pieces_payload(invariant_from_blocks(truth.blocks).triples),
                 "unitary": _entries(truth.q),
             }
         }
@@ -318,8 +317,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "tol") and args.tol is None:
-            args.tol = _default_tol()
+        if hasattr(args, "tol"):
+            args.tol = _default_tol() if args.tol is None else _checked_tol(args.tol, "--tol")
         return args.func(args)
     except MembershipError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -88,7 +88,7 @@ def loads_matrix(text: str) -> MatrixDocument:
     if kind not in (KIND_SQUARE, KIND_BLOCK):
         raise ValueError(f"unknown matrix kind {kind!r}")
     p, q = doc.get("p"), doc.get("q")
-    if not isinstance(p, int) or not isinstance(q, int):
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in (p, q)):
         raise ValueError("p and q must be integers")
     metric = make_metric(p, q)
     shape = _expected_shape(metric, kind)

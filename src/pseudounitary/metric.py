@@ -28,7 +28,8 @@ class SignatureMetric:
     q: int
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or not isinstance(self.q, int):
+        # bool is a subclass of int, but True is not a dimension
+        if any(isinstance(x, bool) or not isinstance(x, int) for x in (self.p, self.q)):
             raise ValueError("signature entries must be integers")
         if self.p < 0 or self.q < 0 or self.p + self.q < 1:
             raise ValueError(

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import block_unitary, hyperbolic
 from pseudounitary import (
@@ -22,6 +24,7 @@ from pseudounitary import (
     sample_us_pp,
     unitary_residual,
 )
+from pseudounitary.sampler import DEFAULT_KIND_WEIGHTS
 
 LN2 = np.log(2.0)
 LN3 = np.log(3.0)
@@ -213,6 +216,93 @@ class TestInvariants:
         assert inv.triples == ((HYPERBOLIC, 0.9, 1),)
         inv = invariant_from_blocks([iota(-1)])
         assert inv.triples == ((IOTA, 0.0, 1),)
+
+
+@st.composite
+def block_form_specs(draw):
+    """Sample specs at p <= 8 with tied and zero parameters and iota-heavy kind mixes."""
+    p = draw(st.integers(1, 8))
+    weights = draw(st.sampled_from([
+        DEFAULT_KIND_WEIGHTS, (0.3, 0.3, 0.2, 0.2), (0.1, 0.1, 0.4, 0.4), (0.0, 0.0, 0.5, 0.5),
+        (0.5, 0.5, 0.0, 0.0),
+    ]))
+    # a small pool of values, one of them 0, makes ties across slots common
+    pool = draw(st.lists(st.floats(0.0, 6.0), min_size=1, max_size=3)) + [0.0]
+    t_values = draw(st.lists(st.sampled_from(pool), min_size=p, max_size=p))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return SampleSpec(metric=make_metric(p, p), seed=seed, block_kind_weights=weights,
+                      t_values=tuple(t_values))
+
+
+SWEEP_WEIGHTS = (0.3, 0.3, 0.2, 0.2)
+SWEEP_T_MAX = (3.0, 8.0, 14.0, 20.0, 30.0)
+
+
+class TestSpectralInvariant:
+    """canonical_invariant reads the pieces off block spectra; block_decompose is the oracle."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(block_form_specs())
+    def test_agrees_with_block_decomposition(self, spec):
+        m = spec.metric
+        M, truth = sample_us_pp(spec)
+        got = canonical_invariant(M, m)
+        assert got.matches(invariant_from_blocks(truth.blocks))
+        try:
+            dec = block_decompose(M, m)
+        except MembershipError:
+            return
+        assert got.matches(invariant_from_blocks(dec.blocks))
+
+    def test_seeded_sweep_is_never_wrong(self):
+        # a refusal is allowed at large t_max, a wrong invariant never; the
+        # block-decomposition route must not answer more members correctly
+        correct = {"spectral": 0, "decomposition": 0}
+        for seed in range(3000):
+            p = 1 + seed % 6
+            t_max = SWEEP_T_MAX[(seed // 6) % len(SWEEP_T_MAX)]
+            m = make_metric(p, p)
+            M, truth = sample_us_pp(SampleSpec(metric=m, seed=seed, t_max=t_max,
+                                               block_kind_weights=SWEEP_WEIGHTS))
+            expected = invariant_from_blocks(truth.blocks)
+            try:
+                got = canonical_invariant(M, m)
+            except MembershipError:
+                assert t_max > 14.0, (seed, p, t_max)
+            else:
+                assert got.matches(expected), (seed, p, t_max, got, expected)
+                correct["spectral"] += 1
+            try:
+                if invariant_from_blocks(block_decompose(M, m).blocks).matches(expected):
+                    correct["decomposition"] += 1
+            except MembershipError:
+                pass
+        assert correct["spectral"] >= correct["decomposition"]
+
+    def test_small_parameter_next_to_large_ones(self):
+        # t = 0.0113 beside t = 15.8 and 17.9: block reduction through the
+        # full eigendecomposition returns t off by 7e-8
+        m = make_metric(3, 3)
+        M, truth = sample_us_pp(SampleSpec(metric=m, seed=979, t_max=30.0,
+                                           block_kind_weights=SWEEP_WEIGHTS))
+        assert canonical_invariant(M, m).matches(invariant_from_blocks(truth.blocks))
+
+    def test_large_parameters_resolved(self):
+        m = make_metric(2, 2)
+        blocks = [hyp(100.0), hyp(100.5, -1)]
+        M = assemble_blocks(blocks, block_unitary(m, np.random.default_rng(3)), m)
+        assert canonical_invariant(M, m).matches(invariant_from_blocks(blocks))
+
+    def test_unresolvable_coupling_refused(self):
+        # rounding at cosh 40 swamps the zero coupling of the iota piece
+        m = make_metric(2, 2)
+        M = assemble_blocks([hyp(40.0), iota(1)], block_unitary(m, np.random.default_rng(4)), m)
+        with pytest.raises(MembershipError):
+            canonical_invariant(M, m)
+
+    def test_rectangular_signature_rejected(self):
+        with pytest.raises(ValueError):
+            canonical_invariant(np.eye(3), make_metric(1, 2))
 
 
 class TestEquivalence:

@@ -86,6 +86,24 @@ class TestCheck:
         assert code == 2
         assert "UPQ_TOL" in err
 
+    @pytest.mark.parametrize("raw", ["-1", "nan", "inf"])
+    def test_env_tolerance_must_be_finite_nonnegative(self, tmp_path, capsys, monkeypatch,
+                                                      raw):
+        path = write_square(tmp_path / "m.json", np.eye(2), make_metric(1, 1))
+        monkeypatch.setenv("UPQ_TOL", raw)
+        code, out, err = run_cli(capsys, "check", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "UPQ_TOL" in err
+
+    @pytest.mark.parametrize("raw", ["-1", "nan"])
+    def test_tol_flag_must_be_finite_nonnegative(self, tmp_path, capsys, raw):
+        path = write_square(tmp_path / "m.json", np.eye(2), make_metric(1, 1))
+        code, out, err = run_cli(capsys, "check", path, "--tol", raw)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--tol" in err
+
 
 class TestInvert:
     def test_product_is_identity(self, tmp_path, capsys):
@@ -282,6 +300,17 @@ class TestUsageErrors:
                                     "p": 1, "q": 1, "entries": []}))
         code, _, err = run_cli(capsys, "check", str(path))
         assert code == 2
+
+    def test_boolean_signature(self, tmp_path, capsys):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({"format": "upq-matrix/1", "kind": "square",
+                                    "p": True, "q": True,
+                                    "entries": [[1.0, 0.0], [0.0, 0.0],
+                                                [0.0, 0.0], [-1.0, 0.0]]}))
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
 
 class TestPipelineInvariant:

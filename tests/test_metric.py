@@ -6,6 +6,7 @@ import pytest
 from conftest import block_unitary, hyperbolic
 from pseudounitary import (
     MembershipError,
+    SignatureMetric,
     block_identities_residual,
     check_compact_intersection,
     fast_inverse,
@@ -45,6 +46,13 @@ class TestMakeMetric:
             make_metric(0, 0)
         with pytest.raises(ValueError):
             make_metric(-1, 2)
+
+    def test_boolean_signature_rejected(self):
+        # bool is a subclass of int; True must not pass for a dimension of 1
+        with pytest.raises(ValueError):
+            SignatureMetric(True, True)
+        with pytest.raises(ValueError):
+            SignatureMetric(1, False)
 
 
 class TestForms:
