@@ -290,20 +290,28 @@ def invariant_from_blocks(blocks) -> CanonicalInvariant:
     return CanonicalInvariant(triples=triples)
 
 
+def _magnitude_gap(lam: np.ndarray, s: np.ndarray) -> float:
+    """Largest | |lambda| - sqrt(1 + s^2) |, pairing both by descending size (s sorted)."""
+    return float(np.max(np.abs(np.sort(np.abs(lam))[::-1] - np.hypot(1.0, s)), initial=0.0))
+
+
 def canonical_invariant(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> CanonicalInvariant:
     """Equivalence invariant of a Hermitian member of U(p, p), read off block spectra.
 
-    With M = Q* B Q and Q = U + V, the diagonal blocks M11 and M22 have the
-    eigenvalues of B11 and B22 and M12 has the singular values of B12, so the
-    pieces follow from two p x p eigenvalue problems and one p x p SVD:
+    With M = Q* B Q and Q = U + V, the diagonal block M11 = U* B11 U carries the
+    piece signs and M12 = U* B12 V the couplings sinh t_j, so the pieces follow
+    from small eigenvalue problems and SVDs instead of a full decomposition:
 
     - members have |eig| >= 1 in both diagonal blocks, so sign counts are
       exact; hyperbolic pieces put the same sign into M11 and M22, iota
       pieces opposite signs, hence (after iota-pair merging) the iota count
       is |#pos(M11) - #pos(M22)| and its sign is the sign of the difference;
-    - the remaining M11 eigenvalues, by descending magnitude, pair with the
-      descending singular values s_j of M12: t_j = arcsinh(s_j), and the
-      piece sign is the sign of the paired eigenvalue.
+    - the positive and negative eigenspaces of M11 are a gap of at least 2
+      apart, and the singular values of M12 restricted to each are the s_j
+      of the pieces of that sign: t_j = arcsinh(s_j). The iota pieces take
+      the smallest ones of their sign. Pairing eigenvalue magnitudes with
+      the singular values of all of M12 instead would be ambiguous near
+      t = 0, where cosh flattens differences in t below rounding.
 
     Raises MembershipError when rounding of size eps * ||M12||_2 could move
     some t_j past the comparison tolerance of CanonicalInvariant.matches (the
@@ -315,32 +323,35 @@ def canonical_invariant(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) ->
         raise ValueError("the canonical invariant is defined for signature (p, p)")
     p = metric.p
     a = require_member(M, metric, tol)
-    lam11 = np.linalg.eigvalsh(a[:p, :p])
-    lam11 = lam11[np.argsort(-np.abs(lam11))]
+    m12 = a[:p, p:]
+    lam11, x = np.linalg.eigh(a[:p, :p])
     lam22 = np.linalg.eigvalsh(a[p:, p:])
-    s = np.linalg.svd(a[:p, p:], compute_uv=False)
+    n_neg = int(np.count_nonzero(lam11 < 0))
+    excess = (p - n_neg) - int(np.count_nonzero(lam22 > 0))
+    n_iota = abs(excess)
+    iota_sign = 1 if excess > 0 else -1
+    # eigh sorts ascending, so the negative eigenspace comes first
+    sides = ((-1, lam11[:n_neg], x[:, :n_neg]), (1, lam11[n_neg:], x[:, n_neg:]))
+    blocks, s_all, err = [], [], 0.0
+    for sign, lam, basis in sides:
+        s = np.linalg.svd(basis.conj().T @ m12, compute_uv=False)
+        err = max(err, _magnitude_gap(lam, s))
+        s_all.append(s)
+        if sign == iota_sign:
+            s = s[:len(s) - n_iota]
+        blocks.extend(HyperbolicBlock(HYPERBOLIC, float(tj), sign) for tj in np.arcsinh(s))
+    s = np.sort(np.concatenate(s_all))[::-1]
     t = np.arcsinh(s)
-    c = np.hypot(1.0, s)
     eps = np.finfo(float).eps
-    if np.any(eps * s[0] / c > T_COMPARE_TOL * np.maximum(1.0, t / 20.0)):
+    if np.any(eps * s[0] / np.hypot(1.0, s) > T_COMPARE_TOL * np.maximum(1.0, t / 20.0)):
         raise MembershipError(
             f"hyperbolic parameters not resolvable: coupling norm {s[0]:.3e} "
             f"against smallest parameter {t[-1]:.3e}"
         )
-    err = max(np.max(np.abs(np.abs(lam11) - c)),
-              np.max(np.abs(np.sort(np.abs(lam22))[::-1] - c)))
+    err = max(err, _magnitude_gap(lam22, s))
     if err > 1000.0 * tol * max(1.0, float(np.linalg.norm(a))):
         raise MembershipError(f"block spectra inconsistent: residual {err:.3e}")
-    pos11 = lam11 > 0
-    excess = int(np.count_nonzero(pos11)) - int(np.count_nonzero(lam22 > 0))
-    n_iota = abs(excess)
-    # the iota pieces take the smallest-magnitude eigenvalues of their sign
-    same_sign = np.flatnonzero(pos11 == (excess > 0))
-    keep = np.ones(p, dtype=bool)
-    keep[same_sign[len(same_sign) - n_iota:]] = False
-    blocks = [HyperbolicBlock(HYPERBOLIC, float(tj), 1 if pos else -1)
-              for tj, pos in zip(t, pos11[keep])]
-    blocks.extend([HyperbolicBlock(IOTA, 0.0, 1 if excess > 0 else -1)] * n_iota)
+    blocks.extend([HyperbolicBlock(IOTA, 0.0, iota_sign)] * n_iota)
     return invariant_from_blocks(blocks)
 
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .canonical import (
     T_COMPARE_TOL,
+    HyperbolicBlock,
     are_equivalent,
     block_decompose,
     canonical_invariant,
@@ -146,9 +147,15 @@ def _cmd_generators(args) -> int:
     return 0
 
 
-def _pieces_payload(triples) -> list:
-    """JSON form of (kind, t, sign) triples, from an invariant or a block list."""
-    return [{"kind": k, "t": float(t), "sign": int(s)} for (k, t, s) in triples]
+def _pieces_payload(pieces) -> list:
+    """JSON form of canonical pieces: HyperbolicBlock items or (kind, t, sign) triples."""
+    out = []
+    for piece in pieces:
+        if isinstance(piece, HyperbolicBlock):
+            piece = (piece.kind, piece.t, piece.sign)
+        kind, t, sign = piece
+        out.append({"kind": kind, "t": float(t), "sign": int(sign)})
+    return out
 
 
 def _cmd_decompose(args) -> int:
@@ -163,7 +170,7 @@ def _cmd_decompose(args) -> int:
         "result": {
             "p": doc.metric.p,
             "q": doc.metric.q,
-            "blocks": _pieces_payload((b.kind, b.t, b.sign) for b in dec.blocks),
+            "blocks": _pieces_payload(dec.blocks),
             "unitary": _entries(dec.q),
             "reconstruction_residual": residual,
         },
@@ -237,7 +244,7 @@ def _cmd_sample(args) -> int:
         m, truth = sample_us_pp(spec)
         extra = {
             "ground_truth": {
-                "blocks": _pieces_payload((b.kind, b.t, b.sign) for b in truth.blocks),
+                "blocks": _pieces_payload(truth.blocks),
                 "invariant": _pieces_payload(invariant_from_blocks(truth.blocks).triples),
                 "unitary": _entries(truth.q),
             }
