@@ -28,7 +28,7 @@ from .metric import (
     split_blocks,
     unitary_residual,
 )
-from .spectral import SPLIT_CUTOFF, extract_generators
+from .spectral import SPLIT_CUTOFF, _generators
 
 HYPERBOLIC = "hyperbolic"
 IOTA = "iota"
@@ -134,14 +134,39 @@ def assemble_blocks(blocks, unitary=None, metric: SignatureMetric | None = None,
         raise ValueError(f"expected {metric.p} blocks for this metric, got {p}")
     n = metric.n
     out = np.zeros((n, n), dtype=complex)
-    for j, b in enumerate(blocks):
-        idx = (j, p + j)
-        out[np.ix_(idx, idx)] = b.matrix()
+    j = np.arange(p)
+    idx = np.stack([j, p + j], axis=1)
+    out[idx[:, :, None], idx[:, None, :]] = np.array([b.matrix() for b in blocks])
     if unitary is not None:
         Q = as_matrix(unitary, n, name="unitary")
         _require_block_unitary(Q, metric, tol)
         out = Q.conj().T @ out @ Q
     return out
+
+
+def _classify(a: np.ndarray, d: np.ndarray, s: np.ndarray, margin: float = 0.5) -> list:
+    """Match numerical 2x2 pieces against the canonical vocabulary.
+
+    Piece j is [[a_j, *], [*, d_j]] with coupling magnitude s_j. Canonical
+    entries are +-cosh(t) (magnitude at least 1) or +-1, so a margin of 0.5
+    cleanly separates the families.
+    """
+    small = s < margin
+    iota_plus = small & (np.abs(a - 1.0) < margin) & (np.abs(d + 1.0) < margin)
+    iota_minus = small & (np.abs(a + 1.0) < margin) & (np.abs(d - 1.0) < margin)
+    hyp = ((np.abs(a - d) < margin) & (np.minimum(np.abs(a), np.abs(d)) > 1.0 - margin)
+           & (a * d > 0))
+    bad = np.flatnonzero(~(iota_plus | iota_minus | hyp))
+    if bad.size:
+        j = bad[0]
+        raise MembershipError(
+            f"2x2 piece {j} does not match any canonical block: "
+            f"diagonal ({a[j]:.6g}, {d[j]:.6g}), coupling {s[j]:.6g}"
+        )
+    t = np.log(np.maximum((np.abs(a) + np.abs(d)) / 2.0, 1.0) + s)
+    return [HyperbolicBlock(HYPERBOLIC, float(tj), 1 if aj > 0 else -1) if h
+            else HyperbolicBlock(IOTA, 0.0, 1 if ip else -1)
+            for h, ip, aj, tj in zip(hyp, iota_plus, a, t)]
 
 
 def classify_block(block, margin: float = 0.5) -> HyperbolicBlock:
@@ -151,20 +176,7 @@ def classify_block(block, margin: float = 0.5) -> HyperbolicBlock:
     margin of 0.5 cleanly separates the families.
     """
     b = as_matrix(block, 2, name="block")
-    a = float(b[0, 0].real)
-    d = float(b[1, 1].real)
-    s = abs(b[0, 1])
-    if s < margin:
-        if abs(a - 1.0) < margin and abs(d + 1.0) < margin:
-            return HyperbolicBlock(IOTA, 0.0, 1)
-        if abs(a + 1.0) < margin and abs(d - 1.0) < margin:
-            return HyperbolicBlock(IOTA, 0.0, -1)
-    if abs(a - d) < margin and min(abs(a), abs(d)) > 1.0 - margin and a * d > 0:
-        sign = 1 if a > 0 else -1
-        c = (abs(a) + abs(d)) / 2.0
-        t = float(np.log(max(c, 1.0) + s))
-        return HyperbolicBlock(HYPERBOLIC, t, sign)
-    raise MembershipError(f"2x2 piece does not match any canonical block: {b!r}")
+    return _classify(b[:1, 0].real, b[1:, 1].real, np.abs(b[:1, 1]), margin)[0]
 
 
 def _standard_basis_map(cols: dict[int, np.ndarray], dim: int) -> np.ndarray:
@@ -205,13 +217,15 @@ def block_decompose(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> Blo
         raise ValueError("block decomposition is defined for signature (p, p)")
     p = metric.p
     a = require_member(M, metric, tol)
-    gens = extract_generators(a, metric, tol)
-    # extract_generators caps k at n // 2 = p
+    gens = _generators(a, metric)
+    # the rank check in _generators caps k at n // 2 = p
     plus_cols: dict[int, np.ndarray] = {}
     minus_cols: dict[int, np.ndarray] = {}
     for j in range(gens.k):
         zp = gens.vectors[j, :p]
         zm = gens.vectors[j, p:]
+        # one norm per vector: a batched norm(..., axis=1) sums in another
+        # order and moves q and the parameters t in the last bits
         al = np.linalg.norm(zp)
         be = np.linalg.norm(zm)
         if al > SPLIT_CUTOFF:
@@ -224,10 +238,8 @@ def block_decompose(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> Blo
     q[:p, :p] = u
     q[p:, p:] = v
     b = q @ a @ q.conj().T
-    blocks = []
-    for j in range(p):
-        idx = (j, p + j)
-        blocks.append(classify_block(b[np.ix_(idx, idx)]))
+    blocks = _classify(np.diagonal(b[:p, :p]).real, np.diagonal(b[p:, p:]).real,
+                       np.abs(np.diagonal(b[:p, p:])))
     rebuilt = assemble_blocks(blocks, None, metric)
     err = float(np.linalg.norm(b - rebuilt))
     if err > 1000.0 * tol * max(1.0, float(np.linalg.norm(a))):

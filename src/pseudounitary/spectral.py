@@ -98,7 +98,9 @@ def rank_pair(M, metric: SignatureMetric, threshold: float = RANK_THRESHOLD,
 
     The spectral gap pushes every nonzero eigenvalue of M -+ J to magnitude
     at least 2, so any threshold inside (0, 2) gives the same answer; the
-    default sits at 1. The two ranks always sum to at most n.
+    default sits at 1. On members the two ranks sum to exactly n: JM is an
+    involution (M J M = J), and rank(M + J), rank(M - J) are the dimensions of
+    its +1 and -1 eigenspaces, (n + tr JM) / 2 and (n - tr JM) / 2.
     """
     a = require_member(M, metric, tol)
     jm = metric.matrix
@@ -149,13 +151,25 @@ def extract_generators(M, metric: SignatureMetric, tol: float = DEFAULT_TOL,
     with sigma = +1 on ties. Generators are sorted by descending lambda, ties
     broken by the entry magnitudes of the vectors, so output is reproducible.
     """
-    a = require_member(M, metric, tol)
-    jm = metric.matrix
-    r_plus = _numeric_rank(a + jm, RANK_THRESHOLD)
-    r_minus = _numeric_rank(a - jm, RANK_THRESHOLD)
-    sigma = 1 if r_plus <= r_minus else -1
+    return _generators(require_member(M, metric, tol), metric, zero_tol, gap_tol)
 
-    h = _symmetrized(sigma * a + jm)
+
+def _generators(a: np.ndarray, metric: SignatureMetric,
+                zero_tol: float = ZERO_EIGENVALUE_TOL,
+                gap_tol: float = SPECTRAL_GAP_TOL) -> GeneratorSet:
+    """extract_generators for an array already validated as a Hermitian member.
+
+    JM is an involution on members (M J M = J), so rank(M + J), the dimension
+    of its +1 eigenspace, is (n + tr JM) / 2 exactly: the sign needs a trace,
+    not two rank computations, and the one eigendecomposition of sigma*M + J
+    must then show exactly that rank.
+    """
+    n, p = metric.n, metric.p
+    r_plus = int(round((n + (np.trace(a[:p, :p]) - np.trace(a[p:, p:])).real) / 2.0))
+    sigma = 1 if 2 * r_plus <= n else -1
+    rank = r_plus if sigma == 1 else n - r_plus
+
+    h = _symmetrized(sigma * a + metric.matrix)
     w, v = np.linalg.eigh(h)
     aw = np.abs(w)
     bad = (aw > zero_tol) & (aw < 2.0 - gap_tol)
@@ -167,21 +181,17 @@ def extract_generators(M, metric: SignatureMetric, tol: float = DEFAULT_TOL,
             "input is not a Hermitian member within tolerance"
         )
     keep = np.flatnonzero(aw > RANK_THRESHOLD)
-    if keep.size > metric.n // 2:
+    if keep.size != rank:
         raise MembershipError(
             f"rank structure violated: {keep.size} nonzero eigenvalues after sign "
-            f"normalization, at most {metric.n // 2} allowed"
+            f"normalization, but the trace of JM requires {rank}"
         )
     lam = w[keep]
     vec = _orthogonalize_clusters(lam, v[:, keep], metric.signs)
-
-    order = sorted(
-        range(lam.size),
-        key=lambda i: (-lam[i], tuple(np.abs(vec[:, i]).tolist())),
-    )
-    lam = lam[order]
-    vec = vec[:, order]
-    return GeneratorSet(metric=metric, sigma=sigma, lambdas=lam.copy(), vectors=vec.T.copy())
+    # descending lambda, then ascending entry magnitudes (lexsort keys run last to first)
+    order = np.lexsort(np.vstack([np.abs(vec)[::-1], -lam]))
+    return GeneratorSet(metric=metric, sigma=sigma, lambdas=lam[order],
+                        vectors=vec[:, order].T.copy())
 
 
 def validate_generators(gens: GeneratorSet, tol: float = DEFAULT_TOL) -> list[str]:

@@ -7,7 +7,8 @@ library code paths they are used to check.
 
 import numpy as np
 
-from pseudounitary import GeneratorSet, SignatureMetric
+from pseudounitary import GeneratorSet, MembershipError, SignatureMetric, require_member
+from pseudounitary.spectral import RANK_THRESHOLD, _orthogonalize_clusters
 
 
 def hyperbolic(t: float) -> np.ndarray:
@@ -58,3 +59,51 @@ def random_generator_set(metric: SignatureMetric, k: int, rng: np.random.Generat
         vectors[j, p:] = be * v[:, j]
         lambdas[j] = 2.0 / (al2 - (1.0 - al2))
     return GeneratorSet(metric=metric, sigma=sigma, lambdas=lambdas, vectors=vectors)
+
+
+def count_calls(monkeypatch, name: str, *modules) -> list:
+    """Wrap the function `name` of the first module, bound under that name in
+    every module given; returns the list of first arguments of its calls."""
+    calls = []
+    fn = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return fn(*args, **kwargs)
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def three_eigh_generators(M, metric: SignatureMetric) -> GeneratorSet:
+    """Generator extraction by three eigendecompositions, kept as a regression oracle.
+
+    The sign comes from the numerical ranks of M + J and M - J (two eigvalsh
+    calls), with sigma = +1 on ties; the generators come from eigh of
+    sigma*M + J, at most n // 2 of them, sorted by descending lambda and then
+    by a Python sort on the entry magnitudes of the vectors. Only the
+    validation, the rank threshold and the rotation of degenerate clusters
+    come from the library.
+    """
+    a = require_member(M, metric)
+    jm = metric.matrix
+
+    def herm(h):
+        return (h + h.conj().T) / 2.0
+
+    def rank(h):
+        return int(np.count_nonzero(np.abs(np.linalg.eigvalsh(herm(h))) > RANK_THRESHOLD))
+
+    sigma = 1 if rank(a + jm) <= rank(a - jm) else -1
+    w, v = np.linalg.eigh(herm(sigma * a + jm))
+    aw = np.abs(w)
+    if np.any((aw > 1e-8) & (aw < 2.0 - 1e-8)):
+        raise MembershipError("spectral gap violated")
+    keep = np.flatnonzero(aw > RANK_THRESHOLD)
+    if keep.size > metric.n // 2:
+        raise MembershipError("rank structure violated")
+    lam = w[keep]
+    vec = _orthogonalize_clusters(lam, v[:, keep], metric.signs)
+    order = sorted(range(lam.size), key=lambda i: (-lam[i], tuple(np.abs(vec[:, i]).tolist())))
+    return GeneratorSet(metric=metric, sigma=sigma, lambdas=lam[order],
+                        vectors=vec[:, order].T.copy())

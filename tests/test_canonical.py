@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import block_unitary, hyperbolic
+from conftest import block_unitary, count_calls, hyperbolic, three_eigh_generators
 from pseudounitary import (
     HYPERBOLIC,
     IOTA,
@@ -15,6 +15,7 @@ from pseudounitary import (
     are_equivalent,
     assemble_blocks,
     block_decompose,
+    canonical,
     canonical_invariant,
     classify_block,
     invariant_from_blocks,
@@ -22,6 +23,7 @@ from pseudounitary import (
     make_metric,
     membership_residual,
     sample_us_pp,
+    spectral,
     unitary_residual,
 )
 from pseudounitary.canonical import T_COMPARE_TOL
@@ -361,6 +363,33 @@ class TestSpectralInvariant:
     def test_rectangular_signature_rejected(self):
         with pytest.raises(ValueError):
             canonical_invariant(np.eye(3), make_metric(1, 2))
+
+
+class TestDecomposeOracle:
+    """block_decompose on the trace-sign route against the same steps fed by the oracle."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(block_form_specs(), st.sampled_from([1, -1]))
+    def test_matches_oracle_fed_decomposition(self, spec, sign):
+        m = spec.metric
+        M = sign * sample_us_pp(spec)[0]
+        try:
+            got = block_decompose(M, m)
+        except MembershipError:
+            return
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(canonical, "_generators", three_eigh_generators)
+            ref = block_decompose(M, m)
+        assert got.blocks == ref.blocks
+        assert np.array_equal(got.q, ref.q)
+
+    def test_validates_once(self, monkeypatch):
+        m = make_metric(4, 4)
+        M, truth = sample_us_pp(SampleSpec(metric=m, seed=5))
+        validations = count_calls(monkeypatch, "require_member", canonical, spectral)
+        dec = block_decompose(M, m)
+        assert invariant_from_blocks(dec.blocks).matches(invariant_from_blocks(truth.blocks))
+        assert len(validations) == 1
 
 
 class TestEquivalence:

@@ -2,21 +2,36 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import block_unitary, hyperbolic, random_generator_set
+from conftest import (
+    block_unitary,
+    count_calls,
+    hyperbolic,
+    random_generator_set,
+    three_eigh_generators,
+)
 from pseudounitary import (
+    HYPERBOLIC,
     GeneratorSet,
+    HyperbolicBlock,
     MembershipError,
     SampleSpec,
+    assemble_blocks,
     construct_from_generators,
     eigenvalue_bound_check,
+    exp_us,
     extract_generators,
     make_metric,
     membership_residual,
     rank_pair,
+    sample_us_lie,
     sample_us_pp,
+    spectral,
     validate_generators,
 )
+from pseudounitary.sampler import DEFAULT_KIND_WEIGHTS
 
 LN3 = np.log(3.0)
 
@@ -61,6 +76,91 @@ class TestRankPair:
         m = make_metric(1, 1)
         with pytest.raises(MembershipError):
             rank_pair(2.0 * np.eye(2), m)
+
+
+KIND_MIXES = (DEFAULT_KIND_WEIGHTS, (0.5, 0.5, 0.0, 0.0), (0.0, 0.0, 0.5, 0.5),
+              (0.3, 0.3, 0.2, 0.2))
+
+
+def member_case(family, p, q, mix, k, sign, seed):
+    """A Hermitian member of U(p, q) from one of four independent constructions.
+
+    uspp: block-form sample at (p, p) with kind mix KIND_MIXES[mix]; exp:
+    exp_us of a sampled tangent; gens: construct_from_generators of a family
+    with k generators and sigma = sign; metric: J itself. The member is
+    multiplied by sign (uspp, exp, metric).
+    """
+    m = make_metric(p, p if family == "uspp" else q)
+    if family == "uspp":
+        M, _ = sample_us_pp(SampleSpec(metric=m, seed=seed, block_kind_weights=KIND_MIXES[mix]))
+    elif family == "exp":
+        M = exp_us(sample_us_lie(m, seed=seed, scale=0.8))
+    elif family == "gens":
+        gens = random_generator_set(m, min(k, p, q), np.random.default_rng(seed), sign)
+        return construct_from_generators(gens), m
+    else:
+        M = m.matrix
+    return sign * M, m
+
+
+@st.composite
+def member_cases(draw):
+    family = draw(st.sampled_from(["uspp", "exp", "gens", "metric"]))
+    p = draw(st.integers(1, 5))
+    q = draw(st.integers(1, 5))
+    if family == "exp" and q == p:
+        q = p + 1
+    return (family, p, q, draw(st.integers(0, len(KIND_MIXES) - 1)), draw(st.integers(0, 5)),
+            draw(st.sampled_from([1, -1])), draw(st.integers(0, 2**32 - 1)))
+
+
+# exact ties r_plus = r_minus at even n: all-hyperbolic (p, p) samples and
+# generator families with k = p = q
+TIES = (("uspp", 2, 2, 1, 0, 1, 7), ("uspp", 3, 3, 1, 0, -1, 8),
+        ("gens", 2, 2, 0, 2, 1, 9), ("gens", 3, 3, 0, 3, -1, 10))
+
+
+def trace_jm(M, m) -> float:
+    return float((np.trace(M[: m.p, : m.p]) - np.trace(M[m.p:, m.p:])).real)
+
+
+class TestTraceRule:
+    """JM is an involution on members, so rank(M + J) = (n + tr JM) / 2 exactly."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(member_cases())
+    @example(TIES[0])
+    @example(TIES[1])
+    @example(TIES[2])
+    @example(TIES[3])
+    def test_rank_pair_matches_trace(self, case):
+        M, m = member_case(*case)
+        tr = trace_jm(M, m)
+        t = round(tr)
+        assert abs(tr - t) <= 1e-8 * m.n and (m.n + t) % 2 == 0
+        r_minus, r_plus = rank_pair(M, m)
+        assert (r_minus, r_plus) == ((m.n - t) // 2, (m.n + t) // 2)
+        # the sign taken from the trace obeys the rank rule of rank_pair
+        assert extract_generators(M, m).sigma == (1 if r_plus <= r_minus else -1)
+
+    @pytest.mark.parametrize("case", TIES)
+    def test_exact_ties_take_sigma_plus(self, case):
+        M, m = member_case(*case)
+        assert trace_jm(M, m) == pytest.approx(0.0, abs=1e-9)
+        assert rank_pair(M, m) == (m.n // 2, m.n // 2)
+        assert extract_generators(M, m).sigma == 1
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(member_cases())
+    def test_agrees_with_three_eigendecomposition_oracle(self, case):
+        M, m = member_case(*case)
+        got = extract_generators(M, m)
+        ref = three_eigh_generators(M, m)
+        assert (got.sigma, got.k) == (ref.sigma, ref.k)
+        np.testing.assert_allclose(got.lambdas, ref.lambdas, rtol=1e-12)
+        scale = max(1.0, float(np.linalg.norm(M)))
+        for g in (got, ref):
+            assert np.linalg.norm(construct_from_generators(g, tol=1e-8) - M) <= 1e-9 * scale
 
 
 class TestExtractGenerators:
@@ -122,6 +222,13 @@ class TestExtractGenerators:
                     M2 = construct_from_generators(g2)
                     assert np.linalg.norm(M2 - M) <= 1e-9 * (1 + np.linalg.norm(M))
 
+    def test_rank_certificate_rejects_wrong_count(self):
+        # passes a loose membership tolerance and the spectral gap: tr JM = 1
+        # gives sigma = -1 and requires rank 1, but -M + J = diag(-2, 2, -2)
+        m = make_metric(2, 1)
+        with pytest.raises(MembershipError, match="rank structure"):
+            extract_generators(np.diag([3.0, -1.0, 1.0]), m, tol=10.0)
+
     def test_gap_violation_rejected(self):
         # loose tol lets a non-member through to the spectral stage
         m = make_metric(1, 1)
@@ -136,6 +243,50 @@ class TestExtractGenerators:
             jm = m.matrix
             prod = (M - jm) @ jm @ (M + jm)
             assert np.linalg.norm(prod) <= 1e-9 * (1 + np.linalg.norm(M) ** 2)
+
+
+class TestTiedClusterOrder:
+    """Within a tied lambda, generators are ordered by ascending entry magnitudes."""
+
+    def test_identity_pins_order(self):
+        # tr JM = 0 at (2, 2): sigma = +1 and I + J = diag(2, 2, 0, 0)
+        m = make_metric(2, 2)
+        g = extract_generators(np.eye(4), m)
+        assert g.sigma == 1 and np.array_equal(g.lambdas, [2.0, 2.0])
+        assert np.array_equal(np.abs(g.vectors), [[0, 1, 0, 0], [1, 0, 0, 0]])
+
+    def test_negated_identity_pins_order(self):
+        m = make_metric(2, 2)
+        g = extract_generators(-np.eye(4), m)
+        assert g.sigma == 1 and np.array_equal(g.lambdas, [-2.0, -2.0])
+        assert np.array_equal(np.abs(g.vectors), [[0, 0, 0, 1], [0, 0, 1, 0]])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_conjugated_ties_follow_the_sort_key(self, seed):
+        m = make_metric(4, 4)
+        blocks = [HyperbolicBlock(HYPERBOLIC, t, 1) for t in (0.7, 0.7, 0.7, 1.9)]
+        M = assemble_blocks(blocks, block_unitary(m, np.random.default_rng(seed)), m)
+        g = extract_generators(M, m)
+        ref = three_eigh_generators(M, m)
+        assert np.array_equal(g.lambdas, ref.lambdas)
+        assert np.array_equal(g.vectors, ref.vectors)
+        keys = [(-lam, tuple(np.abs(z).tolist())) for lam, z in zip(g.lambdas, g.vectors)]
+        assert keys == sorted(keys)
+
+
+class TestOneEigendecomposition:
+    """The sign comes from a trace: one n x n eigendecomposition, one validation."""
+
+    def test_extract_generators_counts(self, monkeypatch):
+        m = make_metric(3, 5)
+        M = exp_us(sample_us_lie(m, seed=4, scale=0.8))
+        eighs = count_calls(monkeypatch, "eigh", np.linalg)
+        eigvalshs = count_calls(monkeypatch, "eigvalsh", np.linalg)
+        validations = count_calls(monkeypatch, "require_member", spectral)
+        g = extract_generators(M, m)
+        assert g.k == 3 and np.all(np.abs(np.diff(g.lambdas)) > 1e-3)  # cluster-free
+        assert [a.shape for a in eighs] == [(m.n, m.n)] and eigvalshs == []
+        assert len(validations) == 1
 
 
 class TestValidateGenerators:
