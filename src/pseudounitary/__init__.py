@@ -2,7 +2,6 @@
 
 from .metric import (
     DEFAULT_TOL,
-    BlockView,
     MembershipError,
     SignatureMetric,
     block_identities_residual,
@@ -12,7 +11,6 @@ from .metric import (
     indefinite_form,
     is_hermitian,
     is_pseudo_unitary,
-    join_blocks,
     make_metric,
     membership_residual,
     quadratic_form,
@@ -27,9 +25,7 @@ from .spectral import (
     ZERO_EIGENVALUE_TOL,
     GeneratorSet,
     construct_from_generators,
-    eigenvalue_bound_check,
     extract_generators,
-    rank_pair,
     validate_generators,
 )
 from .canonical import (
@@ -43,18 +39,14 @@ from .canonical import (
     assemble_blocks,
     block_decompose,
     canonical_invariant,
-    classify_block,
     invariant_from_blocks,
-    is_special,
 )
 from .lie import (
     PD_FLOOR,
     LieElement,
-    dimension_check,
     exp_us,
     is_in_exp_image,
     log_us,
-    make_hermitian_generator,
     validate_lie_algebra,
 )
 from .sampler import (
@@ -70,9 +62,7 @@ from .matrixfile import (
     KIND_SQUARE,
     MatrixDocument,
     dumps_matrix,
-    load_matrix,
     loads_matrix,
-    save_matrix,
 )
 
 __version__ = "0.1.0"

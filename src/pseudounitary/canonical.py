@@ -36,6 +36,9 @@ IOTA = "iota"
 # Absolute tolerance for comparing hyperbolic parameters up to t = 20;
 # beyond that the comparison is relative.
 T_COMPARE_TOL = 1e-8
+# Canonical 2x2 entries are +-cosh(t) (magnitude at least 1) or +-1, so this
+# margin cleanly separates the piece families.
+CLASSIFY_MARGIN = 0.5
 
 
 @dataclass(frozen=True)
@@ -91,32 +94,39 @@ class CanonicalInvariant:
 
     triples: tuple
 
-    def matches(self, other: "CanonicalInvariant", t_tol: float = T_COMPARE_TOL) -> bool:
-        """Equality of invariants, comparing hyperbolic parameters within t_tol."""
-        if len(self.triples) != len(other.triples):
-            return False
-        for (k1, t1, s1), (k2, t2, s2) in zip(self.triples, other.triples):
-            if k1 != k2 or s1 != s2:
-                return False
-            thresh = t_tol * max(1.0, max(t1, t2) / 20.0)
-            if abs(t1 - t2) > thresh:
-                return False
-        return True
+    def matches(self, other: "CanonicalInvariant") -> bool:
+        """Equality of invariants up to the global sign, within T_COMPARE_TOL in t.
+
+        Parameters about T_COMPARE_TOL apart can sign-normalize two invariants
+        of one member to opposite global signs, so the other invariant is
+        also compared with its signs flipped.
+        """
+        flipped = sorted(((k, t, -s) for k, t, s in other.triples),
+                         key=lambda x: (x[0], -x[2], x[1]))
+        return _same_triples(self.triples, other.triples) or _same_triples(self.triples, flipped)
 
 
-def _require_block_unitary(Q: np.ndarray, metric: SignatureMetric, tol: float) -> None:
+def _same_triples(a, b) -> bool:
+    return len(a) == len(b) and all(k1 == k2 and s1 == s2 and _t_close(t1, t2)
+                                    for (k1, t1, s1), (k2, t2, s2) in zip(a, b))
+
+
+def _t_close(t1: float, t2: float) -> bool:
+    return abs(t1 - t2) <= T_COMPARE_TOL * max(1.0, max(t1, t2) / 20.0)
+
+
+def _require_block_unitary(Q: np.ndarray, metric: SignatureMetric) -> None:
     res = unitary_residual(Q)
-    if res > max(tol, 1e-10):
+    if res > DEFAULT_TOL:
         raise ValueError(f"conjugating matrix is not unitary: residual {res:.3e}")
     _, q12, q21, _ = split_blocks(Q, metric)
     scale = max(1.0, float(np.linalg.norm(Q)))
-    bound = max(tol, 1e-10) * scale
+    bound = DEFAULT_TOL * scale
     if np.linalg.norm(q12) > bound or np.linalg.norm(q21) > bound:
         raise ValueError("conjugating matrix must be block diagonal for the signature")
 
 
-def assemble_blocks(blocks, unitary=None, metric: SignatureMetric | None = None,
-                    tol: float = DEFAULT_TOL) -> np.ndarray:
+def assemble_blocks(blocks, unitary=None, metric: SignatureMetric | None = None) -> np.ndarray:
     """Place 2x2 pieces at rows/columns (j, p + j), then conjugate by the unitary.
 
     With unitary Q, returns Q* B Q where B is the block-form matrix, so the
@@ -138,19 +148,18 @@ def assemble_blocks(blocks, unitary=None, metric: SignatureMetric | None = None,
     idx = np.stack([j, p + j], axis=1)
     out[idx[:, :, None], idx[:, None, :]] = np.array([b.matrix() for b in blocks])
     if unitary is not None:
-        Q = as_matrix(unitary, n, name="unitary")
-        _require_block_unitary(Q, metric, tol)
+        Q = as_matrix(unitary, (n, n), "unitary")
+        _require_block_unitary(Q, metric)
         out = Q.conj().T @ out @ Q
     return out
 
 
-def _classify(a: np.ndarray, d: np.ndarray, s: np.ndarray, margin: float = 0.5) -> list:
+def _classify(a: np.ndarray, d: np.ndarray, s: np.ndarray) -> list:
     """Match numerical 2x2 pieces against the canonical vocabulary.
 
-    Piece j is [[a_j, *], [*, d_j]] with coupling magnitude s_j. Canonical
-    entries are +-cosh(t) (magnitude at least 1) or +-1, so a margin of 0.5
-    cleanly separates the families.
+    Piece j is [[a_j, *], [*, d_j]] with coupling magnitude s_j.
     """
+    margin = CLASSIFY_MARGIN
     small = s < margin
     iota_plus = small & (np.abs(a - 1.0) < margin) & (np.abs(d + 1.0) < margin)
     iota_minus = small & (np.abs(a + 1.0) < margin) & (np.abs(d - 1.0) < margin)
@@ -167,16 +176,6 @@ def _classify(a: np.ndarray, d: np.ndarray, s: np.ndarray, margin: float = 0.5) 
     return [HyperbolicBlock(HYPERBOLIC, float(tj), 1 if aj > 0 else -1) if h
             else HyperbolicBlock(IOTA, 0.0, 1 if ip else -1)
             for h, ip, aj, tj in zip(hyp, iota_plus, a, t)]
-
-
-def classify_block(block, margin: float = 0.5) -> HyperbolicBlock:
-    """Match a numerical 2x2 piece against the canonical vocabulary.
-
-    Canonical entries are +-cosh(t) (magnitude at least 1) or +-1, so a
-    margin of 0.5 cleanly separates the families.
-    """
-    b = as_matrix(block, 2, name="block")
-    return _classify(b[:1, 0].real, b[1:, 1].real, np.abs(b[:1, 1]), margin)[0]
 
 
 def _standard_basis_map(cols: dict[int, np.ndarray], dim: int) -> np.ndarray:
@@ -273,16 +272,16 @@ def _sort_key(b: HyperbolicBlock) -> tuple:
     return (b.kind, -b.sign, b.t)
 
 
-def _flip_is_smaller(base_key, flip_key, t_tol: float = T_COMPARE_TOL) -> bool:
-    # lexicographic walk, but parameter ties within t_tol must not decide the
-    # sign: rounding noise in t would otherwise flip it nondeterministically
+def _flip_is_smaller(base_key, flip_key) -> bool:
+    # lexicographic walk, but parameter ties within T_COMPARE_TOL must not
+    # decide the sign: rounding noise in t would otherwise flip it
+    # nondeterministically
     for (k1, s1, t1), (k2, s2, t2) in zip(base_key, flip_key):
         if k1 != k2:
             return k2 < k1
         if s1 != s2:
             return s2 < s1
-        thresh = t_tol * max(1.0, max(t1, t2) / 20.0)
-        if abs(t1 - t2) > thresh:
+        if not _t_close(t1, t2):
             return t2 < t1
     return False
 
@@ -367,17 +366,8 @@ def canonical_invariant(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) ->
     return invariant_from_blocks(blocks)
 
 
-def are_equivalent(M1, M2, metric: SignatureMetric, tol: float = DEFAULT_TOL,
-                   t_tol: float = T_COMPARE_TOL) -> bool:
+def are_equivalent(M1, M2, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> bool:
     """True when the two members agree up to global sign and block-unitary conjugation."""
     inv1 = canonical_invariant(M1, metric, tol)
     inv2 = canonical_invariant(M2, metric, tol)
-    return inv1.matches(inv2, t_tol)
-
-
-def is_special(M, tol: float = DEFAULT_TOL) -> bool:
-    """True when det M is within tol of 1 (members always have |det| = 1)."""
-    from .metric import _as_square
-
-    a = _as_square(M)
-    return bool(abs(np.linalg.det(a) - 1.0) <= tol)
+    return inv1.matches(inv2)

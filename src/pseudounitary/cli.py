@@ -21,7 +21,6 @@ import numpy as np
 from .canonical import (
     T_COMPARE_TOL,
     HyperbolicBlock,
-    are_equivalent,
     block_decompose,
     canonical_invariant,
     invariant_from_blocks,

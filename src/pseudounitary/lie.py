@@ -39,7 +39,7 @@ class LieElement:
     block: np.ndarray
 
     def __post_init__(self):
-        b = as_matrix(self.block, self.metric.p, self.metric.q, name="block")
+        b = as_matrix(self.block, (self.metric.p, self.metric.q), "block")
         object.__setattr__(self, "block", b)
 
     def matrix(self) -> np.ndarray:
@@ -53,15 +53,10 @@ class LieElement:
 
 def validate_lie_algebra(T, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> bool:
     """True when T* J + J T vanishes relatively, i.e. T is a tangent direction."""
-    a = as_matrix(T, metric.n, name="T")
+    a = as_matrix(T, (metric.n, metric.n), "T")
     j = metric.signs
     defect = a.conj().T * j[None, :] + j[:, None] * a
     return bool(np.linalg.norm(defect) <= tol * (1.0 + np.linalg.norm(a)))
-
-
-def make_hermitian_generator(block, metric: SignatureMetric) -> LieElement:
-    """Wrap a p x q block as a Hermitian tangent direction."""
-    return LieElement(metric=metric, block=as_matrix(block, metric.p, metric.q, name="block"))
 
 
 def _padded(values: np.ndarray, size: int) -> np.ndarray:
@@ -115,12 +110,3 @@ def is_in_exp_image(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> boo
     a = require_member(M, metric, tol)
     w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
     return bool(float(w[0]) > PD_FLOOR * float(np.max(np.abs(w))))
-
-
-def dimension_check(metric: SignatureMetric) -> int:
-    """Complex dimension pq of the Hermitian tangent space.
-
-    The real dimension is 2pq; tests confirm it as the numerical rank of the
-    differential of exp_us at zero.
-    """
-    return metric.p * metric.q

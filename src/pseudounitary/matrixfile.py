@@ -87,10 +87,7 @@ def loads_matrix(text: str) -> MatrixDocument:
     kind = doc.get("kind")
     if kind not in (KIND_SQUARE, KIND_BLOCK):
         raise ValueError(f"unknown matrix kind {kind!r}")
-    p, q = doc.get("p"), doc.get("q")
-    if any(isinstance(x, bool) or not isinstance(x, int) for x in (p, q)):
-        raise ValueError("p and q must be integers")
-    metric = make_metric(p, q)
+    metric = make_metric(doc.get("p"), doc.get("q"))
     shape = _expected_shape(metric, kind)
     entries = doc.get("entries")
     if not isinstance(entries, list) or len(entries) != shape[0] * shape[1]:
@@ -105,14 +102,3 @@ def loads_matrix(text: str) -> MatrixDocument:
         raise ValueError("entries contain non-finite values")
     m = (arr[:, 0] + 1j * arr[:, 1]).reshape(shape)
     return MatrixDocument(matrix=m, metric=metric, kind=kind, raw=doc)
-
-
-def save_matrix(path, m, metric: SignatureMetric, kind: str = KIND_SQUARE,
-                extra: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        fp.write(dumps_matrix(m, metric, kind, extra))
-
-
-def load_matrix(path) -> MatrixDocument:
-    with open(path, "r", encoding="utf-8") as fp:
-        return loads_matrix(fp.read())

@@ -7,8 +7,8 @@ predicates and residuals defined here.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -54,59 +54,40 @@ class SignatureMetric:
 
 
 def make_metric(p: int, q: int) -> SignatureMetric:
-    """Build the signature metric for p positive and q negative directions."""
-    return SignatureMetric(int(p), int(q))
+    """Build the signature metric for p positive and q negative directions.
+
+    Any integer type is accepted (numpy integers included); booleans and
+    floats raise ValueError instead of being truncated.
+    """
+    if not (isinstance(p, bool) or isinstance(q, bool)):
+        try:
+            return SignatureMetric(operator.index(p), operator.index(q))
+        except TypeError:
+            pass
+    raise ValueError(f"signature entries must be integers, got ({p!r}, {q!r})")
 
 
-def as_matrix(m, rows: int, cols: int | None = None, name: str = "matrix") -> np.ndarray:
-    """Coerce to a complex array of the given shape, rejecting non-finite entries."""
+def as_matrix(m, shape: tuple | None = None, name: str = "matrix") -> np.ndarray:
+    """Coerce to a complex array of the given shape, rejecting non-finite entries.
+
+    Without a shape, any square matrix is accepted.
+    """
     a = np.asarray(m, dtype=complex)
-    if cols is None:
-        cols = rows
-    if a.shape != (rows, cols):
-        raise ValueError(f"{name} must have shape ({rows}, {cols}), got {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if shape is None:
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"{name} must be square, got shape {a.shape}")
+    elif a.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
 
-def as_vector(v, n: int, name: str = "vector") -> np.ndarray:
-    a = np.asarray(v, dtype=complex).reshape(-1)
-    if a.size != n:
-        raise ValueError(f"{name} must have length {n}, got {a.size}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return a
-
-
-def _as_square(m, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return a
-
-
-class BlockView(NamedTuple):
-    """The four blocks of an n x n matrix split at row/column p."""
-
-    m11: np.ndarray
-    m12: np.ndarray
-    m21: np.ndarray
-    m22: np.ndarray
-
-
-def split_blocks(M, metric: SignatureMetric) -> BlockView:
+def split_blocks(M, metric: SignatureMetric) -> tuple:
     """Split M into blocks (p x p, p x q, q x p, q x q) along the signature."""
-    a = as_matrix(M, metric.n)
+    a = as_matrix(M, (metric.n, metric.n))
     p = metric.p
-    return BlockView(a[:p, :p], a[:p, p:], a[p:, :p], a[p:, p:])
-
-
-def join_blocks(view: BlockView) -> np.ndarray:
-    """Reassemble a BlockView; exact inverse of split_blocks."""
-    return np.block([[view.m11, view.m12], [view.m21, view.m22]])
+    return a[:p, :p], a[:p, p:], a[p:, :p], a[p:, p:]
 
 
 def indefinite_form(z, w, metric: SignatureMetric) -> complex:
@@ -115,8 +96,8 @@ def indefinite_form(z, w, metric: SignatureMetric) -> complex:
     Conjugate-linear in the first argument, so indefinite_form(w, z) is the
     complex conjugate of indefinite_form(z, w).
     """
-    zv = as_vector(z, metric.n, "z")
-    wv = as_vector(w, metric.n, "w")
+    zv = as_matrix(np.ravel(z), (metric.n,), "z")
+    wv = as_matrix(np.ravel(w), (metric.n,), "w")
     return complex(np.sum(np.conj(zv) * metric.signs * wv))
 
 
@@ -127,7 +108,7 @@ def quadratic_form(z, metric: SignatureMetric) -> float:
 
 def membership_residual(M, metric: SignatureMetric) -> float:
     """Relative Frobenius size of M* J M - J; zero exactly on members of U(p, q)."""
-    a = as_matrix(M, metric.n)
+    a = as_matrix(M, (metric.n, metric.n))
     j = metric.signs
     defect = (a.conj().T * j) @ a
     defect[np.diag_indices(metric.n)] -= j
@@ -141,7 +122,7 @@ def is_pseudo_unitary(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> b
 
 def hermitian_residual(M) -> float:
     """Relative Frobenius size of M - M*."""
-    a = _as_square(M)
+    a = as_matrix(M)
     return float(np.linalg.norm(a - a.conj().T) / (1.0 + np.linalg.norm(a)))
 
 
@@ -152,7 +133,7 @@ def is_hermitian(M, tol: float = DEFAULT_TOL) -> bool:
 
 def unitary_residual(M) -> float:
     """Relative Frobenius size of M* M - I."""
-    a = _as_square(M)
+    a = as_matrix(M)
     defect = a.conj().T @ a - np.eye(a.shape[0])
     return float(np.linalg.norm(defect) / (1.0 + np.linalg.norm(a) ** 2))
 
@@ -167,7 +148,7 @@ def block_identities_residual(M, metric: SignatureMetric) -> float:
     These are the blocks of M* J M - J, so this residual never exceeds
     membership_residual (same normalization).
     """
-    a = as_matrix(M, metric.n)
+    a = as_matrix(M, (metric.n, metric.n))
     m11, m12, m21, m22 = split_blocks(a, metric)
     r1 = np.linalg.norm(m11.conj().T @ m11 - m21.conj().T @ m21 - np.eye(metric.p))
     r2 = np.linalg.norm(m12.conj().T @ m12 - m22.conj().T @ m22 + np.eye(metric.q))
@@ -180,7 +161,7 @@ def fast_inverse(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> np.nda
 
     Costs one conjugate transpose and two sign flips instead of a solve.
     """
-    a = as_matrix(M, metric.n)
+    a = as_matrix(M, (metric.n, metric.n))
     r = membership_residual(a, metric)
     if r > tol:
         raise MembershipError(
@@ -194,7 +175,7 @@ def fast_inverse(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> np.nda
 def require_member(M, metric: SignatureMetric, tol: float = DEFAULT_TOL,
                    hermitian: bool = True) -> np.ndarray:
     """Validate membership (and optionally Hermitian symmetry), returning the array."""
-    a = as_matrix(M, metric.n)
+    a = as_matrix(M, (metric.n, metric.n))
     if hermitian:
         hr = hermitian_residual(a)
         if hr > tol:
@@ -216,12 +197,5 @@ def check_compact_intersection(M, metric: SignatureMetric, tol: float = DEFAULT_
     Such matrices commute with the metric, hence are block diagonal: a unitary
     from the p block plus a unitary from the q block.
     """
-    a = as_matrix(M, metric.n)
-    if membership_residual(a, metric) > tol or unitary_residual(a) > tol:
-        return False
-    # Consequence of the two memberships: the off-diagonal blocks vanish.
-    _, m12, m21, _ = split_blocks(a, metric)
-    scale = np.linalg.norm(a)
-    bound = 2.0 * tol * scale * (1.0 + scale ** 2) + 1e-12
-    assert np.linalg.norm(m12) <= bound and np.linalg.norm(m21) <= bound
-    return True
+    a = as_matrix(M, (metric.n, metric.n))
+    return membership_residual(a, metric) <= tol and unitary_residual(a) <= tol

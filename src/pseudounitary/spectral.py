@@ -1,4 +1,4 @@
-"""Spectral structure of Hermitian members: ranks, generator vectors, reconstruction.
+"""Spectral structure of Hermitian members: generator vectors and reconstruction.
 
 A Hermitian member M of U(p, q) is, up to a sign sigma, a finite sum
 sigma * (sum_j lambda_j z_j z_j* - J) with orthonormal vectors z_j that are
@@ -18,6 +18,7 @@ from .metric import (
     DEFAULT_TOL,
     MembershipError,
     SignatureMetric,
+    as_matrix,
     require_member,
 )
 
@@ -50,15 +51,8 @@ class GeneratorSet:
         if self.sigma not in (1, -1):
             raise ValueError("sigma must be +1 or -1")
         lam = np.asarray(self.lambdas, dtype=float).reshape(-1)
-        vec = np.asarray(self.vectors, dtype=complex)
-        if vec.ndim != 2 or vec.shape != (lam.size, self.metric.n):
-            raise ValueError(
-                f"vectors must have shape ({lam.size}, {self.metric.n}), got {vec.shape}"
-            )
-        if not np.all(np.isfinite(lam)):
-            raise ValueError("lambdas contain non-finite entries")
-        if not np.all(np.isfinite(vec.real)) or not np.all(np.isfinite(vec.imag)):
-            raise ValueError("vectors contain non-finite entries")
+        vec = as_matrix(self.vectors, (lam.size, self.metric.n), "vectors")
+        as_matrix(lam, lam.shape, "lambdas")
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "vectors", vec)
 
@@ -85,26 +79,6 @@ class GeneratorSet:
 
 def _symmetrized(h: np.ndarray) -> np.ndarray:
     return (h + h.conj().T) / 2.0
-
-
-def _numeric_rank(h: np.ndarray, threshold: float) -> int:
-    w = np.linalg.eigvalsh(_symmetrized(h))
-    return int(np.count_nonzero(np.abs(w) > threshold))
-
-
-def rank_pair(M, metric: SignatureMetric, threshold: float = RANK_THRESHOLD,
-              tol: float = DEFAULT_TOL) -> tuple[int, int]:
-    """Numerical ranks (rank(M - J), rank(M + J)) for a Hermitian member M.
-
-    The spectral gap pushes every nonzero eigenvalue of M -+ J to magnitude
-    at least 2, so any threshold inside (0, 2) gives the same answer; the
-    default sits at 1. On members the two ranks sum to exactly n: JM is an
-    involution (M J M = J), and rank(M + J), rank(M - J) are the dimensions of
-    its +1 and -1 eigenspaces, (n + tr JM) / 2 and (n - tr JM) / 2.
-    """
-    a = require_member(M, metric, tol)
-    jm = metric.matrix
-    return (_numeric_rank(a - jm, threshold), _numeric_rank(a + jm, threshold))
 
 
 def _cluster_slices(values: np.ndarray) -> list[slice]:
@@ -142,21 +116,17 @@ def _orthogonalize_clusters(lam: np.ndarray, vec: np.ndarray, signs: np.ndarray)
     return out
 
 
-def extract_generators(M, metric: SignatureMetric, tol: float = DEFAULT_TOL,
-                       zero_tol: float = ZERO_EIGENVALUE_TOL,
-                       gap_tol: float = SPECTRAL_GAP_TOL) -> GeneratorSet:
+def extract_generators(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> GeneratorSet:
     """Recover the generator data of a Hermitian member from sigma*M + J.
 
     The sign sigma is chosen so that rank(sigma*M + J) <= rank(sigma*M - J),
     with sigma = +1 on ties. Generators are sorted by descending lambda, ties
     broken by the entry magnitudes of the vectors, so output is reproducible.
     """
-    return _generators(require_member(M, metric, tol), metric, zero_tol, gap_tol)
+    return _generators(require_member(M, metric, tol), metric)
 
 
-def _generators(a: np.ndarray, metric: SignatureMetric,
-                zero_tol: float = ZERO_EIGENVALUE_TOL,
-                gap_tol: float = SPECTRAL_GAP_TOL) -> GeneratorSet:
+def _generators(a: np.ndarray, metric: SignatureMetric) -> GeneratorSet:
     """extract_generators for an array already validated as a Hermitian member.
 
     JM is an involution on members (M J M = J), so rank(M + J), the dimension
@@ -172,12 +142,12 @@ def _generators(a: np.ndarray, metric: SignatureMetric,
     h = _symmetrized(sigma * a + metric.matrix)
     w, v = np.linalg.eigh(h)
     aw = np.abs(w)
-    bad = (aw > zero_tol) & (aw < 2.0 - gap_tol)
+    bad = (aw > ZERO_EIGENVALUE_TOL) & (aw < 2.0 - SPECTRAL_GAP_TOL)
     if np.any(bad):
         val = w[bad][0]
         raise MembershipError(
             f"eigenvalue {val:.6g} of the shifted matrix violates the spectral gap "
-            f"(forbidden band ({zero_tol:.1e}, {2.0 - gap_tol})); "
+            f"(forbidden band ({ZERO_EIGENVALUE_TOL:.1e}, {2.0 - SPECTRAL_GAP_TOL})); "
             "input is not a Hermitian member within tolerance"
         )
     keep = np.flatnonzero(aw > RANK_THRESHOLD)
@@ -260,19 +230,3 @@ def construct_from_generators(gens: GeneratorSet, tol: float = DEFAULT_TOL) -> n
         v = gens.vectors
         acc = acc + v.T @ (gens.lambdas[:, None] * v.conj())
     return gens.sigma * acc
-
-
-def eigenvalue_bound_check(M, metric: SignatureMetric,
-                           zero_tol: float = ZERO_EIGENVALUE_TOL,
-                           gap_tol: float = SPECTRAL_GAP_TOL) -> bool:
-    """True iff every eigenvalue of M + J is near zero or has magnitude >= 2 - gap_tol.
-
-    Hermitian members have no spectrum of M + J inside the open band
-    (0, 2); callers are expected to have checked membership already.
-    """
-    from .metric import as_matrix
-
-    a = as_matrix(M, metric.n)
-    w = np.linalg.eigvalsh(_symmetrized(a + metric.matrix))
-    aw = np.abs(w)
-    return bool(np.all((aw <= zero_tol) | (aw >= 2.0 - gap_tol)))

@@ -75,6 +75,29 @@ def count_calls(monkeypatch, name: str, *modules) -> list:
     return calls
 
 
+def _herm(h: np.ndarray) -> np.ndarray:
+    return (h + h.conj().T) / 2.0
+
+
+def _numeric_rank(h: np.ndarray) -> int:
+    """Count of eigenvalues of the Hermitian part of h above the library's rank cutoff."""
+    return int(np.count_nonzero(np.abs(np.linalg.eigvalsh(_herm(h))) > RANK_THRESHOLD))
+
+
+def rank_pair(M, metric: SignatureMetric) -> tuple[int, int]:
+    """Numerical ranks (rank(M - J), rank(M + J)) of a Hermitian member, from their own spectra.
+
+    The oracle for the trace rule of the library: on members JM is an
+    involution (M J M = J), so the two ranks are the dimensions of its -1
+    and +1 eigenspaces, (n - tr JM) / 2 and (n + tr JM) / 2. The spectral gap
+    puts every nonzero eigenvalue of M -+ J at magnitude 2 or more, so any
+    cutoff inside (0, 2) gives the same answer.
+    """
+    a = require_member(M, metric)
+    jm = metric.matrix
+    return _numeric_rank(a - jm), _numeric_rank(a + jm)
+
+
 def three_eigh_generators(M, metric: SignatureMetric) -> GeneratorSet:
     """Generator extraction by three eigendecompositions, kept as a regression oracle.
 
@@ -87,15 +110,8 @@ def three_eigh_generators(M, metric: SignatureMetric) -> GeneratorSet:
     """
     a = require_member(M, metric)
     jm = metric.matrix
-
-    def herm(h):
-        return (h + h.conj().T) / 2.0
-
-    def rank(h):
-        return int(np.count_nonzero(np.abs(np.linalg.eigvalsh(herm(h))) > RANK_THRESHOLD))
-
-    sigma = 1 if rank(a + jm) <= rank(a - jm) else -1
-    w, v = np.linalg.eigh(herm(sigma * a + jm))
+    sigma = 1 if _numeric_rank(a + jm) <= _numeric_rank(a - jm) else -1
+    w, v = np.linalg.eigh(_herm(sigma * a + jm))
     aw = np.abs(w)
     if np.any((aw > 1e-8) & (aw < 2.0 - 1e-8)):
         raise MembershipError("spectral gap violated")

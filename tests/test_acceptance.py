@@ -9,7 +9,7 @@ warning. The whole module is seeded and deterministic.
 import numpy as np
 import pytest
 
-from conftest import block_unitary, hyperbolic, random_generator_set
+from conftest import block_unitary, hyperbolic, random_generator_set, rank_pair
 from pseudounitary import (
     HYPERBOLIC,
     IOTA,
@@ -22,7 +22,6 @@ from pseudounitary import (
     block_decompose,
     check_compact_intersection,
     construct_from_generators,
-    eigenvalue_bound_check,
     exp_us,
     extract_generators,
     fast_inverse,
@@ -35,7 +34,6 @@ from pseudounitary import (
     log_us,
     make_metric,
     membership_residual,
-    rank_pair,
     sample_upq,
     sample_us_lie,
     sample_us_pp,
@@ -121,9 +119,9 @@ def test_c03_eigenvalue_annulus():
         )
     for M, m in cases:
         checked += 1
-        if not eigenvalue_bound_check(M, m):
-            band_count += 1
         w = np.abs(np.linalg.eigvalsh((M + m.matrix + (M + m.matrix).conj().T) / 2.0))
+        if np.any((w > 1e-8) & (w < 2.0 - 1e-8)):
+            band_count += 1
         nonzero = w[w > 1e-8]
         if nonzero.size:
             closest = min(closest, float(np.min(nonzero)))

@@ -17,9 +17,7 @@ from pseudounitary import (
     block_decompose,
     canonical,
     canonical_invariant,
-    classify_block,
     invariant_from_blocks,
-    is_special,
     make_metric,
     membership_residual,
     sample_us_pp,
@@ -101,20 +99,26 @@ class TestAssemble:
         assert membership_residual(M, m) <= 1e-14
 
 
+def classify(block):
+    """Classify one numerical 2x2 piece through the array classifier of block_decompose."""
+    b = np.asarray(block)
+    return canonical._classify(b[:1, 0].real, b[1:, 1].real, np.abs(b[:1, 1]))[0]
+
+
 class TestClassify:
     def test_all_kinds(self):
-        assert classify_block(hyperbolic(1.3)) == hyp(1.3)
-        got = classify_block(-hyperbolic(0.2))
+        assert classify(hyperbolic(1.3)) == hyp(1.3)
+        got = classify(-hyperbolic(0.2))
         assert got.kind == HYPERBOLIC and got.sign == -1
         assert got.t == pytest.approx(0.2, abs=1e-15)
-        assert classify_block(np.diag([1.0, -1.0])) == iota(1)
-        assert classify_block(np.diag([-1.0, 1.0])) == iota(-1)
-        assert classify_block(np.eye(2)) == hyp(0.0)
-        assert classify_block(-np.eye(2)) == hyp(0.0, -1)
+        assert classify(np.diag([1.0, -1.0])) == iota(1)
+        assert classify(np.diag([-1.0, 1.0])) == iota(-1)
+        assert classify(np.eye(2)) == hyp(0.0)
+        assert classify(-np.eye(2)) == hyp(0.0, -1)
 
     def test_garbage_rejected(self):
         with pytest.raises(MembershipError):
-            classify_block(np.array([[0.2, 0.0], [0.0, 0.3]]))
+            classify(np.array([[0.2, 0.0], [0.0, 0.3]]))
 
 
 class TestDecompose:
@@ -219,6 +223,22 @@ class TestInvariants:
         assert inv.triples == ((HYPERBOLIC, 0.9, 1),)
         inv = invariant_from_blocks([iota(-1)])
         assert inv.triples == ((IOTA, 0.0, 1),)
+
+    def test_near_tie_global_sign_still_matches(self):
+        # parameters 1 + 1e-8 (1 -+ 1e-6) differ by 2e-14, but one lies inside
+        # T_COMPARE_TOL of the other piece's t = 1 and one just outside, so the
+        # two invariants are normalized to opposite global signs
+        ta, tb = 1.0 + T_COMPARE_TOL * (1 - 1e-6), 1.0 + T_COMPARE_TOL * (1 + 1e-6)
+        a = invariant_from_blocks([hyp(ta), hyp(1.0, -1)])
+        b = invariant_from_blocks([hyp(tb), hyp(1.0, -1)])
+        assert a.triples == ((HYPERBOLIC, ta, 1), (HYPERBOLIC, 1.0, -1))
+        assert b.triples == ((HYPERBOLIC, 1.0, 1), (HYPERBOLIC, tb, -1))
+        assert a.matches(b) and b.matches(a)
+        assert not a.matches(invariant_from_blocks([hyp(1.1), hyp(1.0, -1)]))
+        # the same through matrices and the spectral route
+        A = assemble_blocks([hyp(ta), hyp(1.0, -1)])
+        B = assemble_blocks([hyp(tb), hyp(1.0, -1)])
+        assert are_equivalent(A, B, make_metric(2, 2))
 
 
 @st.composite
@@ -416,15 +436,17 @@ class TestEquivalence:
 
 
 class TestSpecial:
+    """Members have |det| = 1; the pieces below lie in the special subgroup (det 1)."""
+
     def test_hyperbolic_blocks_are_special(self):
-        assert is_special(hyperbolic(0.8))
+        assert np.linalg.det(hyperbolic(0.8)) == pytest.approx(1.0, abs=1e-10)
 
     def test_metric_at_11_is_not(self):
-        assert not is_special(make_metric(1, 1).matrix)
+        assert np.linalg.det(make_metric(1, 1).matrix) == pytest.approx(-1.0, abs=1e-10)
 
     def test_double_iota_is_special(self):
         M = assemble_blocks([iota(1), iota(1)])
-        assert is_special(M)
+        assert np.linalg.det(M) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestGroupLaw:

@@ -280,6 +280,12 @@ class TestDim:
         assert code == 0
         assert json.loads(out)["result"]["dimension"] == 6
 
+    @pytest.mark.parametrize("p,q,d", [(1, 1, 1), (1, 2, 2), (3, 0, 0)])
+    def test_counts(self, capsys, p, q, d):
+        code, out, _ = run_cli(capsys, "dim", "--p", str(p), "--q", str(q))
+        assert code == 0
+        assert json.loads(out)["result"]["dimension"] == d
+
 
 class TestUsageErrors:
     def test_missing_file(self, capsys):
@@ -305,6 +311,18 @@ class TestUsageErrors:
         path = tmp_path / "bool.json"
         path.write_text(json.dumps({"format": "upq-matrix/1", "kind": "square",
                                     "p": True, "q": True,
+                                    "entries": [[1.0, 0.0], [0.0, 0.0],
+                                                [0.0, 0.0], [-1.0, 0.0]]}))
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_float_signature(self, tmp_path, capsys):
+        # a float is not truncated to a dimension
+        path = tmp_path / "float.json"
+        path.write_text(json.dumps({"format": "upq-matrix/1", "kind": "square",
+                                    "p": 1.5, "q": 1,
                                     "entries": [[1.0, 0.0], [0.0, 0.0],
                                                 [0.0, 0.0], [-1.0, 0.0]]}))
         code, out, err = run_cli(capsys, "check", str(path))

@@ -14,7 +14,6 @@ from pseudounitary import (
     indefinite_form,
     is_hermitian,
     is_pseudo_unitary,
-    join_blocks,
     make_metric,
     membership_residual,
     quadratic_form,
@@ -53,6 +52,15 @@ class TestMakeMetric:
             SignatureMetric(True, True)
         with pytest.raises(ValueError):
             SignatureMetric(1, False)
+        with pytest.raises(ValueError):
+            make_metric(True, 1)
+        # floats are refused, not truncated; numpy integers are dimensions
+        with pytest.raises(ValueError):
+            make_metric(2.7, 1)
+        with pytest.raises(ValueError):
+            make_metric(2, 1.0)
+        m = make_metric(np.int64(2), np.int32(1))
+        assert (m.p, m.q) == (2, 1) and type(m.p) is int
 
 
 class TestForms:
@@ -232,7 +240,7 @@ class TestBlockView:
         m = make_metric(2, 3)
         rng = np.random.default_rng(1)
         M = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        v = split_blocks(M, m)
-        assert v.m11.shape == (2, 2) and v.m12.shape == (2, 3)
-        assert v.m21.shape == (3, 2) and v.m22.shape == (3, 3)
-        assert np.array_equal(join_blocks(v), M)
+        m11, m12, m21, m22 = split_blocks(M, m)
+        assert m11.shape == (2, 2) and m12.shape == (2, 3)
+        assert m21.shape == (3, 2) and m22.shape == (3, 3)
+        assert np.array_equal(np.block([[m11, m12], [m21, m22]]), M)

@@ -1,4 +1,4 @@
-"""Rank pairs, generator extraction, reconstruction, and eigenvalue bounds."""
+"""Rank pairs, generator extraction, reconstruction, and the spectral gap."""
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from conftest import (
     count_calls,
     hyperbolic,
     random_generator_set,
+    rank_pair,
     three_eigh_generators,
 )
 from pseudounitary import (
@@ -20,12 +21,10 @@ from pseudounitary import (
     SampleSpec,
     assemble_blocks,
     construct_from_generators,
-    eigenvalue_bound_check,
     exp_us,
     extract_generators,
     make_metric,
     membership_residual,
-    rank_pair,
     sample_us_lie,
     sample_us_pp,
     spectral,
@@ -370,25 +369,29 @@ class TestConstructFromGenerators:
 
 
 class TestEigenvalueBound:
+    """The spectral-gap check of generator extraction, run without validation:
+    an eigenvalue of sigma*M + J strictly inside the band (0, 2) is refused."""
+
     def test_members_pass(self):
-        assert eigenvalue_bound_check(hyperbolic(LN3), make_metric(1, 1))
+        assert spectral._generators(hyperbolic(LN3), make_metric(1, 1)).k == 1
         m = make_metric(1, 2)
-        assert eigenvalue_bound_check(m.matrix, m)
-        assert eigenvalue_bound_check(np.eye(3), m)
+        assert spectral._generators(m.matrix, m).k == 0
+        assert spectral._generators(np.eye(3), m).k == 1
 
     def test_non_member_fails(self):
         m = make_metric(1, 1)
-        assert not eigenvalue_bound_check(0.5 * np.eye(2), m)
+        with pytest.raises(MembershipError, match="spectral gap"):
+            spectral._generators(0.5 * np.eye(2), m)
 
     def test_samples_pass(self):
         m = make_metric(2, 2)
         for seed in range(10):
             M, _ = sample_us_pp(SampleSpec(metric=m, seed=seed))
-            assert eigenvalue_bound_check(M, m)
+            spectral._generators(M, m)
 
     def test_conjugated_samples_pass(self):
         m = make_metric(2, 2)
         rng = np.random.default_rng(31)
         M, _ = sample_us_pp(SampleSpec(metric=m, seed=3))
         Q = block_unitary(m, rng)
-        assert eigenvalue_bound_check(Q.conj().T @ M @ Q, m)
+        spectral._generators(Q.conj().T @ M @ Q, m)
