@@ -280,7 +280,7 @@ class TestDim:
         assert code == 0
         assert json.loads(out)["result"]["dimension"] == 6
 
-    @pytest.mark.parametrize("p,q,d", [(1, 1, 1), (1, 2, 2), (3, 0, 0)])
+    @pytest.mark.parametrize("p,q,d", [(1, 1, 1), (1, 2, 2), (2, 3, 6), (3, 0, 0)])
     def test_counts(self, capsys, p, q, d):
         code, out, _ = run_cli(capsys, "dim", "--p", str(p), "--q", str(q))
         assert code == 0
