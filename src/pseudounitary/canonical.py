@@ -22,11 +22,11 @@ from .metric import (
     DEFAULT_TOL,
     MembershipError,
     SignatureMetric,
+    _blocks,
+    _unitary_residual,
     as_matrix,
     make_metric,
     require_member,
-    split_blocks,
-    unitary_residual,
 )
 from .spectral import SPLIT_CUTOFF, _generators
 
@@ -116,10 +116,10 @@ def _t_close(t1: float, t2: float) -> bool:
 
 
 def _require_block_unitary(Q: np.ndarray, metric: SignatureMetric) -> None:
-    res = unitary_residual(Q)
+    res = _unitary_residual(Q)
     if res > DEFAULT_TOL:
         raise ValueError(f"conjugating matrix is not unitary: residual {res:.3e}")
-    _, q12, q21, _ = split_blocks(Q, metric)
+    _, q12, q21, _ = _blocks(Q, metric.p)
     scale = max(1.0, float(np.linalg.norm(Q)))
     bound = DEFAULT_TOL * scale
     if np.linalg.norm(q12) > bound or np.linalg.norm(q21) > bound:

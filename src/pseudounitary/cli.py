@@ -38,7 +38,6 @@ from .metric import (
     MembershipError,
     block_identities_residual,
     hermitian_residual,
-    is_hermitian,
     make_metric,
     membership_residual,
     fast_inverse,
@@ -65,7 +64,7 @@ def _default_tol() -> float:
 
 
 def _entries(m: np.ndarray) -> list:
-    return [[float(v.real), float(v.imag)] for v in np.asarray(m, complex).reshape(-1)]
+    return np.ascontiguousarray(m, complex).reshape(-1).view(float).reshape(-1, 2).tolist()
 
 
 def _read_document(path: str) -> tuple[MatrixDocument, dict]:
@@ -94,6 +93,7 @@ def _cmd_check(args) -> int:
     _require_kind(doc, KIND_SQUARE)
     res = membership_residual(doc.matrix, doc.metric)
     member = res <= args.tol
+    herm = hermitian_residual(doc.matrix)
     _print_report({
         "command": "check",
         "input": source,
@@ -103,8 +103,8 @@ def _cmd_check(args) -> int:
             "q": doc.metric.q,
             "membership_residual": res,
             "is_member": bool(member),
-            "hermitian_residual": hermitian_residual(doc.matrix),
-            "is_hermitian": is_hermitian(doc.matrix, args.tol),
+            "hermitian_residual": herm,
+            "is_hermitian": herm <= args.tol,
             "block_identities_residual": block_identities_residual(doc.matrix, doc.metric),
         },
     })

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -32,22 +33,31 @@ class MatrixDocument:
     raw: dict
 
 
-def _fmt(x: float) -> str:
-    # 17 significant digits guarantee an exact float64 round trip.
-    if not np.isfinite(x):
-        raise ValueError("matrix files cannot hold non-finite entries")
-    s = "%.17g" % x
-    if not any(c in s for c in ".eE"):
-        s += ".0"
-    return s
-
-
 def _expected_shape(metric: SignatureMetric, kind: str) -> tuple[int, int]:
     if kind == KIND_SQUARE:
         return (metric.n, metric.n)
     if kind == KIND_BLOCK:
         return (metric.p, metric.q)
     raise ValueError(f"unknown matrix kind {kind!r}")
+
+
+# 17 significant digits guarantee an exact float64 round trip. %.17g prints an
+# integer-valued float below 1e17 with neither "." nor an exponent, so such an
+# entry gets ".0" to read back as a float. Indexed by 2 * whole(re) + whole(im).
+_CELLS = np.array([f"[%.17g{re}, %.17g{im}]" for re in ("", ".0") for im in ("", ".0")],
+                  dtype=object)
+
+
+def _entries_text(a: np.ndarray) -> str:
+    """The rows of [re, im] cells, every float printed by one % call."""
+    x = np.ascontiguousarray(a).reshape(-1).view(float)
+    if not np.isfinite(x).all():
+        raise ValueError("matrix files cannot hold non-finite entries")
+    whole = (x == np.trunc(x)) & (np.abs(x) < 1e17)
+    cells = _CELLS[2 * whole[0::2] + whole[1::2]].reshape(a.shape).tolist()
+    # the rows of a p x 0 block are empty and print nothing, as at (0, q)
+    template = ",\n".join("    " + ", ".join(row) for row in cells if row)
+    return template % tuple(x.tolist())
 
 
 def dumps_matrix(m, metric: SignatureMetric, kind: str = KIND_SQUARE,
@@ -65,12 +75,8 @@ def dumps_matrix(m, metric: SignatureMetric, kind: str = KIND_SQUARE,
     lines.append(f'  "q": {metric.q},')
     for key, value in (extra or {}).items():
         lines.append(f'  {json.dumps(str(key))}: {json.dumps(value)},')
-    row_texts = []
-    for row in a.reshape(shape[0], shape[1]):
-        cells = ", ".join(f"[{_fmt(v.real)}, {_fmt(v.imag)}]" for v in row)
-        row_texts.append("    " + cells)
     lines.append('  "entries": [')
-    lines.append(",\n".join(row_texts))
+    lines.append(_entries_text(a))
     lines.append("  ]")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -92,13 +98,23 @@ def loads_matrix(text: str) -> MatrixDocument:
     entries = doc.get("entries")
     if not isinstance(entries, list) or len(entries) != shape[0] * shape[1]:
         raise ValueError(f"entries must be a list of {shape[0] * shape[1]} [re, im] pairs")
+    # numpy would read the strings "1" and booleans as numbers
     try:
-        arr = np.asarray(entries, dtype=float)
-    except (TypeError, ValueError) as exc:
+        kinds = set(map(type, chain.from_iterable(entries)))
+    except TypeError:  # an entry that is a bare number or null
+        raise ValueError("entries must be [re, im] pairs") from None
+    if not kinds <= {int, float}:
+        names = ", ".join(sorted(k.__name__ for k in kinds - {int, float}))
+        raise ValueError(f"entries must be numeric [re, im] pairs, found {names}")
+    try:
+        # an empty list is the (0, 2) array of a block at (0, q) or (p, 0)
+        arr = np.asarray(entries or np.empty((0, 2)), dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"entries must be numeric [re, im] pairs: {exc}") from None
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("entries must be [re, im] pairs")
     if not np.all(np.isfinite(arr)):
         raise ValueError("entries contain non-finite values")
-    m = (arr[:, 0] + 1j * arr[:, 1]).reshape(shape)
+    # a view keeps every bit, the sign of -0.0 included; re + 1j * im does not
+    m = arr.view(complex).reshape(shape)
     return MatrixDocument(matrix=m, metric=metric, kind=kind, raw=doc)

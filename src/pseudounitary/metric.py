@@ -83,11 +83,13 @@ def as_matrix(m, shape: tuple | None = None, name: str = "matrix") -> np.ndarray
     return a
 
 
+def _blocks(a: np.ndarray, p: int) -> tuple:
+    return a[:p, :p], a[:p, p:], a[p:, :p], a[p:, p:]
+
+
 def split_blocks(M, metric: SignatureMetric) -> tuple:
     """Split M into blocks (p x p, p x q, q x p, q x q) along the signature."""
-    a = as_matrix(M, (metric.n, metric.n))
-    p = metric.p
-    return a[:p, :p], a[:p, p:], a[p:, :p], a[p:, p:]
+    return _blocks(as_matrix(M, (metric.n, metric.n)), metric.p)
 
 
 def indefinite_form(z, w, metric: SignatureMetric) -> complex:
@@ -106,13 +108,36 @@ def quadratic_form(z, metric: SignatureMetric) -> float:
     return float(indefinite_form(z, z, metric).real)
 
 
-def membership_residual(M, metric: SignatureMetric) -> float:
-    """Relative Frobenius size of M* J M - J; zero exactly on members of U(p, q)."""
-    a = as_matrix(M, (metric.n, metric.n))
+# The residuals below trust an array that as_matrix has already coerced and
+# checked; the public functions coerce once and then call them.
+def _membership_residual(a: np.ndarray, metric: SignatureMetric) -> float:
     j = metric.signs
     defect = (a.conj().T * j) @ a
     defect[np.diag_indices(metric.n)] -= j
     return float(np.linalg.norm(defect) / (1.0 + np.linalg.norm(a) ** 2))
+
+
+def _hermitian_residual(a: np.ndarray) -> float:
+    return float(np.linalg.norm(a - a.conj().T) / (1.0 + np.linalg.norm(a)))
+
+
+def _unitary_residual(a: np.ndarray) -> float:
+    defect = a.conj().T @ a - np.eye(a.shape[0])
+    return float(np.linalg.norm(defect) / (1.0 + np.linalg.norm(a) ** 2))
+
+
+def _require_membership(a: np.ndarray, metric: SignatureMetric, tol: float) -> None:
+    r = _membership_residual(a, metric)
+    if r > tol:
+        raise MembershipError(
+            f"matrix is not in U({metric.p},{metric.q}): "
+            f"membership residual {r:.3e} exceeds {tol:.3e}"
+        )
+
+
+def membership_residual(M, metric: SignatureMetric) -> float:
+    """Relative Frobenius size of M* J M - J; zero exactly on members of U(p, q)."""
+    return _membership_residual(as_matrix(M, (metric.n, metric.n)), metric)
 
 
 def is_pseudo_unitary(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> bool:
@@ -122,8 +147,7 @@ def is_pseudo_unitary(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> b
 
 def hermitian_residual(M) -> float:
     """Relative Frobenius size of M - M*."""
-    a = as_matrix(M)
-    return float(np.linalg.norm(a - a.conj().T) / (1.0 + np.linalg.norm(a)))
+    return _hermitian_residual(as_matrix(M))
 
 
 def is_hermitian(M, tol: float = DEFAULT_TOL) -> bool:
@@ -133,9 +157,7 @@ def is_hermitian(M, tol: float = DEFAULT_TOL) -> bool:
 
 def unitary_residual(M) -> float:
     """Relative Frobenius size of M* M - I."""
-    a = as_matrix(M)
-    defect = a.conj().T @ a - np.eye(a.shape[0])
-    return float(np.linalg.norm(defect) / (1.0 + np.linalg.norm(a) ** 2))
+    return _unitary_residual(as_matrix(M))
 
 
 def block_identities_residual(M, metric: SignatureMetric) -> float:
@@ -149,7 +171,7 @@ def block_identities_residual(M, metric: SignatureMetric) -> float:
     membership_residual (same normalization).
     """
     a = as_matrix(M, (metric.n, metric.n))
-    m11, m12, m21, m22 = split_blocks(a, metric)
+    m11, m12, m21, m22 = _blocks(a, metric.p)
     r1 = np.linalg.norm(m11.conj().T @ m11 - m21.conj().T @ m21 - np.eye(metric.p))
     r2 = np.linalg.norm(m12.conj().T @ m12 - m22.conj().T @ m22 + np.eye(metric.q))
     r3 = np.linalg.norm(m11.conj().T @ m12 - m21.conj().T @ m22)
@@ -162,12 +184,7 @@ def fast_inverse(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> np.nda
     Costs one conjugate transpose and two sign flips instead of a solve.
     """
     a = as_matrix(M, (metric.n, metric.n))
-    r = membership_residual(a, metric)
-    if r > tol:
-        raise MembershipError(
-            f"matrix is not in U({metric.p},{metric.q}): "
-            f"membership residual {r:.3e} exceeds {tol:.3e}"
-        )
+    _require_membership(a, metric, tol)
     j = metric.signs
     return (j[:, None] * a.conj().T) * j[None, :]
 
@@ -177,17 +194,12 @@ def require_member(M, metric: SignatureMetric, tol: float = DEFAULT_TOL,
     """Validate membership (and optionally Hermitian symmetry), returning the array."""
     a = as_matrix(M, (metric.n, metric.n))
     if hermitian:
-        hr = hermitian_residual(a)
+        hr = _hermitian_residual(a)
         if hr > tol:
             raise MembershipError(
                 f"matrix is not Hermitian: residual {hr:.3e} exceeds {tol:.3e}"
             )
-    r = membership_residual(a, metric)
-    if r > tol:
-        raise MembershipError(
-            f"matrix is not in U({metric.p},{metric.q}): "
-            f"membership residual {r:.3e} exceeds {tol:.3e}"
-        )
+    _require_membership(a, metric, tol)
     return a
 
 
@@ -198,4 +210,4 @@ def check_compact_intersection(M, metric: SignatureMetric, tol: float = DEFAULT_
     from the p block plus a unitary from the q block.
     """
     a = as_matrix(M, (metric.n, metric.n))
-    return membership_residual(a, metric) <= tol and unitary_residual(a) <= tol
+    return _membership_residual(a, metric) <= tol and _unitary_residual(a) <= tol

@@ -5,9 +5,12 @@ block unitaries) directly from their defining formulas, independently of the
 library code paths they are used to check.
 """
 
+import json
+
 import numpy as np
 
 from pseudounitary import GeneratorSet, MembershipError, SignatureMetric, require_member
+from pseudounitary.matrixfile import FORMAT_VERSION, KIND_SQUARE
 from pseudounitary.spectral import RANK_THRESHOLD, _orthogonalize_clusters
 
 
@@ -123,3 +126,39 @@ def three_eigh_generators(M, metric: SignatureMetric) -> GeneratorSet:
     order = sorted(range(lam.size), key=lambda i: (-lam[i], tuple(np.abs(vec[:, i]).tolist())))
     return GeneratorSet(metric=metric, sigma=sigma, lambdas=lam[order],
                         vectors=vec[:, order].T.copy())
+
+
+def _fmt(x: float) -> str:
+    # 17 significant digits guarantee an exact float64 round trip.
+    if not np.isfinite(x):
+        raise ValueError("matrix files cannot hold non-finite entries")
+    s = "%.17g" % x
+    if not any(c in s for c in ".eE"):
+        s += ".0"
+    return s
+
+
+def per_entry_dumps_matrix(m, metric: SignatureMetric, kind: str = KIND_SQUARE,
+                           extra: dict | None = None) -> str:
+    """The matrix file writer that formats each entry with its own Python calls.
+
+    Kept as the byte-for-byte oracle of `dumps_matrix`; it takes a matrix of
+    the right shape for the kind and leaves the shape check to the library.
+    """
+    a = np.asarray(m, dtype=complex)
+    lines = ["{"]
+    lines.append(f'  "format": "{FORMAT_VERSION}",')
+    lines.append(f'  "kind": "{kind}",')
+    lines.append(f'  "p": {metric.p},')
+    lines.append(f'  "q": {metric.q},')
+    for key, value in (extra or {}).items():
+        lines.append(f'  {json.dumps(str(key))}: {json.dumps(value)},')
+    row_texts = []
+    for row in a:
+        cells = ", ".join(f"[{_fmt(v.real)}, {_fmt(v.imag)}]" for v in row)
+        row_texts.append("    " + cells)
+    lines.append('  "entries": [')
+    lines.append(",\n".join(row_texts))
+    lines.append("  ]")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

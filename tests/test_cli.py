@@ -330,6 +330,18 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("entry", ['"1"', "true", "null", "1" + "0" * 400],
+                             ids=["string", "boolean", "null", "huge_integer"])
+    def test_non_numeric_entries(self, tmp_path, capsys, entry):
+        # numpy alone would read "1" and true as numbers and call this a member
+        path = tmp_path / "entries.json"
+        path.write_text('{"format": "upq-matrix/1", "kind": "square", "p": 1, "q": 1, '
+                        f'"entries": [[{entry}, 0], [0, 0], [0, 0], [-1, 0]]}}')
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: entries must be numeric [re, im] pairs")
+
 
 class TestPipelineInvariant:
     def test_sampled_invariants_match_truth_over_seed_range(self, tmp_path, capsys):

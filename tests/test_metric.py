@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import block_unitary, hyperbolic
+from conftest import block_unitary, count_calls, hyperbolic
+from pseudounitary import metric as metric_module
 from pseudounitary import (
     MembershipError,
     SignatureMetric,
@@ -244,3 +245,22 @@ class TestBlockView:
         assert m11.shape == (2, 2) and m12.shape == (2, 3)
         assert m21.shape == (3, 2) and m22.shape == (3, 3)
         assert np.array_equal(np.block([[m11, m12], [m21, m22]]), M)
+
+
+class TestValidatesOnce:
+    # the public functions coerce and finiteness-check their input once, then
+    # hand the array to trusting helpers
+    @pytest.mark.parametrize("fn, kwargs", [
+        (metric_module.require_member, {}),
+        (metric_module.require_member, {"hermitian": False}),
+        (fast_inverse, {}),
+        (check_compact_intersection, {}),
+        (block_identities_residual, {}),
+    ], ids=["require_member", "require_member_any", "fast_inverse",
+            "check_compact_intersection", "block_identities_residual"])
+    def test_one_coercion_per_call(self, monkeypatch, fn, kwargs):
+        metric = make_metric(2, 2)
+        m = np.kron(np.eye(2), hyperbolic(LN2))[[0, 2, 1, 3]][:, [0, 2, 1, 3]]
+        coercions = count_calls(monkeypatch, "as_matrix", metric_module)
+        fn(m, metric, **kwargs)
+        assert len(coercions) == 1
