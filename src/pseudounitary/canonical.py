@@ -14,6 +14,7 @@ invariant under M -> -M and M -> Q* M Q.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from .metric import (
     MembershipError,
     SignatureMetric,
     _blocks,
+    _refusals,
     _unitary_residual,
     as_matrix,
     make_metric,
@@ -39,6 +41,7 @@ T_COMPARE_TOL = 1e-8
 # Canonical 2x2 entries are +-cosh(t) (magnitude at least 1) or +-1, so this
 # margin cleanly separates the piece families.
 CLASSIFY_MARGIN = 0.5
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,7 @@ class HyperbolicBlock:
             raise ValueError(f"unknown block kind {self.kind!r}")
         if self.sign not in (1, -1):
             raise ValueError("block sign must be +1 or -1")
-        if not np.isfinite(self.t):
+        if not math.isfinite(self.t):
             raise ValueError("block parameter must be finite")
         if self.kind == IOTA and self.t != 0.0:
             raise ValueError("iota blocks carry no hyperbolic parameter")
@@ -117,7 +120,7 @@ def _t_close(t1: float, t2: float) -> bool:
 
 def _require_block_unitary(Q: np.ndarray, metric: SignatureMetric) -> None:
     res = _unitary_residual(Q)
-    if res > DEFAULT_TOL:
+    if not res <= DEFAULT_TOL:
         raise ValueError(f"conjugating matrix is not unitary: residual {res:.3e}")
     _, q12, q21, _ = _blocks(Q, metric.p)
     scale = max(1.0, float(np.linalg.norm(Q)))
@@ -295,15 +298,106 @@ def invariant_from_blocks(blocks) -> CanonicalInvariant:
     """
     base = _merge_iota_pairs(blocks)
     base_key = sorted(_sort_key(b) for b in base)
-    flip_key = sorted(_sort_key(b.flipped()) for b in base)
+    flip_key = sorted((b.kind, b.sign, b.t) for b in base)  # _sort_key of b.flipped()
     chosen = flip_key if _flip_is_smaller(base_key, flip_key) else base_key
     triples = tuple((kind, t, -negsign) for (kind, negsign, t) in chosen)
     return CanonicalInvariant(triples=triples)
 
 
-def _magnitude_gap(lam: np.ndarray, s: np.ndarray) -> float:
-    """Largest | |lambda| - sqrt(1 + s^2) |, pairing both by descending size (s sorted)."""
-    return float(np.max(np.abs(np.sort(np.abs(lam))[::-1] - np.hypot(1.0, s)), initial=0.0))
+def _invariants(stack: np.ndarray, metric: SignatureMetric, tol: float) -> list:
+    """Canonical invariants of the items of a (B, 2p, 2p) stack of coerced matrices.
+
+    Returns, in item order, a CanonicalInvariant or the MembershipError that
+    refuses the item, up to the first item validation refuses; the items
+    after it are not computed and hold None, since every caller stops at the
+    first refusal. One validation of the whole stack, one eigh of the M11
+    stack, one eigvalsh of the M22 stack and one SVD serve the items; the
+    rules of canonical_invariant are array expressions over them, and Python
+    only assembles the triples.
+    """
+    p = metric.p
+    refusals, norms = _refusals(stack, metric, tol)
+    out = [None] * len(refusals)
+    # the number of items before the first refused one
+    b = next((i for i, r in enumerate(refusals) if r), len(refusals))
+    if b < len(out):
+        out[b] = MembershipError(refusals[b])
+        stack, norms = stack[:b], norms[:b]
+    if not b:
+        return out
+    lam11, x = np.linalg.eigh(stack[:, :p, :p])
+    lam22 = np.linalg.eigvalsh(stack[:, p:, p:])
+    neg = lam11 < 0
+    pos = ~neg
+    y = x.conj().swapaxes(-1, -2) @ stack[:, :p, p:]
+    # side 0 keeps the rows of Y = X* M12 on the negative eigenspace of M11,
+    # side 1 those on the positive one: the singular values of a masked Y
+    # are those of M12 restricted to that eigenspace, padded with zeros
+    s = np.linalg.svd(y * np.array([neg, pos])[..., None], compute_uv=False)
+    # eigh sorts ascending, so |lambda| descends over the negative
+    # eigenvalues and over the reversed positive ones, as s does; a position
+    # holding an eigenvalue of its side holds a coupling, the rest padding
+    real = np.array([neg, pos[:, ::-1]])
+    t = np.arcsinh(s)
+    h = np.hypot(1.0, s)
+    s_max = np.where(real, s, 0.0).max(axis=(0, 2))
+    unresolvable = (real & (_EPS * s_max[:, None] / h > T_COMPARE_TOL * np.maximum(1.0, t / 20.0))
+                    ).any(axis=(0, 2)).tolist()
+    gap = np.where(real, np.abs(np.array([-lam11, lam11[:, ::-1]]) - h), 0.0).max(axis=(0, 2))
+    # each item's p values of sqrt(1 + s^2), descending, against |eig(M22)|
+    h_all = np.sort(np.where(real, h, 0.0).swapaxes(0, 1).reshape(b, 2 * p))[:, :-p - 1:-1]
+    err = np.maximum(gap, np.abs(np.sort(np.abs(lam22))[:, ::-1] - h_all).max(axis=1))
+    inconsistent = (err > 1000.0 * tol * np.maximum(1.0, norms)).tolist()
+    n_neg = neg.sum(axis=1).tolist()
+    excess = (pos.sum(axis=1) - (lam22 > 0).sum(axis=1)).tolist()
+    t = t.tolist()
+    for k in range(b):
+        ts = (t[0][k][:n_neg[k]], t[1][k][:p - n_neg[k]])
+        if unresolvable[k]:
+            out[k] = MembershipError(
+                f"hyperbolic parameters not resolvable: coupling norm {s_max[k]:.3e} "
+                f"against smallest parameter {min(ts[0] + ts[1]):.3e}"
+            )
+        elif inconsistent[k]:
+            out[k] = MembershipError(f"block spectra inconsistent: residual {err[k]:.3e}")
+        else:
+            out[k] = invariant_from_blocks(_pieces(ts, excess[k]))
+    return out
+
+
+def _pieces(t_sides: tuple, excess: int) -> list:
+    """Blocks of one member from its parameters on the negative and the positive side.
+
+    Hyperbolic pieces put the same sign into M11 and M22, iota pieces
+    opposite signs, so (after iota-pair merging) the iota count is the
+    excess of positive eigenvalues of M11 over M22, and its sign is the sign
+    of that excess. The iota pieces take the smallest couplings of their sign.
+    """
+    n_iota = abs(excess)
+    iota_sign = 1 if excess > 0 else -1
+    blocks = []
+    for sign, ts in zip((-1, 1), t_sides):
+        if sign == iota_sign:
+            ts = ts[:len(ts) - n_iota]
+        blocks.extend(HyperbolicBlock(HYPERBOLIC, tj, sign) for tj in ts)
+    blocks.extend([HyperbolicBlock(IOTA, 0.0, iota_sign)] * n_iota)
+    return blocks
+
+
+def _checked_invariants(matrices, metric: SignatureMetric, tol: float) -> list:
+    """Invariants of the given members from one stacked pass.
+
+    Raises the MembershipError of the first refused matrix, in order, so a
+    pair is refused with the message its first refused member gets alone.
+    """
+    if metric.p != metric.q:
+        raise ValueError("the canonical invariant is defined for signature (p, p)")
+    shape = (metric.n, metric.n)
+    out = _invariants(np.array([as_matrix(m, shape) for m in matrices]), metric, tol)
+    for inv in out:
+        if isinstance(inv, MembershipError):
+            raise inv
+    return out
 
 
 def canonical_invariant(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> CanonicalInvariant:
@@ -330,44 +424,14 @@ def canonical_invariant(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) ->
     far from their gap), or when the paired spectra violate
     |lambda|^2 - s^2 = 1 beyond the reassembly bound of block_decompose.
     """
-    if metric.p != metric.q:
-        raise ValueError("the canonical invariant is defined for signature (p, p)")
-    p = metric.p
-    a = require_member(M, metric, tol)
-    m12 = a[:p, p:]
-    lam11, x = np.linalg.eigh(a[:p, :p])
-    lam22 = np.linalg.eigvalsh(a[p:, p:])
-    n_neg = int(np.count_nonzero(lam11 < 0))
-    excess = (p - n_neg) - int(np.count_nonzero(lam22 > 0))
-    n_iota = abs(excess)
-    iota_sign = 1 if excess > 0 else -1
-    # eigh sorts ascending, so the negative eigenspace comes first
-    sides = ((-1, lam11[:n_neg], x[:, :n_neg]), (1, lam11[n_neg:], x[:, n_neg:]))
-    blocks, s_all, err = [], [], 0.0
-    for sign, lam, basis in sides:
-        s = np.linalg.svd(basis.conj().T @ m12, compute_uv=False)
-        err = max(err, _magnitude_gap(lam, s))
-        s_all.append(s)
-        if sign == iota_sign:
-            s = s[:len(s) - n_iota]
-        blocks.extend(HyperbolicBlock(HYPERBOLIC, float(tj), sign) for tj in np.arcsinh(s))
-    s = np.sort(np.concatenate(s_all))[::-1]
-    t = np.arcsinh(s)
-    eps = np.finfo(float).eps
-    if np.any(eps * s[0] / np.hypot(1.0, s) > T_COMPARE_TOL * np.maximum(1.0, t / 20.0)):
-        raise MembershipError(
-            f"hyperbolic parameters not resolvable: coupling norm {s[0]:.3e} "
-            f"against smallest parameter {t[-1]:.3e}"
-        )
-    err = max(err, _magnitude_gap(lam22, s))
-    if err > 1000.0 * tol * max(1.0, float(np.linalg.norm(a))):
-        raise MembershipError(f"block spectra inconsistent: residual {err:.3e}")
-    blocks.extend([HyperbolicBlock(IOTA, 0.0, iota_sign)] * n_iota)
-    return invariant_from_blocks(blocks)
+    return _checked_invariants([M], metric, tol)[0]
 
 
 def are_equivalent(M1, M2, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> bool:
-    """True when the two members agree up to global sign and block-unitary conjugation."""
-    inv1 = canonical_invariant(M1, metric, tol)
-    inv2 = canonical_invariant(M2, metric, tol)
+    """True when the two members agree up to global sign and block-unitary conjugation.
+
+    Both invariants come from one stacked pass: one validation, one eigh, one
+    eigvalsh and one SVD call for the pair.
+    """
+    inv1, inv2 = _checked_invariants([M1, M2], metric, tol)
     return inv1.matches(inv2)

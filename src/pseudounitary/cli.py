@@ -21,6 +21,7 @@ import numpy as np
 from .canonical import (
     T_COMPARE_TOL,
     HyperbolicBlock,
+    _checked_invariants,
     block_decompose,
     canonical_invariant,
     invariant_from_blocks,
@@ -30,6 +31,8 @@ from .matrixfile import (
     KIND_BLOCK,
     KIND_SQUARE,
     MatrixDocument,
+    _json_pairs,
+    _JSONText,
     dumps_matrix,
     loads_matrix,
 )
@@ -204,8 +207,7 @@ def _cmd_equiv(args) -> int:
             f"signature mismatch: ({doc1.metric.p}, {doc1.metric.q}) vs "
             f"({doc2.metric.p}, {doc2.metric.q})"
         )
-    inv1 = canonical_invariant(doc1.matrix, doc1.metric, args.tol)
-    inv2 = canonical_invariant(doc2.matrix, doc2.metric, args.tol)
+    inv1, inv2 = _checked_invariants([doc1.matrix, doc2.matrix], doc1.metric, args.tol)
     equivalent = inv1.matches(inv2)
     _print_report({
         "command": "equiv",
@@ -241,14 +243,15 @@ def _cmd_sample(args) -> int:
     if args.family == "uspp":
         spec = SampleSpec(metric=metric, seed=args.seed, t_max=args.tmax)
         m, truth = sample_us_pp(spec)
-        extra = {
-            "ground_truth": {
-                "blocks": _pieces_payload(truth.blocks),
-                "invariant": _pieces_payload(invariant_from_blocks(truth.blocks).triples),
-                "unitary": _entries(truth.q),
-            }
-        }
-        sys.stdout.write(dumps_matrix(m, metric, KIND_SQUARE, extra))
+        # the text json.dumps gives the dict of blocks, invariant and unitary,
+        # with the 2 n^2 floats of the unitary printed by one template call
+        ground_truth = '{"blocks": %s, "invariant": %s, "unitary": %s}' % (
+            json.dumps(_pieces_payload(truth.blocks)),
+            json.dumps(_pieces_payload(invariant_from_blocks(truth.blocks).triples)),
+            _json_pairs(truth.q),
+        )
+        sys.stdout.write(dumps_matrix(m, metric, KIND_SQUARE,
+                                      {"ground_truth": _JSONText(ground_truth)}))
     elif args.family == "lie":
         elem = sample_us_lie(metric, args.seed)
         sys.stdout.write(dumps_matrix(elem.block, metric, KIND_BLOCK))

@@ -60,6 +60,22 @@ def _entries_text(a: np.ndarray) -> str:
     return template % tuple(x.tolist())
 
 
+class _JSONText(str):
+    """An extra value that is already JSON text; dumps_matrix writes it as it is."""
+
+
+def _json_pairs(m) -> str:
+    """The JSON list of [re, im] pairs of m's entries, as json.dumps prints it.
+
+    json.dumps prints a float with float.__repr__, so one %r template call
+    writes the same text.
+    """
+    x = np.ascontiguousarray(m, complex).reshape(-1).view(float)
+    if not np.isfinite(x).all():
+        raise ValueError("matrix files cannot hold non-finite entries")
+    return "[" + ", ".join(["[%r, %r]"] * (x.size // 2)) % tuple(x.tolist()) + "]"
+
+
 def dumps_matrix(m, metric: SignatureMetric, kind: str = KIND_SQUARE,
                  extra: dict | None = None) -> str:
     """Serialize a matrix to the JSON file format."""
@@ -74,7 +90,8 @@ def dumps_matrix(m, metric: SignatureMetric, kind: str = KIND_SQUARE,
     lines.append(f'  "p": {metric.p},')
     lines.append(f'  "q": {metric.q},')
     for key, value in (extra or {}).items():
-        lines.append(f'  {json.dumps(str(key))}: {json.dumps(value)},')
+        text = value if isinstance(value, _JSONText) else json.dumps(value)
+        lines.append(f'  {json.dumps(str(key))}: {text},')
     lines.append('  "entries": [')
     lines.append(_entries_text(a))
     lines.append("  ]")

@@ -7,6 +7,7 @@ predicates and residuals defined here.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -40,11 +41,16 @@ class SignatureMetric:
     def n(self) -> int:
         return self.p + self.q
 
-    @property
+    @functools.cached_property
     def signs(self) -> np.ndarray:
-        """Diagonal of the metric matrix: p ones, then q minus ones."""
+        """Diagonal of the metric matrix: p ones, then q minus ones (read-only).
+
+        Computed once per metric: every residual reads it. Caching keeps it
+        out of equality and hashing, which compare p and q only.
+        """
         s = np.ones(self.n)
         s[self.p:] = -1.0
+        s.flags.writeable = False
         return s
 
     @property
@@ -108,36 +114,107 @@ def quadratic_form(z, metric: SignatureMetric) -> float:
     return float(indefinite_form(z, z, metric).real)
 
 
-# The residuals below trust an array that as_matrix has already coerced and
-# checked; the public functions coerce once and then call them.
-def _membership_residual(a: np.ndarray, metric: SignatureMetric) -> float:
-    j = metric.signs
-    defect = (a.conj().T * j) @ a
-    defect[np.diag_indices(metric.n)] -= j
-    return float(np.linalg.norm(defect) / (1.0 + np.linalg.norm(a) ** 2))
+# The helpers below trust an array that as_matrix has already coerced and
+# checked; the public functions coerce once and then call them. They take a
+# matrix or a (B, n, n) stack and return one value per item.
+
+# While every item's squared norm stays below this bound, no product or sum of
+# squares the residuals form can overflow.
+_UNSCALED_SSQ = 2.0 ** 500
+# The scale factor of unscaled items; the helpers test for it by identity.
+_ONE = np.float64(1.0)
 
 
-def _hermitian_residual(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a - a.conj().T) / (1.0 + np.linalg.norm(a)))
+def _row(x: np.ndarray) -> np.ndarray:
+    """The real and imaginary parts of each item's entries as one (..., 1, 2n^2) row."""
+    return x.reshape(x.shape[:-2] + (1, -1)).view(float)
 
 
-def _unitary_residual(a: np.ndarray) -> float:
-    defect = a.conj().T @ a - np.eye(a.shape[0])
-    return float(np.linalg.norm(defect) / (1.0 + np.linalg.norm(a) ** 2))
+def _ssq(row: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each item, from its _row."""
+    return (row @ row.swapaxes(-1, -2))[..., 0, 0]
 
 
-def _require_membership(a: np.ndarray, metric: SignatureMetric, tol: float) -> None:
-    r = _membership_residual(a, metric)
-    if r > tol:
-        raise MembershipError(
-            f"matrix is not in U({metric.p},{metric.q}): "
-            f"membership residual {r:.3e} exceeds {tol:.3e}"
-        )
+def _scaled(a: np.ndarray) -> tuple:
+    """(b, s, ||b||^2) with b = s a per item, s a power of two.
+
+    s = _ONE while every item's squared norm stays below _UNSCALED_SSQ.
+    Otherwise each item gets its own s = 2^-k, with 2^k the smallest power
+    of two (k >= 0) above its largest real or imaginary part. Scaling by a
+    power of two is exact, so residuals formed from b are bitwise those of
+    the unscaled formulas wherever these do not overflow, and they stay
+    finite over the whole float range.
+    """
+    row = _row(a)
+    with np.errstate(over="ignore"):  # an overflow here only selects scaling
+        ssq = _ssq(row)
+    if ssq.max() < _UNSCALED_SSQ:
+        return a, _ONE, ssq
+    big = np.abs(row).max(axis=(-2, -1), initial=0.5)
+    # frexp writes big = m 2^k with m in [0.5, 1), so m / big is exactly 2^-k
+    s = np.frexp(big)[0] / big
+    b = a * s[..., None, None]
+    return b, s, _ssq(_row(b))
+
+
+def _gram_residual(b: np.ndarray, s, ssq: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """||A* diag(j) A - diag(j)|| / (1 + ||A||^2) per item, from _scaled(A)."""
+    defect = (b.conj().swapaxes(-1, -2) * j) @ b
+    s2 = s * s
+    n = j.size
+    defect.reshape(defect.shape[:-2] + (n * n,))[..., :: n + 1] -= (
+        j if s is _ONE else s2[..., None] * j)
+    return np.sqrt(_ssq(_row(defect))) / (s2 + ssq)
+
+
+def _skew_residual(b: np.ndarray, s, fro: np.ndarray) -> np.ndarray:
+    """||A - A*|| / (1 + ||A||) per item, from b and s of _scaled(A) and fro = ||b||."""
+    return np.sqrt(_ssq(_row(b - b.conj().swapaxes(-1, -2)))) / (s + fro)
+
+
+def _membership_residual(a: np.ndarray, metric: SignatureMetric) -> np.ndarray:
+    return _gram_residual(*_scaled(a), metric.signs)
+
+
+def _hermitian_residual(a: np.ndarray) -> np.ndarray:
+    b, s, ssq = _scaled(a)
+    return _skew_residual(b, s, np.sqrt(ssq))
+
+
+def _unitary_residual(a: np.ndarray) -> np.ndarray:
+    return _gram_residual(*_scaled(a), np.ones(a.shape[-1]))
+
+
+def _refusals(a: np.ndarray, metric: SignatureMetric, tol: float,
+              hermitian: bool = True) -> tuple:
+    """Validate a matrix, or each item of a (B, n, n) stack, as require_member does.
+
+    Returns the list of MembershipError messages, one per item (one for a
+    matrix), with None where the item is accepted, and the Frobenius norms
+    of the items. A NaN residual is refused. Membership is not computed
+    when no item is Hermitian.
+    """
+    b, s, ssq = _scaled(a)
+    norms = np.sqrt(ssq)
+    messages = [None] * (1 if a.ndim == 2 else len(a))
+    if hermitian:
+        for i, hr in enumerate(_skew_residual(b, s, norms).reshape(-1).tolist()):
+            if not hr <= tol:
+                messages[i] = f"matrix is not Hermitian: residual {hr:.3e} exceeds {tol:.3e}"
+    if None in messages:
+        for i, r in enumerate(_gram_residual(b, s, ssq, metric.signs).reshape(-1).tolist()):
+            if messages[i] is None and not r <= tol:
+                messages[i] = (f"matrix is not in U({metric.p},{metric.q}): "
+                               f"membership residual {r:.3e} exceeds {tol:.3e}")
+    if s is not _ONE:
+        with np.errstate(over="ignore"):  # a norm beyond the float range is inf
+            norms = norms / s
+    return messages, norms
 
 
 def membership_residual(M, metric: SignatureMetric) -> float:
     """Relative Frobenius size of M* J M - J; zero exactly on members of U(p, q)."""
-    return _membership_residual(as_matrix(M, (metric.n, metric.n)), metric)
+    return float(_membership_residual(as_matrix(M, (metric.n, metric.n)), metric))
 
 
 def is_pseudo_unitary(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> bool:
@@ -147,7 +224,7 @@ def is_pseudo_unitary(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> b
 
 def hermitian_residual(M) -> float:
     """Relative Frobenius size of M - M*."""
-    return _hermitian_residual(as_matrix(M))
+    return float(_hermitian_residual(as_matrix(M)))
 
 
 def is_hermitian(M, tol: float = DEFAULT_TOL) -> bool:
@@ -157,7 +234,7 @@ def is_hermitian(M, tol: float = DEFAULT_TOL) -> bool:
 
 def unitary_residual(M) -> float:
     """Relative Frobenius size of M* M - I."""
-    return _unitary_residual(as_matrix(M))
+    return float(_unitary_residual(as_matrix(M)))
 
 
 def block_identities_residual(M, metric: SignatureMetric) -> float:
@@ -170,12 +247,13 @@ def block_identities_residual(M, metric: SignatureMetric) -> float:
     These are the blocks of M* J M - J, so this residual never exceeds
     membership_residual (same normalization).
     """
-    a = as_matrix(M, (metric.n, metric.n))
-    m11, m12, m21, m22 = _blocks(a, metric.p)
-    r1 = np.linalg.norm(m11.conj().T @ m11 - m21.conj().T @ m21 - np.eye(metric.p))
-    r2 = np.linalg.norm(m12.conj().T @ m12 - m22.conj().T @ m22 + np.eye(metric.q))
+    b, s, ssq = _scaled(as_matrix(M, (metric.n, metric.n)))
+    s2 = float(s * s)
+    m11, m12, m21, m22 = _blocks(b, metric.p)
+    r1 = np.linalg.norm(m11.conj().T @ m11 - m21.conj().T @ m21 - s2 * np.eye(metric.p))
+    r2 = np.linalg.norm(m12.conj().T @ m12 - m22.conj().T @ m22 + s2 * np.eye(metric.q))
     r3 = np.linalg.norm(m11.conj().T @ m12 - m21.conj().T @ m22)
-    return float(max(r1, r2, r3) / (1.0 + np.linalg.norm(a) ** 2))
+    return float(max(r1, r2, r3) / (s2 + ssq))
 
 
 def fast_inverse(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -184,7 +262,9 @@ def fast_inverse(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> np.nda
     Costs one conjugate transpose and two sign flips instead of a solve.
     """
     a = as_matrix(M, (metric.n, metric.n))
-    _require_membership(a, metric, tol)
+    (refusal,), _ = _refusals(a, metric, tol, hermitian=False)
+    if refusal:
+        raise MembershipError(refusal)
     j = metric.signs
     return (j[:, None] * a.conj().T) * j[None, :]
 
@@ -193,13 +273,9 @@ def require_member(M, metric: SignatureMetric, tol: float = DEFAULT_TOL,
                    hermitian: bool = True) -> np.ndarray:
     """Validate membership (and optionally Hermitian symmetry), returning the array."""
     a = as_matrix(M, (metric.n, metric.n))
-    if hermitian:
-        hr = _hermitian_residual(a)
-        if hr > tol:
-            raise MembershipError(
-                f"matrix is not Hermitian: residual {hr:.3e} exceeds {tol:.3e}"
-            )
-    _require_membership(a, metric, tol)
+    (refusal,), _ = _refusals(a, metric, tol, hermitian)
+    if refusal:
+        raise MembershipError(refusal)
     return a
 
 
@@ -210,4 +286,4 @@ def check_compact_intersection(M, metric: SignatureMetric, tol: float = DEFAULT_
     from the p block plus a unitary from the q block.
     """
     a = as_matrix(M, (metric.n, metric.n))
-    return _membership_residual(a, metric) <= tol and _unitary_residual(a) <= tol
+    return bool(_membership_residual(a, metric) <= tol and _unitary_residual(a) <= tol)

@@ -128,6 +128,32 @@ def three_eigh_generators(M, metric: SignatureMetric) -> GeneratorSet:
                         vectors=vec[:, order].T.copy())
 
 
+def _unscaled_ssq(x: np.ndarray) -> float:
+    v = x.reshape(1, -1).view(float)
+    return (v @ v.T)[0, 0]
+
+
+def unscaled_residuals(a: np.ndarray, signs: np.ndarray) -> tuple:
+    """(membership, Hermitian, unitary) residuals of a matrix by their formulas, unscaled.
+
+    ||A* J A - J|| / (1 + ||A||^2), ||A - A*|| / (1 + ||A||) and
+    ||A* A - I|| / (1 + ||A||^2) in the Frobenius norm, with the same
+    floating-point operations as the library's residuals but without their
+    power-of-two scaling, so they overflow where those do not.
+    """
+    a = np.ascontiguousarray(a, complex)
+    n = a.shape[0]
+    diag = np.diag_indices(n)
+    ssq = _unscaled_ssq(a)
+    out = []
+    for j in (signs, np.ones(n)):
+        defect = (a.conj().T * j) @ a
+        defect[diag] -= j
+        out.append(np.sqrt(_unscaled_ssq(defect)) / (1.0 + ssq))
+    skew = np.sqrt(_unscaled_ssq(a - a.conj().T)) / (1.0 + np.sqrt(ssq))
+    return out[0], skew, out[1]
+
+
 def _fmt(x: float) -> str:
     # 17 significant digits guarantee an exact float64 round trip.
     if not np.isfinite(x):

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import block_unitary, count_calls, hyperbolic, three_eigh_generators
+from pseudounitary import metric as metric_module
 from pseudounitary import (
+    DEFAULT_TOL,
     HYPERBOLIC,
     IOTA,
     HyperbolicBlock,
@@ -433,6 +435,117 @@ class TestEquivalence:
         A = assemble_blocks([hyp(0.5), hyp(1.5)])
         B = assemble_blocks([hyp(0.5), hyp(1.6)])
         assert not are_equivalent(A, B, m)
+
+
+def _perturbed(M, rng):
+    """A 1e-6 Hermitian perturbation: still Hermitian, no longer a member."""
+    e = rng.standard_normal(M.shape) + 1j * rng.standard_normal(M.shape)
+    return M + 1e-6 * (e + e.conj().T)
+
+
+@st.composite
+def mixed_stacks(draw):
+    """One to five matrices at one (p, p), p <= 4: sampled members (t up to 20,
+    some of them unresolvable), Hermitian non-members, and members with t = 40
+    beside an iota piece, which the resolvability rule refuses."""
+    p = draw(st.integers(1, 4))
+    m = make_metric(p, p)
+    items = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["member", "member", "nonmember", "unresolvable"]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        if kind == "unresolvable" and p > 1:
+            blocks = [hyp(40.0), iota(1)] + [hyp(rng.uniform(0.0, 3.0)) for _ in range(p - 2)]
+            items.append(assemble_blocks(blocks, block_unitary(m, rng), m))
+            continue
+        spec = SampleSpec(metric=m, seed=int(rng.integers(2**31)),
+                          t_max=draw(st.sampled_from([3.0, 8.0, 20.0])),
+                          block_kind_weights=(0.3, 0.3, 0.2, 0.2))
+        M = sample_us_pp(spec)[0]
+        items.append(_perturbed(M, rng) if kind == "nonmember" else M)
+    return m, np.array(items)
+
+
+def _same_result(a, b) -> bool:
+    if isinstance(a, MembershipError) or isinstance(b, MembershipError):
+        return type(a) is type(b) and str(a) == str(b)
+    return a is b is None or a.triples == b.triples
+
+
+class TestStackedInvariants:
+    """canonical._invariants reads a whole stack in one pass; B = 1 is canonical_invariant."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(mixed_stacks())
+    def test_stack_is_bitwise_the_single_calls(self, case):
+        m, stack = case
+        got = canonical._invariants(stack, m, DEFAULT_TOL)
+        assert len(got) == len(stack)
+        validated = True
+        for item, result in zip(stack, got):
+            if not validated:
+                # the items after the first one validation refuses are skipped
+                assert result is None
+                continue
+            single = canonical._invariants(item[None], m, DEFAULT_TOL)
+            assert _same_result(result, single[0])
+            validated = metric_module._refusals(item, m, DEFAULT_TOL)[0] == [None]
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(block_form_specs(), st.sampled_from([1.0, -1.0]), st.floats(0.05, 0.5),
+           st.integers(0, 2**32 - 1), st.booleans())
+    def test_verdicts_agree_with_block_decomposition(self, spec, sign, shift, seed, conjugate):
+        m = spec.metric
+        M, truth = sample_us_pp(spec)
+        if conjugate:
+            Q = block_unitary(m, np.random.default_rng(seed))
+            M2 = sign * (Q.conj().T @ M @ Q)
+        else:
+            M2 = sample_us_pp(SampleSpec(
+                metric=m, seed=spec.seed, block_kind_weights=spec.block_kind_weights,
+                t_values=tuple(b.t + shift for b in truth.blocks)))[0]
+        try:
+            d1, d2 = block_decompose(M, m), block_decompose(M2, m)
+        except MembershipError:
+            return
+        expected = invariant_from_blocks(d1.blocks).matches(invariant_from_blocks(d2.blocks))
+        assert expected or not conjugate
+        assert are_equivalent(M, M2, m) is expected
+
+    @pytest.mark.parametrize("order", ["nonmember, member", "member, nonmember",
+                                       "unresolvable, nonmember"])
+    def test_first_refused_matrix_gives_the_message(self, order):
+        m = make_metric(2, 2)
+        rng = np.random.default_rng(8)
+        member = sample_us_pp(SampleSpec(metric=m, seed=8))[0]
+        matrices = {
+            "member": member,
+            "nonmember": _perturbed(member, rng),
+            "unresolvable": assemble_blocks([hyp(40.0), iota(1)], block_unitary(m, rng), m),
+        }
+        pair = [matrices[name] for name in order.split(", ")]
+        first_refused = pair[1] if order.startswith("member") else pair[0]
+        with pytest.raises(MembershipError) as alone:
+            canonical_invariant(first_refused, m)
+        with pytest.raises(MembershipError) as both:
+            are_equivalent(*pair, m)
+        assert str(both.value) == str(alone.value)
+        expected = "not resolvable" if order.startswith("un") else "membership residual"
+        assert expected in str(both.value)
+
+    def test_one_validation_and_one_call_of_each_kernel(self, monkeypatch):
+        m = make_metric(3, 3)
+        M = sample_us_pp(SampleSpec(metric=m, seed=4))[0]
+        Q = block_unitary(m, np.random.default_rng(4))
+        calls = {name: count_calls(monkeypatch, name, np.linalg)
+                 for name in ("eigh", "eigvalsh", "svd")}
+        validations = count_calls(monkeypatch, "_refusals", canonical)
+        assert are_equivalent(M, Q.conj().T @ M @ Q, m)
+        assert [len(calls[k]) for k in ("eigh", "eigvalsh", "svd")] == [1, 1, 1]
+        assert len(validations) == 1
+        canonical_invariant(M, m)
+        assert [len(calls[k]) for k in ("eigh", "eigvalsh", "svd")] == [2, 2, 2]
+        assert len(validations) == 2
 
 
 class TestSpecial:

@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import hyperbolic
-from pseudounitary import dumps_matrix, loads_matrix, make_metric, sample_upq
+from conftest import count_calls, hyperbolic
+from pseudounitary import canonical, dumps_matrix, loads_matrix, make_metric, sample_upq
 from pseudounitary.cli import main
 from pseudounitary.matrixfile import KIND_BLOCK, KIND_SQUARE
 
@@ -201,6 +201,26 @@ class TestEquiv:
         code, out, _ = run_cli(capsys, "equiv", a, b)
         assert code == 1
         assert json.loads(out)["result"]["equivalent"] is False
+
+    def test_one_stacked_pass_for_both_files(self, tmp_path, capsys, monkeypatch):
+        metric = make_metric(1, 1)
+        a = write_square(tmp_path / "a.json", hyperbolic(LN2), metric)
+        b = write_square(tmp_path / "b.json", -hyperbolic(LN2), metric)
+        passes = count_calls(monkeypatch, "_invariants", canonical)
+        code, out, _ = run_cli(capsys, "equiv", a, b)
+        assert code == 0 and len(passes) == 1 and passes[0].shape == (2, 2, 2)
+        result = json.loads(out)["result"]
+        assert result["invariant_1"] == result["invariant_2"] == [
+            {"kind": "hyperbolic", "t": pytest.approx(LN2, abs=1e-14), "sign": 1}]
+
+    def test_first_refused_file_gives_the_message(self, tmp_path, capsys):
+        metric = make_metric(1, 1)
+        a = write_square(tmp_path / "a.json", hyperbolic(LN2), metric)
+        b = write_square(tmp_path / "b.json", 2.0 * np.eye(2), metric)
+        code, _, err = run_cli(capsys, "equiv", b, a)
+        assert code == 1 and "membership residual" in err
+        code, _, err2 = run_cli(capsys, "equiv", a, b)
+        assert code == 1 and err2 == err
 
     def test_signature_mismatch_is_usage_error(self, tmp_path, capsys):
         a = write_square(tmp_path / "a.json", np.eye(2), make_metric(1, 1))

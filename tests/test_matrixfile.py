@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import per_entry_dumps_matrix
 from pseudounitary import dumps_matrix, loads_matrix, make_metric
-from pseudounitary.matrixfile import KIND_BLOCK, KIND_SQUARE
+from pseudounitary.matrixfile import KIND_BLOCK, KIND_SQUARE, _json_pairs, _JSONText
 
 MAX = sys.float_info.max
 
@@ -151,3 +151,28 @@ class TestReaderRejects:
     def test_json_integers_are_numbers(self):
         doc = loads_matrix(_document([[1, 0], [0, 0], [0, 0], [-1, 0]]))
         assert np.array_equal(doc.matrix, np.diag([1.0, -1.0]))
+
+
+class TestJsonPairs:
+    """The one-template text of [re, im] pairs that `upq sample` writes for ground truth."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(matrices())
+    def test_same_text_as_json_dumps(self, case):
+        _, _, a = case
+        pairs = np.ascontiguousarray(a, complex).reshape(-1).view(float).reshape(-1, 2)
+        assert _json_pairs(a) == json.dumps(pairs.tolist())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            _json_pairs(np.array([[1.0, complex(0.0, bad)]]))
+
+    def test_written_as_it_is(self):
+        metric = make_metric(1, 1)
+        m = np.array([[0.1, -0.0], [1e17, 2.0]])
+        raw = dumps_matrix(np.eye(2), metric, extra={"u": _JSONText(_json_pairs(m))})
+        encoded = dumps_matrix(np.eye(2), metric, extra={"u": [[0.1, 0.0], [-0.0, 0.0],
+                                                                [1e17, 0.0], [2.0, 0.0]]})
+        assert raw == encoded
+        assert json.loads(raw)["u"][1] == [-0.0, 0.0]

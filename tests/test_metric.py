@@ -1,15 +1,22 @@
 """Metric construction, indefinite forms, and membership predicates."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import block_unitary, count_calls, hyperbolic
+from conftest import block_unitary, count_calls, hyperbolic, unscaled_residuals
 from pseudounitary import metric as metric_module
 from pseudounitary import (
+    LieElement,
     MembershipError,
     SignatureMetric,
     block_identities_residual,
+    canonical_invariant,
     check_compact_intersection,
+    exp_us,
     fast_inverse,
     hermitian_residual,
     indefinite_form,
@@ -18,6 +25,7 @@ from pseudounitary import (
     make_metric,
     membership_residual,
     quadratic_form,
+    require_member,
     sample_upq,
     split_blocks,
     unitary_residual,
@@ -62,6 +70,27 @@ class TestMakeMetric:
             make_metric(2, 1.0)
         m = make_metric(np.int64(2), np.int32(1))
         assert (m.p, m.q) == (2, 1) and type(m.p) is int
+
+
+class TestSigns:
+    def test_computed_once_and_read_only(self):
+        m = make_metric(2, 3)
+        signs = m.signs
+        assert signs is m.signs
+        assert np.array_equal(signs, [1.0, 1.0, -1.0, -1.0, -1.0])
+        with pytest.raises(ValueError):
+            signs[0] = -1.0
+        # the metric matrix is a fresh array the caller may change
+        j = m.matrix
+        j[0, 0] = 7.0
+        assert np.array_equal(m.matrix, np.diag(signs))
+
+    def test_equality_and_hashing_ignore_the_cache(self):
+        a, b = make_metric(2, 3), make_metric(2, 3)
+        assert a.signs is not None
+        assert a == b and hash(a) == hash(b)
+        assert {a: "found"}[b] == "found"
+        assert a != make_metric(3, 2)
 
 
 class TestForms:
@@ -264,3 +293,86 @@ class TestValidatesOnce:
         coercions = count_calls(monkeypatch, "as_matrix", metric_module)
         fn(m, metric, **kwargs)
         assert len(coercions) == 1
+
+
+@st.composite
+def residual_inputs(draw):
+    """A matrix at some signature (p, q), n <= 6: a random, Hermitian or member matrix
+    with entries from 1e-100 to about 1e75, or an exp_us member with t up to 190."""
+    n = draw(st.integers(1, 6))
+    p = draw(st.integers(0, n))
+    metric = make_metric(p, n - p)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "hermitian", "member", "exp"]))
+    if kind == "exp" and metric.p and metric.q:
+        b = rng.standard_normal((p, n - p)) + 1j * rng.standard_normal((p, n - p))
+        t = draw(st.floats(0.0, 190.0))
+        return metric, exp_us(LieElement(metric=metric, block=t * b / np.linalg.norm(b, 2)))
+    if kind == "member":
+        x = sample_upq(metric, int(rng.integers(2**31)))
+    else:
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if kind == "hermitian":
+            x = x + x.conj().T
+    return metric, x * 10.0 ** draw(st.floats(-100.0, 75.0))
+
+
+def _residuals(a, metric):
+    return (membership_residual(a, metric), hermitian_residual(a), unitary_residual(a))
+
+
+class TestFullRangeResiduals:
+    """Residuals are formed from power-of-two scaled items: finite over the float range."""
+
+    @pytest.mark.parametrize("t", [300.0, 700.0])
+    def test_exponential_of_a_large_tangent_is_a_member(self, t):
+        m = make_metric(1, 1)
+        M = exp_us(LieElement(metric=m, block=np.array([[t]])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = membership_residual(M, m)
+            assert np.isfinite(r) and r <= 1e-15
+            assert require_member(M, m) is not None
+            assert is_pseudo_unitary(M, m) and is_hermitian(M)
+            assert block_identities_residual(M, m) <= r
+            assert np.isfinite(unitary_residual(M)) and not check_compact_intersection(M, m)
+            inv = canonical_invariant(M, m)
+        assert inv.triples == (("hyperbolic", pytest.approx(t, rel=1e-14), 1),)
+
+    def test_huge_hermitian_non_member_refused(self):
+        m = make_metric(1, 1)
+        M = 1e300 * np.array([[2.0, 1.0], [1.0, 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = membership_residual(M, m)
+            assert np.isfinite(r) and r > 0.1
+            assert hermitian_residual(M) == 0.0
+            with pytest.raises(MembershipError, match="membership residual"):
+                require_member(M, m)
+            with pytest.raises(MembershipError):
+                fast_inverse(M, m)
+            assert not is_pseudo_unitary(M, m)
+            assert 0.0 < block_identities_residual(M, m) <= r
+            assert np.isfinite(unitary_residual(M))
+
+    def test_largest_floats_give_finite_residuals(self):
+        m = make_metric(1, 2)
+        M = np.full((3, 3), complex(np.finfo(float).max, -np.finfo(float).max))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert all(np.isfinite(r) for r in _residuals(M, m))
+            with pytest.raises(MembershipError, match="not Hermitian"):
+                require_member(M, m)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(residual_inputs(), st.booleans())
+    def test_bitwise_equal_to_the_unscaled_formulas_in_range(self, case, force_scaling):
+        metric, a = case
+        with np.errstate(all="ignore"):
+            expected = unscaled_residuals(a, metric.signs)
+        assume(all(np.isfinite(expected)))
+        with pytest.MonkeyPatch.context() as mp:
+            if force_scaling:  # every matrix takes the scaled route
+                mp.setattr(metric_module, "_UNSCALED_SSQ", 0.0)
+            got = _residuals(a, metric)
+        assert got == tuple(float(e) for e in expected)

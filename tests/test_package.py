@@ -15,3 +15,37 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+# numpy 2 names with no numpy 1.x equivalent under that name; pyproject.toml
+# declares numpy>=1.24, and stacked norms and transposes invite them
+NUMPY2_ONLY = {"vecdot", "matrix_norm", "vector_norm", "matrix_transpose", "permute_dims", "mT"}
+
+
+def numpy2_names(source: str) -> list:
+    """Line numbers and names of numpy-2-only attributes, names and imports."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found.extend(f"{node.lineno}:{name}" for name in names if name in NUMPY2_ONLY)
+    return found
+
+
+def test_numpy_floor_guard_sees_each_name():
+    source = ("import numpy as np\nfrom numpy.linalg import matrix_norm\n"
+              "x = np.linalg.vecdot(a, b) + np.vecdot(a, b)\ny = a.mT\n")
+    assert sorted(numpy2_names(source)) == ["2:matrix_norm", "3:vecdot", "3:vecdot", "4:mT"]
+
+
+def test_no_numpy2_only_names():
+    assert SOURCES
+    found = [f"{path.name}:{hit}" for path in SOURCES
+             for hit in numpy2_names(path.read_text(encoding="utf-8"))]
+    assert found == []
