@@ -148,7 +148,7 @@ def _scaled(a: np.ndarray) -> tuple:
     row = _row(a)
     with np.errstate(over="ignore"):  # an overflow here only selects scaling
         ssq = _ssq(row)
-    if ssq.max() < _UNSCALED_SSQ:
+    if (max(ssq.tolist()) if ssq.ndim else ssq) < _UNSCALED_SSQ:  # scalar for a matrix
         return a, _ONE, ssq
     big = np.abs(row).max(axis=(-2, -1), initial=0.5)
     # frexp writes big = m 2^k with m in [0.5, 1), so m / big is exactly 2^-k
