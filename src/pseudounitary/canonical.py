@@ -271,8 +271,9 @@ def _merge_iota_pairs(blocks) -> list[HyperbolicBlock]:
     return out
 
 
-def _sort_key(b: HyperbolicBlock) -> tuple:
-    return (b.kind, -b.sign, b.t)
+def _sort_key(b: HyperbolicBlock, flip: bool = False) -> tuple:
+    """Sort key of b, or of b.flipped() when flip is set (without building that block)."""
+    return (b.kind, b.sign if flip else -b.sign, b.t)
 
 
 def _flip_is_smaller(base_key, flip_key) -> bool:
@@ -298,7 +299,7 @@ def invariant_from_blocks(blocks) -> CanonicalInvariant:
     """
     base = _merge_iota_pairs(blocks)
     base_key = sorted(_sort_key(b) for b in base)
-    flip_key = sorted((b.kind, b.sign, b.t) for b in base)  # _sort_key of b.flipped()
+    flip_key = sorted(_sort_key(b, flip=True) for b in base)
     chosen = flip_key if _flip_is_smaller(base_key, flip_key) else base_key
     triples = tuple((kind, t, -negsign) for (kind, negsign, t) in chosen)
     return CanonicalInvariant(triples=triples)

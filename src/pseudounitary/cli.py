@@ -31,8 +31,6 @@ from .matrixfile import (
     KIND_BLOCK,
     KIND_SQUARE,
     MatrixDocument,
-    _json_pairs,
-    _JSONText,
     dumps_matrix,
     loads_matrix,
 )
@@ -243,15 +241,14 @@ def _cmd_sample(args) -> int:
     if args.family == "uspp":
         spec = SampleSpec(metric=metric, seed=args.seed, t_max=args.tmax)
         m, truth = sample_us_pp(spec)
-        # the text json.dumps gives the dict of blocks, invariant and unitary,
-        # with the 2 n^2 floats of the unitary printed by one template call
-        ground_truth = '{"blocks": %s, "invariant": %s, "unitary": %s}' % (
-            json.dumps(_pieces_payload(truth.blocks)),
-            json.dumps(_pieces_payload(invariant_from_blocks(truth.blocks).triples)),
-            _json_pairs(truth.q),
-        )
-        sys.stdout.write(dumps_matrix(m, metric, KIND_SQUARE,
-                                      {"ground_truth": _JSONText(ground_truth)}))
+        extra = {
+            "ground_truth": {
+                "blocks": _pieces_payload(truth.blocks),
+                "invariant": _pieces_payload(invariant_from_blocks(truth.blocks).triples),
+                "unitary": truth.q,
+            }
+        }
+        sys.stdout.write(dumps_matrix(m, metric, KIND_SQUARE, extra))
     elif args.family == "lie":
         elem = sample_us_lie(metric, args.seed)
         sys.stdout.write(dumps_matrix(elem.block, metric, KIND_BLOCK))

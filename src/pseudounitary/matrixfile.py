@@ -60,10 +60,6 @@ def _entries_text(a: np.ndarray) -> str:
     return template % tuple(x.tolist())
 
 
-class _JSONText(str):
-    """An extra value that is already JSON text; dumps_matrix writes it as it is."""
-
-
 def _json_pairs(m) -> str:
     """The JSON list of [re, im] pairs of m's entries, as json.dumps prints it.
 
@@ -76,9 +72,28 @@ def _json_pairs(m) -> str:
     return "[" + ", ".join(["[%r, %r]"] * (x.size // 2)) % tuple(x.tolist()) + "]"
 
 
+def _extra_json(value) -> str:
+    """json.dumps(value), with each ndarray in it, also in nested dicts, as _json_pairs.
+
+    A dict is written as json.dumps writes one with string keys: its items
+    in order, ", " between them and ": " after each key.
+    """
+    if isinstance(value, np.ndarray):
+        return _json_pairs(value)
+    if isinstance(value, dict):
+        return "{%s}" % ", ".join(f"{json.dumps(str(k))}: {_extra_json(v)}"
+                                  for k, v in value.items())
+    return json.dumps(value)
+
+
 def dumps_matrix(m, metric: SignatureMetric, kind: str = KIND_SQUARE,
                  extra: dict | None = None) -> str:
-    """Serialize a matrix to the JSON file format."""
+    """Serialize a matrix to the JSON file format.
+
+    The items of extra go between the header and the entries; an ndarray
+    among them, also in a nested dict, is written as its list of [re, im]
+    pairs.
+    """
     shape = _expected_shape(metric, kind)
     a = np.asarray(m, dtype=complex)
     if a.shape != shape:
@@ -90,8 +105,7 @@ def dumps_matrix(m, metric: SignatureMetric, kind: str = KIND_SQUARE,
     lines.append(f'  "p": {metric.p},')
     lines.append(f'  "q": {metric.q},')
     for key, value in (extra or {}).items():
-        text = value if isinstance(value, _JSONText) else json.dumps(value)
-        lines.append(f'  {json.dumps(str(key))}: {text},')
+        lines.append(f'  {json.dumps(str(key))}: {_extra_json(value)},')
     lines.append('  "entries": [')
     lines.append(_entries_text(a))
     lines.append("  ]")

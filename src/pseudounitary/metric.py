@@ -118,71 +118,82 @@ def quadratic_form(z, metric: SignatureMetric) -> float:
 # checked; the public functions coerce once and then call them. They take a
 # matrix or a (B, n, n) stack and return one value per item.
 
-# While every item's squared norm stays below this bound, no product or sum of
-# squares the residuals form can overflow.
-_UNSCALED_SSQ = 2.0 ** 500
-# The scale factor of unscaled items; the helpers test for it by identity.
-_ONE = np.float64(1.0)
+
+def _fro(x: np.ndarray):
+    """Frobenius norm of a matrix, or of each item of a stack, as np.linalg.norm forms it.
+
+    The real parts and the imaginary parts are each dotted with themselves,
+    item by item, so a stack item gets the bits np.linalg.norm gives the
+    matrix alone.
+    """
+    if x.ndim == 2:
+        v = x.ravel(order="K")
+        re, im = v.real, v.imag
+        return np.sqrt(re.dot(re) + im.dot(im))
+    v = x.reshape(len(x), -1)
+    return np.sqrt([r.dot(r) + i.dot(i) for r, i in zip(v.real, v.imag)])
 
 
-def _row(x: np.ndarray) -> np.ndarray:
-    """The real and imaginary parts of each item's entries as one (..., 1, 2n^2) row."""
-    return x.reshape(x.shape[:-2] + (1, -1)).view(float)
-
-
-def _ssq(row: np.ndarray) -> np.ndarray:
-    """Squared Frobenius norm of each item, from its _row."""
-    return (row @ row.swapaxes(-1, -2))[..., 0, 0]
+# Below 2^(_SCALE_FROM + 1) in every real and imaginary part, no product or
+# sum of squares the residuals form can overflow for n up to 2^20.
+_SCALE_FROM = 200
 
 
 def _scaled(a: np.ndarray) -> tuple:
-    """(b, s, ||b||^2) with b = s a per item, s a power of two.
+    """(b, s, ||b||, ||a||) with b = s a per item, s a power of two.
 
-    s = _ONE while every item's squared norm stays below _UNSCALED_SSQ.
-    Otherwise each item gets its own s = 2^-k, with 2^k the smallest power
-    of two (k >= 0) above its largest real or imaginary part. Scaling by a
-    power of two is exact, so residuals formed from b are bitwise those of
-    the unscaled formulas wherever these do not overflow, and they stay
-    finite over the whole float range.
+    An item with a real or imaginary part at or above 2^(_SCALE_FROM + 1)
+    gets s = 2^(_SCALE_FROM + 1 - k), with 2^k the smallest power of two
+    above its largest part, which brings its parts below that bound; every
+    other item gets s = 1, so below the bound the residuals are bitwise
+    those of the plain formulas. While no item needs scaling, s is the float
+    1 and a is used as it is, which saves about a third of a one-shot
+    residual's time. Scaling by a power of two is exact, so the residuals
+    are finite over the whole float range and, where the plain formulas do
+    not overflow, agree with them up to the rounding of the squared norm
+    (numpy's x ** 2 is not always correctly rounded). A norm of a beyond the
+    float range is inf.
     """
-    row = _row(a)
-    with np.errstate(over="ignore"):  # an overflow here only selects scaling
-        ssq = _ssq(row)
-    if (max(ssq.tolist()) if ssq.ndim else ssq) < _UNSCALED_SSQ:  # scalar for a matrix
-        return a, _ONE, ssq
-    big = np.abs(row).max(axis=(-2, -1), initial=0.5)
-    # frexp writes big = m 2^k with m in [0.5, 1), so m / big is exactly 2^-k
-    s = np.frexp(big)[0] / big
+    parts = np.abs(a.reshape(a.shape[:-2] + (-1,)).view(float))
+    if parts.max() < 2.0 ** (_SCALE_FROM + 1):
+        fro = _fro(a)
+        return a, 1.0, fro, fro
+    # frexp writes big = m 2^k with m in [0.5, 1); big >= 2^_SCALE_FROM gives s <= 1
+    k = np.frexp(parts.max(axis=-1, initial=2.0 ** _SCALE_FROM))[1]
+    s = np.ldexp(1.0, _SCALE_FROM + 1 - k)
     b = a * s[..., None, None]
-    return b, s, _ssq(_row(b))
+    fro = _fro(b)
+    with np.errstate(over="ignore"):
+        return b, s, fro, fro / s
 
 
-def _gram_residual(b: np.ndarray, s, ssq: np.ndarray, j: np.ndarray) -> np.ndarray:
+def _gram_residual(b: np.ndarray, s, fro, j: np.ndarray) -> np.ndarray:
     """||A* diag(j) A - diag(j)|| / (1 + ||A||^2) per item, from _scaled(A)."""
     defect = (b.conj().swapaxes(-1, -2) * j) @ b
     s2 = s * s
     n = j.size
-    defect.reshape(defect.shape[:-2] + (n * n,))[..., :: n + 1] -= (
-        j if s is _ONE else s2[..., None] * j)
-    return np.sqrt(_ssq(_row(defect))) / (s2 + ssq)
+    defect.reshape(defect.shape[:-2] + (n * n,))[..., :: n + 1] -= np.multiply.outer(s2, j)
+    return _fro(defect) / (s2 + fro ** 2)
 
 
-def _skew_residual(b: np.ndarray, s, fro: np.ndarray) -> np.ndarray:
-    """||A - A*|| / (1 + ||A||) per item, from b and s of _scaled(A) and fro = ||b||."""
-    return np.sqrt(_ssq(_row(b - b.conj().swapaxes(-1, -2)))) / (s + fro)
+def _skew_residual(b: np.ndarray, s, fro) -> np.ndarray:
+    """||A - A*|| / (1 + ||A||) per item, from _scaled(A)."""
+    return _fro(b - b.conj().swapaxes(-1, -2)) / (s + fro)
 
 
 def _membership_residual(a: np.ndarray, metric: SignatureMetric) -> np.ndarray:
-    return _gram_residual(*_scaled(a), metric.signs)
+    b, s, fro, _ = _scaled(a)
+    return _gram_residual(b, s, fro, metric.signs)
 
 
 def _hermitian_residual(a: np.ndarray) -> np.ndarray:
-    b, s, ssq = _scaled(a)
-    return _skew_residual(b, s, np.sqrt(ssq))
+    b, s, fro, _ = _scaled(a)
+    return _skew_residual(b, s, fro)
 
 
 def _unitary_residual(a: np.ndarray) -> np.ndarray:
-    return _gram_residual(*_scaled(a), np.ones(a.shape[-1]))
+    b, s, fro, _ = _scaled(a)
+    return _gram_residual(b, s, fro, np.ones(a.shape[-1]))
 
 
 def _refusals(a: np.ndarray, metric: SignatureMetric, tol: float,
@@ -194,21 +205,17 @@ def _refusals(a: np.ndarray, metric: SignatureMetric, tol: float,
     of the items. A NaN residual is refused. Membership is not computed
     when no item is Hermitian.
     """
-    b, s, ssq = _scaled(a)
-    norms = np.sqrt(ssq)
+    b, s, fro, norms = _scaled(a)
     messages = [None] * (1 if a.ndim == 2 else len(a))
     if hermitian:
-        for i, hr in enumerate(_skew_residual(b, s, norms).reshape(-1).tolist()):
+        for i, hr in enumerate(_skew_residual(b, s, fro).reshape(-1).tolist()):
             if not hr <= tol:
                 messages[i] = f"matrix is not Hermitian: residual {hr:.3e} exceeds {tol:.3e}"
     if None in messages:
-        for i, r in enumerate(_gram_residual(b, s, ssq, metric.signs).reshape(-1).tolist()):
+        for i, r in enumerate(_gram_residual(b, s, fro, metric.signs).reshape(-1).tolist()):
             if messages[i] is None and not r <= tol:
                 messages[i] = (f"matrix is not in U({metric.p},{metric.q}): "
                                f"membership residual {r:.3e} exceeds {tol:.3e}")
-    if s is not _ONE:
-        with np.errstate(over="ignore"):  # a norm beyond the float range is inf
-            norms = norms / s
     return messages, norms
 
 
@@ -247,13 +254,13 @@ def block_identities_residual(M, metric: SignatureMetric) -> float:
     These are the blocks of M* J M - J, so this residual never exceeds
     membership_residual (same normalization).
     """
-    b, s, ssq = _scaled(as_matrix(M, (metric.n, metric.n)))
+    b, s, fro, _ = _scaled(as_matrix(M, (metric.n, metric.n)))
     s2 = float(s * s)
     m11, m12, m21, m22 = _blocks(b, metric.p)
     r1 = np.linalg.norm(m11.conj().T @ m11 - m21.conj().T @ m21 - s2 * np.eye(metric.p))
     r2 = np.linalg.norm(m12.conj().T @ m12 - m22.conj().T @ m22 + s2 * np.eye(metric.q))
     r3 = np.linalg.norm(m11.conj().T @ m12 - m21.conj().T @ m22)
-    return float(max(r1, r2, r3) / (s2 + ssq))
+    return float(max(r1, r2, r3) / (s2 + fro ** 2))
 
 
 def fast_inverse(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -128,30 +128,28 @@ def three_eigh_generators(M, metric: SignatureMetric) -> GeneratorSet:
                         vectors=vec[:, order].T.copy())
 
 
-def _unscaled_ssq(x: np.ndarray) -> float:
-    v = x.reshape(1, -1).view(float)
-    return (v @ v.T)[0, 0]
+def unscaled_residuals(a: np.ndarray, metric: SignatureMetric) -> tuple:
+    """(membership, Hermitian, unitary, block identities) residuals of a matrix, unscaled.
 
-
-def unscaled_residuals(a: np.ndarray, signs: np.ndarray) -> tuple:
-    """(membership, Hermitian, unitary) residuals of a matrix by their formulas, unscaled.
-
-    ||A* J A - J|| / (1 + ||A||^2), ||A - A*|| / (1 + ||A||) and
-    ||A* A - I|| / (1 + ||A||^2) in the Frobenius norm, with the same
-    floating-point operations as the library's residuals but without their
-    power-of-two scaling, so they overflow where those do not.
+    The np.linalg.norm formulas the library used before it scaled its
+    residuals, written out as they stood, so they overflow where the
+    library's residuals do not and agree with them bitwise elsewhere.
     """
-    a = np.ascontiguousarray(a, complex)
-    n = a.shape[0]
-    diag = np.diag_indices(n)
-    ssq = _unscaled_ssq(a)
-    out = []
-    for j in (signs, np.ones(n)):
-        defect = (a.conj().T * j) @ a
-        defect[diag] -= j
-        out.append(np.sqrt(_unscaled_ssq(defect)) / (1.0 + ssq))
-    skew = np.sqrt(_unscaled_ssq(a - a.conj().T)) / (1.0 + np.sqrt(ssq))
-    return out[0], skew, out[1]
+    a = np.asarray(a, complex)
+    j = metric.signs
+    defect = (a.conj().T * j) @ a
+    defect[np.diag_indices(metric.n)] -= j
+    membership = np.linalg.norm(defect) / (1.0 + np.linalg.norm(a) ** 2)
+    hermitian = np.linalg.norm(a - a.conj().T) / (1.0 + np.linalg.norm(a))
+    defect = a.conj().T @ a - np.eye(a.shape[0])
+    unitary = np.linalg.norm(defect) / (1.0 + np.linalg.norm(a) ** 2)
+    p = metric.p
+    m11, m12, m21, m22 = a[:p, :p], a[:p, p:], a[p:, :p], a[p:, p:]
+    r1 = np.linalg.norm(m11.conj().T @ m11 - m21.conj().T @ m21 - np.eye(metric.p))
+    r2 = np.linalg.norm(m12.conj().T @ m12 - m22.conj().T @ m22 + np.eye(metric.q))
+    r3 = np.linalg.norm(m11.conj().T @ m12 - m21.conj().T @ m22)
+    blocks = max(r1, r2, r3) / (1.0 + np.linalg.norm(a) ** 2)
+    return membership, hermitian, unitary, blocks
 
 
 def _fmt(x: float) -> str:

@@ -26,7 +26,7 @@ from pseudounitary import (
     spectral,
     unitary_residual,
 )
-from pseudounitary.canonical import T_COMPARE_TOL
+from pseudounitary.canonical import T_COMPARE_TOL, _sort_key
 from pseudounitary.sampler import DEFAULT_KIND_WEIGHTS
 
 LN2 = np.log(2.0)
@@ -183,6 +183,14 @@ class TestDecompose:
 
 
 class TestInvariants:
+    @pytest.mark.parametrize("block", [HyperbolicBlock(HYPERBOLIC, 0.7, 1),
+                                       HyperbolicBlock(HYPERBOLIC, 0.7, -1),
+                                       HyperbolicBlock(IOTA, 0.0, 1),
+                                       HyperbolicBlock(IOTA, 0.0, -1)])
+    def test_flipped_sort_key_is_the_key_of_the_flipped_block(self, block):
+        assert _sort_key(block, flip=True) == _sort_key(block.flipped())
+        assert _sort_key(block, flip=True) != _sort_key(block)
+
     def test_sign_flip_invariance(self):
         m = make_metric(1, 1)
         M = hyperbolic(1.1)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import per_entry_dumps_matrix
 from pseudounitary import dumps_matrix, loads_matrix, make_metric
-from pseudounitary.matrixfile import KIND_BLOCK, KIND_SQUARE, _json_pairs, _JSONText
+from pseudounitary.matrixfile import KIND_BLOCK, KIND_SQUARE, _json_pairs
 
 MAX = sys.float_info.max
 
@@ -168,11 +168,14 @@ class TestJsonPairs:
         with pytest.raises(ValueError, match="non-finite"):
             _json_pairs(np.array([[1.0, complex(0.0, bad)]]))
 
-    def test_written_as_it_is(self):
+    def test_ndarray_extras_read_as_their_pairs(self):
         metric = make_metric(1, 1)
         m = np.array([[0.1, -0.0], [1e17, 2.0]])
-        raw = dumps_matrix(np.eye(2), metric, extra={"u": _JSONText(_json_pairs(m))})
-        encoded = dumps_matrix(np.eye(2), metric, extra={"u": [[0.1, 0.0], [-0.0, 0.0],
-                                                                [1e17, 0.0], [2.0, 0.0]]})
-        assert raw == encoded
-        assert json.loads(raw)["u"][1] == [-0.0, 0.0]
+        pairs = [[0.1, 0.0], [-0.0, 0.0], [1e17, 0.0], [2.0, 0.0]]
+        header = {"a": [1, "x", None], "b": {}}
+        arrays = dumps_matrix(np.eye(2), metric,
+                              extra={"u": m, "g": {**header, "nested": {"u": m}}})
+        lists = dumps_matrix(np.eye(2), metric,
+                             extra={"u": pairs, "g": {**header, "nested": {"u": pairs}}})
+        assert arrays == lists
+        assert json.loads(arrays)["g"]["nested"]["u"][1] == [-0.0, 0.0]
