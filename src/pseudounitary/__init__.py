@@ -42,7 +42,6 @@ from .canonical import (
     invariant_from_blocks,
 )
 from .lie import (
-    PD_FLOOR,
     LieElement,
     exp_us,
     is_in_exp_image,

@@ -24,6 +24,7 @@ from .metric import (
     MembershipError,
     SignatureMetric,
     _blocks,
+    _phase_fixed_qr,
     _refusals,
     _unitary_residual,
     as_matrix,
@@ -195,10 +196,7 @@ def _standard_basis_map(cols: dict[int, np.ndarray], dim: int) -> np.ndarray:
     basis = np.eye(dim, dtype=complex)
     if m:
         c = np.column_stack([cols[s] for s in slots])
-        qf, r = np.linalg.qr(c, mode="complete")
-        d = np.diagonal(r)[:m].copy()
-        d[d == 0] = 1.0
-        qf[:, :m] = qf[:, :m] * (d / np.abs(d))[None, :]
+        qf = _phase_fixed_qr(c, mode="complete")
         free = [j for j in range(dim) if j not in cols]
         basis = np.empty((dim, dim), dtype=complex)
         for i, s in enumerate(slots):
@@ -305,6 +303,20 @@ def invariant_from_blocks(blocks) -> CanonicalInvariant:
     return CanonicalInvariant(triples=triples)
 
 
+def _resolvability(h: np.ndarray, t: np.ndarray, s_max) -> tuple:
+    """The resolvability rule per piece: how far rounding of size eps * s_max moves
+    t_j = arccosh(h_j), against T_COMPARE_TOL * max(1, t_j / 20); refused where above."""
+    return _EPS * s_max / h, T_COMPARE_TOL * np.maximum(1.0, t / 20.0)
+
+
+def _unresolvable_error(measured: np.ndarray, limit: np.ndarray) -> MembershipError:
+    """The refusal naming the worst piece's measured value, its limit and their ratio."""
+    j = np.argmax(measured / limit)
+    return MembershipError(
+        f"hyperbolic parameters not resolvable: eps * s_max / h is {measured[j]:.3e} "
+        f"against the limit {limit[j]:.3e}, a ratio of {measured[j] / limit[j]:.3g}")
+
+
 def _invariants(stack: np.ndarray, metric: SignatureMetric, tol: float) -> list:
     """Canonical invariants of the items of a (B, 2p, 2p) stack of coerced matrices.
 
@@ -342,8 +354,8 @@ def _invariants(stack: np.ndarray, metric: SignatureMetric, tol: float) -> list:
     t = np.arcsinh(s)
     h = np.hypot(1.0, s)
     s_max = np.where(real, s, 0.0).max(axis=(0, 2))
-    unresolvable = (real & (_EPS * s_max[:, None] / h > T_COMPARE_TOL * np.maximum(1.0, t / 20.0))
-                    ).any(axis=(0, 2)).tolist()
+    measured, limit = _resolvability(h, t, s_max[:, None])
+    unresolvable = (real & (measured > limit)).any(axis=(0, 2)).tolist()
     gap = np.where(real, np.abs(np.array([-lam11, lam11[:, ::-1]]) - h), 0.0).max(axis=(0, 2))
     # each item's p values of sqrt(1 + s^2), descending, against |eig(M22)|
     h_all = np.sort(np.where(real, h, 0.0).swapaxes(0, 1).reshape(b, 2 * p))[:, :-p - 1:-1]
@@ -355,10 +367,7 @@ def _invariants(stack: np.ndarray, metric: SignatureMetric, tol: float) -> list:
     for k in range(b):
         ts = (t[0][k][:n_neg[k]], t[1][k][:p - n_neg[k]])
         if unresolvable[k]:
-            out[k] = MembershipError(
-                f"hyperbolic parameters not resolvable: coupling norm {s_max[k]:.3e} "
-                f"against smallest parameter {min(ts[0] + ts[1]):.3e}"
-            )
+            out[k] = _unresolvable_error(measured[:, k][real[:, k]], limit[:, k][real[:, k]])
         elif inconsistent[k]:
             out[k] = MembershipError(f"block spectra inconsistent: residual {err[k]:.3e}")
         else:

@@ -68,7 +68,7 @@ def _entries(m: np.ndarray) -> list:
     return np.ascontiguousarray(m, complex).reshape(-1).view(float).reshape(-1, 2).tolist()
 
 
-def _read_document(path: str) -> tuple[MatrixDocument, dict]:
+def _read_document(path: str, kind: str = KIND_SQUARE) -> tuple[MatrixDocument, dict]:
     if path == "-":
         text = sys.stdin.read()
         shown = "<stdin>"
@@ -76,45 +76,37 @@ def _read_document(path: str) -> tuple[MatrixDocument, dict]:
         with open(path, "r", encoding="utf-8") as fp:
             text = fp.read()
         shown = path
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return loads_matrix(text), {"path": shown, "sha256": digest}
-
-
-def _require_kind(doc: MatrixDocument, kind: str) -> None:
+    doc = loads_matrix(text)
     if doc.kind != kind:
         raise ValueError(f"expected a {kind!r} matrix file, got {doc.kind!r}")
+    return doc, {"path": shown, "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
 
 
-def _print_report(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+def _print_report(command: str, source, tolerances: dict, metric, result: dict) -> None:
+    """Print the JSON report; its result opens with p and q unless metric is None."""
+    if metric is not None:
+        result = {"p": metric.p, "q": metric.q, **result}
+    print(json.dumps({"command": command, "input": source, "tolerances": tolerances,
+                      "result": result}, indent=2))
 
 
 def _cmd_check(args) -> int:
     doc, source = _read_document(args.file)
-    _require_kind(doc, KIND_SQUARE)
     res = membership_residual(doc.matrix, doc.metric)
     member = res <= args.tol
     herm = hermitian_residual(doc.matrix)
-    _print_report({
-        "command": "check",
-        "input": source,
-        "tolerances": {"membership": args.tol},
-        "result": {
-            "p": doc.metric.p,
-            "q": doc.metric.q,
-            "membership_residual": res,
-            "is_member": bool(member),
-            "hermitian_residual": herm,
-            "is_hermitian": herm <= args.tol,
-            "block_identities_residual": block_identities_residual(doc.matrix, doc.metric),
-        },
+    _print_report("check", source, {"membership": args.tol}, doc.metric, {
+        "membership_residual": res,
+        "is_member": bool(member),
+        "hermitian_residual": herm,
+        "is_hermitian": herm <= args.tol,
+        "block_identities_residual": block_identities_residual(doc.matrix, doc.metric),
     })
     return 0 if member else 1
 
 
 def _cmd_invert(args) -> int:
     doc, _ = _read_document(args.file)
-    _require_kind(doc, KIND_SQUARE)
     inv = fast_inverse(doc.matrix, doc.metric, args.tol)
     sys.stdout.write(dumps_matrix(inv, doc.metric, KIND_SQUARE))
     return 0
@@ -122,27 +114,19 @@ def _cmd_invert(args) -> int:
 
 def _cmd_generators(args) -> int:
     doc, source = _read_document(args.file)
-    _require_kind(doc, KIND_SQUARE)
     gens = extract_generators(doc.matrix, doc.metric, args.tol)
-    _print_report({
-        "command": "generators",
-        "input": source,
-        "tolerances": {"membership": args.tol},
-        "result": {
-            "p": doc.metric.p,
-            "q": doc.metric.q,
-            "sigma": gens.sigma,
-            "count": gens.k,
-            "generators": [
-                {
-                    "lambda": float(gens.lambdas[j]),
-                    "alpha": float(gens.alphas[j]),
-                    "beta": float(gens.betas[j]),
-                    "vector": _entries(gens.vectors[j]),
-                }
-                for j in range(gens.k)
-            ],
-        },
+    _print_report("generators", source, {"membership": args.tol}, doc.metric, {
+        "sigma": gens.sigma,
+        "count": gens.k,
+        "generators": [
+            {
+                "lambda": float(gens.lambdas[j]),
+                "alpha": float(gens.alphas[j]),
+                "beta": float(gens.betas[j]),
+                "vector": _entries(gens.vectors[j]),
+            }
+            for j in range(gens.k)
+        ],
     })
     return 0
 
@@ -160,46 +144,27 @@ def _pieces_payload(pieces) -> list:
 
 def _cmd_decompose(args) -> int:
     doc, source = _read_document(args.file)
-    _require_kind(doc, KIND_SQUARE)
     dec = block_decompose(doc.matrix, doc.metric, args.tol)
     residual = float(np.linalg.norm(dec.matrix() - doc.matrix))
-    _print_report({
-        "command": "decompose",
-        "input": source,
-        "tolerances": {"membership": args.tol},
-        "result": {
-            "p": doc.metric.p,
-            "q": doc.metric.q,
-            "blocks": _pieces_payload(dec.blocks),
-            "unitary": _entries(dec.q),
-            "reconstruction_residual": residual,
-        },
+    _print_report("decompose", source, {"membership": args.tol}, doc.metric, {
+        "blocks": _pieces_payload(dec.blocks),
+        "unitary": _entries(dec.q),
+        "reconstruction_residual": residual,
     })
     return 0
 
 
 def _cmd_invariants(args) -> int:
     doc, source = _read_document(args.file)
-    _require_kind(doc, KIND_SQUARE)
     inv = canonical_invariant(doc.matrix, doc.metric, args.tol)
-    _print_report({
-        "command": "invariants",
-        "input": source,
-        "tolerances": {"membership": args.tol, "t_compare": T_COMPARE_TOL},
-        "result": {
-            "p": doc.metric.p,
-            "q": doc.metric.q,
-            "invariant": _pieces_payload(inv.triples),
-        },
-    })
+    _print_report("invariants", source, {"membership": args.tol, "t_compare": T_COMPARE_TOL},
+                  doc.metric, {"invariant": _pieces_payload(inv.triples)})
     return 0
 
 
 def _cmd_equiv(args) -> int:
     doc1, source1 = _read_document(args.file1)
     doc2, source2 = _read_document(args.file2)
-    _require_kind(doc1, KIND_SQUARE)
-    _require_kind(doc2, KIND_SQUARE)
     if doc1.metric != doc2.metric:
         raise ValueError(
             f"signature mismatch: ({doc1.metric.p}, {doc1.metric.q}) vs "
@@ -207,22 +172,17 @@ def _cmd_equiv(args) -> int:
         )
     inv1, inv2 = _checked_invariants([doc1.matrix, doc2.matrix], doc1.metric, args.tol)
     equivalent = inv1.matches(inv2)
-    _print_report({
-        "command": "equiv",
-        "input": [source1, source2],
-        "tolerances": {"membership": args.tol, "t_compare": T_COMPARE_TOL},
-        "result": {
-            "equivalent": bool(equivalent),
-            "invariant_1": _pieces_payload(inv1.triples),
-            "invariant_2": _pieces_payload(inv2.triples),
-        },
+    tolerances = {"membership": args.tol, "t_compare": T_COMPARE_TOL}
+    _print_report("equiv", [source1, source2], tolerances, None, {
+        "equivalent": bool(equivalent),
+        "invariant_1": _pieces_payload(inv1.triples),
+        "invariant_2": _pieces_payload(inv2.triples),
     })
     return 0 if equivalent else 1
 
 
 def _cmd_exp(args) -> int:
-    doc, _ = _read_document(args.file)
-    _require_kind(doc, KIND_BLOCK)
+    doc, _ = _read_document(args.file, KIND_BLOCK)
     m = exp_us(LieElement(metric=doc.metric, block=doc.matrix))
     sys.stdout.write(dumps_matrix(m, doc.metric, KIND_SQUARE))
     return 0
@@ -230,7 +190,6 @@ def _cmd_exp(args) -> int:
 
 def _cmd_log(args) -> int:
     doc, _ = _read_document(args.file)
-    _require_kind(doc, KIND_SQUARE)
     elem = log_us(doc.matrix, doc.metric, args.tol)
     sys.stdout.write(dumps_matrix(elem.block, doc.metric, KIND_BLOCK))
     return 0
@@ -265,12 +224,8 @@ def _cmd_sample(args) -> int:
 
 def _cmd_dim(args) -> int:
     metric = make_metric(args.p, args.q)
-    _print_report({
-        "command": "dim",
-        "input": {"p": metric.p, "q": metric.q},
-        "tolerances": {},
-        "result": {"p": metric.p, "q": metric.q, "dimension": metric.p * metric.q},
-    })
+    _print_report("dim", {"p": metric.p, "q": metric.q}, {}, metric,
+                  {"dimension": metric.p * metric.q})
     return 0
 
 

@@ -14,21 +14,23 @@ off-diagonal block of the member.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .canonical import _resolvability, _unresolvable_error
 from .metric import (
     DEFAULT_TOL,
     MembershipError,
     SignatureMetric,
+    _hermitian_residual,
     as_matrix,
     require_member,
 )
 
-# Relative positive-definiteness floor for log: smallest eigenvalue must
-# exceed this times the spectral norm.
-PD_FLOOR = 1e-10
+# exp_us symmetrizes its diagonal blocks as (C + C*) / 2, finite while cosh(s) <= max / 2
+_S_MAX = float(np.arccosh(np.finfo(float).max / 2.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,11 +54,13 @@ class LieElement:
 
 
 def validate_lie_algebra(T, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> bool:
-    """True when T* J + J T vanishes relatively, i.e. T is a tangent direction."""
+    """True when T* J + J T vanishes relatively, i.e. T is a tangent direction.
+
+    The defect T* J + J T is i (X - X*) for X = i J T, and ||X|| = ||T||, so
+    this is the Hermitian residual of X, finite over the whole float range.
+    """
     a = as_matrix(T, (metric.n, metric.n), "T")
-    j = metric.signs
-    defect = a.conj().T * j[None, :] + j[:, None] * a
-    return bool(np.linalg.norm(defect) <= tol * (1.0 + np.linalg.norm(a)))
+    return bool(_hermitian_residual(1j * metric.signs[:, None] * a) <= tol)
 
 
 def _padded(values: np.ndarray, size: int) -> np.ndarray:
@@ -66,11 +70,16 @@ def _padded(values: np.ndarray, size: int) -> np.ndarray:
 
 
 def exp_us(element: LieElement) -> np.ndarray:
-    """Exponential of a Hermitian tangent direction; a positive-definite member."""
+    """Exponential of a Hermitian tangent direction; a positive-definite member.
+
+    Raises ValueError past s_max = arccosh(float max / 2), where it would overflow.
+    """
     metric = element.metric
     p, q = metric.p, metric.q
     b = element.block
     w, s, xh = np.linalg.svd(b)
+    if s.size and s[0] > _S_MAX:
+        raise ValueError(f"tangent too large: singular value {s[0]!r} exceeds {_S_MAX!r}")
     r = s.size
     cp = (w * np.cosh(_padded(s, p))[None, :]) @ w.conj().T
     cq = (xh.conj().T * np.cosh(_padded(s, q))[None, :]) @ xh
@@ -83,30 +92,50 @@ def exp_us(element: LieElement) -> np.ndarray:
     return out
 
 
+def _trace_deficit(a: np.ndarray, s: np.ndarray, metric: SignatureMetric) -> float:
+    """(2 sum(h_j) + |p - q| - tr M) / h_min for a Hermitian member whose M12 has singular values s.
+
+    The eigenvalues of M11 and M22 are +-h_j = +-hypot(1, s_j), s padded with
+    zeros to p and to q, so M is positive definite iff this is below 1.
+    Raises MembershipError where the resolvability rule of canonical_invariant
+    refuses; padding pieces count with t = 0.
+    """
+    p, q = metric.p, metric.q
+    # svd sorts s descending, and the padding zeros go last: h[0] is h_max, h[-1] h_min
+    sp = _padded(s, max(p, q))
+    h = np.hypot(1.0, sp)
+    measured, limit = _resolvability(h, np.arcsinh(sp), sp[0])
+    if (measured > limit).any():
+        raise _unresolvable_error(measured, limit)
+    # a power of two at most 1 / h_max keeps the sums finite for any member
+    c = math.ldexp(1.0, -math.frexp(h[0])[1])
+    bound = 2.0 * (c * h[:s.size]).sum() + c * abs(p - q)
+    return float((bound - (c * np.diagonal(a).real).sum()) / (c * h[-1]))
+
+
 def log_us(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> LieElement:
     """Logarithm of a positive-definite Hermitian member.
 
-    Rejects members outside the exponential image: anything with an
-    eigenvalue at or below PD_FLOOR times the spectral norm fails loudly.
+    Refuses with MembershipError members outside the exponential image and
+    members whose parameters the resolvability rule of canonical_invariant
+    cannot resolve, so each returned t_j is within T_COMPARE_TOL * max(1, t_j / 20).
     """
     a = require_member(M, metric, tol)
-    w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
-    floor = PD_FLOOR * float(np.max(np.abs(w)))
-    smallest = float(w[0])
-    if smallest <= floor:
-        raise MembershipError(
-            f"not positive definite: smallest eigenvalue {smallest:.3e} "
-            f"is at or below the floor {floor:.3e}; outside the exponential image"
-        )
-    b12 = a[: metric.p, metric.p:]
-    u2, s2, v2h = np.linalg.svd(b12)
+    u2, s2, v2h = np.linalg.svd(a[: metric.p, metric.p:])
+    deficit = _trace_deficit(a, s2, metric)
+    if not deficit < 1.0:
+        raise MembershipError(f"not positive definite: trace deficit {deficit:.3g} h_min, "
+                              "at or above the limit 1; outside the exponential image")
     r = s2.size
     xi = (u2[:, :r] * np.arcsinh(s2)[None, :]) @ v2h[:r, :]
     return LieElement(metric=metric, block=xi)
 
 
 def is_in_exp_image(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> bool:
-    """True when the Hermitian member M is positive definite (hence some exp T)."""
+    """True when the Hermitian member M is positive definite (hence some exp T).
+
+    Refuses where log_us refuses for resolvability: True means log_us returns.
+    """
     a = require_member(M, metric, tol)
-    w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
-    return bool(float(w[0]) > PD_FLOOR * float(np.max(np.abs(w))))
+    s = np.linalg.svd(a[: metric.p, metric.p:], compute_uv=False)
+    return _trace_deficit(a, s, metric) < 1.0

@@ -89,6 +89,15 @@ def as_matrix(m, shape: tuple | None = None, name: str = "matrix") -> np.ndarray
     return a
 
 
+def _phase_fixed_qr(z: np.ndarray, mode: str = "reduced") -> np.ndarray:
+    """Q of the QR decomposition of z, with the columns paired with diag(R) turned by its phases."""
+    q, r = np.linalg.qr(z, mode=mode)
+    d = np.diagonal(r).copy()
+    d[d == 0] = 1.0
+    q[:, :d.size] *= (d / np.abs(d))[None, :]
+    return q
+
+
 def _blocks(a: np.ndarray, p: int) -> tuple:
     return a[:p, :p], a[:p, p:], a[p:, :p], a[p:, p:]
 

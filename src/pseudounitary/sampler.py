@@ -12,7 +12,7 @@ import numpy as np
 
 from .canonical import HYPERBOLIC, IOTA, BlockDecomposition, HyperbolicBlock, assemble_blocks
 from .lie import LieElement, exp_us
-from .metric import SignatureMetric
+from .metric import SignatureMetric, _phase_fixed_qr
 
 # One entry per block species: hyperbolic +, hyperbolic -, iota +, iota -.
 _KINDS = ((HYPERBOLIC, 1), (HYPERBOLIC, -1), (IOTA, 1), (IOTA, -1))
@@ -28,10 +28,7 @@ def _haar(rng: np.random.Generator, n: int) -> np.ndarray:
     if n == 0:
         return np.zeros((0, 0), dtype=complex)
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r).copy()
-    d[d == 0] = 1.0
-    return q * (d / np.abs(d))[None, :]
+    return _phase_fixed_qr(z)
 
 
 def haar_unitary(n: int, seed: int) -> np.ndarray:

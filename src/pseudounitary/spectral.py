@@ -18,6 +18,7 @@ from .metric import (
     DEFAULT_TOL,
     MembershipError,
     SignatureMetric,
+    _phase_fixed_qr,
     as_matrix,
     require_member,
 )
@@ -105,11 +106,7 @@ def _orthogonalize_clusters(lam: np.ndarray, vec: np.ndarray, signs: np.ndarray)
     for sl in _cluster_slices(lam):
         if sl.stop - sl.start < 2:
             continue
-        zc = out[:, sl]
-        qc, rc = np.linalg.qr(zc)
-        d = np.diagonal(rc).copy()
-        d[d == 0] = 1.0
-        qc = qc * (d / np.abs(d))[None, :]
+        qc = _phase_fixed_qr(out[:, sl])
         gram = _symmetrized(qc.conj().T @ (signs[:, None] * qc))
         _, rot = np.linalg.eigh(gram)
         out[:, sl] = qc @ rot

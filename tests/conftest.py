@@ -152,6 +152,31 @@ def unscaled_residuals(a: np.ndarray, metric: SignatureMetric) -> tuple:
     return membership, hermitian, unitary, blocks
 
 
+def pd_floor_log(M, metric: SignatureMetric):
+    """The logarithm behind an eigvalsh positivity gate with a fixed floor, kept as a regression oracle.
+
+    The gate the library used before it read positive definiteness off the
+    SVD: refuse (return None) when the smallest eigenvalue of M is at or
+    below 1e-10 times its spectral norm, otherwise return arcsinh applied to
+    the SVD of M12. The floor refuses exact exponentials from t near 11.5.
+    """
+    a = require_member(M, metric)
+    w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+    if float(w[0]) <= 1e-10 * float(np.max(np.abs(w))):
+        return None
+    u, s, vh = np.linalg.svd(a[: metric.p, metric.p:])
+    r = s.size
+    return (u[:, :r] * np.arcsinh(s)[None, :]) @ vh[:r, :]
+
+
+def unscaled_tangent_residual(T, metric: SignatureMetric) -> float:
+    """||T* J + J T|| / (1 + ||T||), the np.linalg.norm formula of the tangent check, unscaled."""
+    a = np.asarray(T, complex)
+    j = metric.signs
+    defect = a.conj().T * j[None, :] + j[:, None] * a
+    return np.linalg.norm(defect) / (1.0 + np.linalg.norm(a))
+
+
 def _fmt(x: float) -> str:
     # 17 significant digits guarantee an exact float64 round trip.
     if not np.isfinite(x):

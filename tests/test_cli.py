@@ -257,6 +257,30 @@ class TestExpLog:
         assert code == 1
         assert "not positive definite" in err
 
+    def test_sampled_tangent_at_64_round_trips(self, capsys, monkeypatch):
+        # n = 128 with t_max 15.7: the smallest eigenvalue of the exponential is
+        # about 1.6e-7 against a largest of about 6e6
+        argv = ("sample", "--family", "lie", "--p", "64", "--q", "64", "--seed", "3")
+        code, block_out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(block_out))
+        code, exp_out, _ = run_cli(capsys, "exp", "-")
+        assert code == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(exp_out))
+        code, log_out, err = run_cli(capsys, "log", "-")
+        assert code == 0, err
+        block = loads_matrix(block_out).matrix
+        back = loads_matrix(log_out).matrix
+        assert np.linalg.norm(back - block) <= 1e-10 * np.linalg.norm(block)
+
+    def test_exp_past_the_overflow_bound_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        path.write_text(dumps_matrix(np.array([[800.0]]), make_metric(1, 1), KIND_BLOCK))
+        code, out, err = run_cli(capsys, "exp", str(path))
+        assert code == 2
+        assert out == ""
+        assert "tangent too large" in err
+
     def test_exp_requires_block_kind(self, tmp_path, capsys):
         path = write_square(tmp_path / "m.json", np.eye(2), make_metric(1, 1))
         code, _, err = run_cli(capsys, "exp", str(path))
