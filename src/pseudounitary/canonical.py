@@ -24,8 +24,10 @@ from .metric import (
     MembershipError,
     SignatureMetric,
     _blocks,
+    _fro,
     _phase_fixed_qr,
     _refusals,
+    _scaled,
     _unitary_residual,
     as_matrix,
     make_metric,
@@ -43,6 +45,9 @@ T_COMPARE_TOL = 1e-8
 # margin cleanly separates the piece families.
 CLASSIFY_MARGIN = 0.5
 _EPS = np.finfo(float).eps
+# Largest hyperbolic parameter with finite output, arccosh(float max / 2): past it
+# a sum of two entries of size cosh t overflows, as (C + C*) / 2 in exp_us does.
+_T_MAX = float(np.arccosh(np.finfo(float).max / 2.0))
 
 
 @dataclass(frozen=True)
@@ -66,10 +71,7 @@ class HyperbolicBlock:
             raise ValueError("hyperbolic parameter must be nonnegative")
 
     def matrix(self) -> np.ndarray:
-        if self.kind == IOTA:
-            return self.sign * np.diag([1.0 + 0j, -1.0 + 0j])
-        c, s = np.cosh(self.t), np.sinh(self.t)
-        return self.sign * np.array([[c, s], [s, c]], dtype=complex)
+        return assemble_blocks([self])
 
     def flipped(self) -> "HyperbolicBlock":
         return HyperbolicBlock(self.kind, self.t, -self.sign)
@@ -130,11 +132,30 @@ def _require_block_unitary(Q: np.ndarray, metric: SignatureMetric) -> None:
         raise ValueError("conjugating matrix must be block diagonal for the signature")
 
 
+def _block_form(hyp: np.ndarray, t: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """The matrix with piece j at rows and columns (j, p + j), from the pieces'
+    hyperbolic mask, parameters (0 for iota pieces) and signs."""
+    if t.size and not t.max() <= _T_MAX:
+        raise ValueError(f"hyperbolic parameter t = {float(t.max())!r} is past the limit "
+                         f"{_T_MAX!r} = arccosh(float max / 2) of finite entries")
+    p = t.size
+    c = np.cosh(t)
+    # entries (j, j), (j, p + j) = (p + j, j), (p + j, p + j), signed as sign * piece signs them
+    v = np.array([c, np.where(hyp, np.sinh(t), 0.0), np.where(hyp, c, -1.0)], dtype=complex) * sign
+    out = np.zeros((2 * p, 2 * p), dtype=complex)
+    # entry (r p + j, k p + j) is at offset k p + j (2p + 1) of row r of this view
+    rows = out.reshape(2, 2 * p * p)
+    rows[:, ::2 * p + 1] = v[:2]
+    rows[:, p::2 * p + 1] = v[1:]
+    return out
+
+
 def assemble_blocks(blocks, unitary=None, metric: SignatureMetric | None = None) -> np.ndarray:
     """Place 2x2 pieces at rows/columns (j, p + j), then conjugate by the unitary.
 
     With unitary Q, returns Q* B Q where B is the block-form matrix, so the
-    result decomposes back to the given pieces with the same Q.
+    result decomposes back to the given pieces with the same Q. Raises
+    ValueError for a parameter past arccosh(float max / 2).
     """
     blocks = tuple(blocks)
     p = len(blocks)
@@ -146,64 +167,56 @@ def assemble_blocks(blocks, unitary=None, metric: SignatureMetric | None = None)
         raise ValueError("block assembly needs a (p, p) signature")
     if metric.p != p:
         raise ValueError(f"expected {metric.p} blocks for this metric, got {p}")
-    n = metric.n
-    out = np.zeros((n, n), dtype=complex)
-    j = np.arange(p)
-    idx = np.stack([j, p + j], axis=1)
-    out[idx[:, :, None], idx[:, None, :]] = np.array([b.matrix() for b in blocks])
+    out = _block_form(np.array([b.kind == HYPERBOLIC for b in blocks]),
+                      np.array([b.t for b in blocks]),
+                      np.array([b.sign for b in blocks]))
     if unitary is not None:
-        Q = as_matrix(unitary, (n, n), "unitary")
+        Q = as_matrix(unitary, (metric.n, metric.n), "unitary")
         _require_block_unitary(Q, metric)
         out = Q.conj().T @ out @ Q
     return out
 
 
-def _classify(a: np.ndarray, d: np.ndarray, s: np.ndarray) -> list:
+def _classify(x: np.ndarray, s: np.ndarray) -> tuple:
     """Match numerical 2x2 pieces against the canonical vocabulary.
 
-    Piece j is [[a_j, *], [*, d_j]] with coupling magnitude s_j.
+    Piece j is [[x[0, j], *], [*, x[1, j]]] with coupling magnitude s[j].
+    Returns the hyperbolic mask, the parameters (0 for iota pieces) and the
+    signs.
     """
     margin = CLASSIFY_MARGIN
-    small = s < margin
-    iota_plus = small & (np.abs(a - 1.0) < margin) & (np.abs(d + 1.0) < margin)
-    iota_minus = small & (np.abs(a + 1.0) < margin) & (np.abs(d - 1.0) < margin)
-    hyp = ((np.abs(a - d) < margin) & (np.minimum(np.abs(a), np.abs(d)) > 1.0 - margin)
-           & (a * d > 0))
-    bad = np.flatnonzero(~(iota_plus | iota_minus | hyp))
-    if bad.size:
-        j = bad[0]
+    mag = np.abs(x)
+    pos = x > 0
+    # signs compared, not multiplied: x[0] * x[1] overflows from t of about 355 on
+    same = pos[0] == pos[1]
+    iota = ~same & (s < margin) & (np.abs(mag - 1.0) < margin).all(axis=0)
+    hyp = same & (np.abs(x[0] - x[1]) < margin) & (mag.min(axis=0) > 1.0 - margin)
+    ok = iota | hyp
+    if not ok.all():
+        j = np.flatnonzero(~ok)[0]
         raise MembershipError(
             f"2x2 piece {j} does not match any canonical block: "
-            f"diagonal ({a[j]:.6g}, {d[j]:.6g}), coupling {s[j]:.6g}"
+            f"diagonal ({x[0, j]:.6g}, {x[1, j]:.6g}), coupling {s[j]:.6g}"
         )
-    t = np.log(np.maximum((np.abs(a) + np.abs(d)) / 2.0, 1.0) + s)
-    return [HyperbolicBlock(HYPERBOLIC, float(tj), 1 if aj > 0 else -1) if h
-            else HyperbolicBlock(IOTA, 0.0, 1 if ip else -1)
-            for h, ip, aj, tj in zip(hyp, iota_plus, a, t)]
+    t = np.log(np.maximum(mag.sum(axis=0) / 2.0, 1.0) + s)
+    return hyp, np.where(hyp, t, 0.0), np.where(pos[0], 1, -1)
 
 
-def _standard_basis_map(cols: dict[int, np.ndarray], dim: int) -> np.ndarray:
-    """Unitary sending each prescribed column to its standard basis slot.
+def _standard_basis_map(rows: np.ndarray, mask: np.ndarray, dim: int) -> np.ndarray:
+    """Unitary sending row j of rows, where mask[j] holds, to standard basis slot j.
 
-    Prescribed columns are polished to exact orthonormality (they arrive
-    orthonormal up to rounding); free slots are filled with an orthonormal
-    completion.
+    Prescribed rows are polished to exact orthonormality (they arrive orthonormal
+    up to rounding); free slots are filled with an orthonormal completion.
     """
-    if dim == 0:
-        return np.zeros((0, 0), dtype=complex)
-    slots = sorted(cols)
-    m = len(slots)
-    basis = np.eye(dim, dtype=complex)
-    if m:
-        c = np.column_stack([cols[s] for s in slots])
-        qf = _phase_fixed_qr(c, mode="complete")
-        free = [j for j in range(dim) if j not in cols]
-        basis = np.empty((dim, dim), dtype=complex)
-        for i, s in enumerate(slots):
-            basis[:, s] = qf[:, i]
-        for i, s in enumerate(free):
-            basis[:, s] = qf[:, m + i]
-    return basis.conj().T
+    if not mask.any():  # skips a QR of no columns, which costs as much as a small one
+        return np.eye(dim, dtype=complex)
+    slots = np.zeros(dim, dtype=bool)
+    slots[:mask.size] = mask
+    qf = _phase_fixed_qr(rows[mask].T, mode="complete")
+    out = np.empty((dim, dim), dtype=complex)
+    # the prescribed slots in order, then the free ones
+    out[np.argsort(~slots, kind="stable")] = qf.conj().T
+    return out
 
 
 def block_decompose(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> BlockDecomposition:
@@ -215,36 +228,32 @@ def block_decompose(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> Blo
     """
     if metric.p != metric.q:
         raise ValueError("block decomposition is defined for signature (p, p)")
-    p = metric.p
+    p, n = metric.p, metric.n
     a = require_member(M, metric, tol)
     gens = _generators(a, metric)
-    # the rank check in _generators caps k at n // 2 = p
-    plus_cols: dict[int, np.ndarray] = {}
-    minus_cols: dict[int, np.ndarray] = {}
-    for j in range(gens.k):
-        zp = gens.vectors[j, :p]
-        zm = gens.vectors[j, p:]
-        # one norm per vector: a batched norm(..., axis=1) sums in another
-        # order and moves q and the parameters t in the last bits
-        al = np.linalg.norm(zp)
-        be = np.linalg.norm(zm)
-        if al > SPLIT_CUTOFF:
-            plus_cols[j] = zp / al
-        if be > SPLIT_CUTOFF:
-            minus_cols[j] = zm / be
-    u = _standard_basis_map(plus_cols, p)
-    v = _standard_basis_map(minus_cols, p)
-    q = np.zeros((2 * p, 2 * p), dtype=complex)
-    q[:p, :p] = u
-    q[p:, p:] = v
-    b = q @ a @ q.conj().T
-    blocks = _classify(np.diagonal(b[:p, :p]).real, np.diagonal(b[p:, p:]).real,
-                       np.abs(np.diagonal(b[:p, p:])))
-    rebuilt = assemble_blocks(blocks, None, metric)
-    err = float(np.linalg.norm(b - rebuilt))
-    if err > 1000.0 * tol * max(1.0, float(np.linalg.norm(a))):
-        raise MembershipError(f"block reduction failed: residual {err:.3e}")
-    return BlockDecomposition(metric=metric, q=q, blocks=tuple(blocks))
+    # the rank check in _generators caps k at n // 2 = p; z[j] holds the
+    # positive and the negative part of generator j, with norms alpha_j, beta_j
+    z = gens.vectors.reshape(gens.k, 2, p)
+    norms = np.linalg.norm(z, axis=2)
+    kept = norms > SPLIT_CUTOFF
+    unit = z / np.where(kept, norms, 1.0)[:, :, None]
+    w = np.array([_standard_basis_map(unit[:, i], kept[:, i], p) for i in (0, 1)])
+    # conjugation by Q = U + V block by block, written through a (2, 2, p, p)
+    # view of b: block (i, j) of b is W_i A_ij W_j*
+    b = np.empty((n, n), dtype=complex)
+    np.matmul(w[:, None] @ a.reshape(2, p, 2, p).swapaxes(1, 2), w.conj().swapaxes(1, 2)[None],
+              out=b.reshape(2, p, 2, p).swapaxes(1, 2))
+    hyp, t, sign = _classify(np.diagonal(b).real.reshape(2, p), np.abs(np.diagonal(b, p)))
+    # both sides scaled by the power of two that keeps ||a|| from overflowing
+    _, scale, fro, _ = _scaled(a)
+    err = float(_fro(scale * (b - _block_form(hyp, t, sign))))
+    if err > 1000.0 * tol * max(scale, fro):
+        raise MembershipError(f"block reduction failed: residual {err / scale:.3e}")
+    q = np.zeros((n, n), dtype=complex)
+    q[:p, :p], q[p:, p:] = w
+    blocks = tuple(HyperbolicBlock(HYPERBOLIC if h else IOTA, tj, sj)
+                   for h, tj, sj in zip(hyp.tolist(), t.tolist(), sign.tolist()))
+    return BlockDecomposition(metric=metric, q=q, blocks=blocks)
 
 
 def _merge_iota_pairs(blocks) -> list[HyperbolicBlock]:

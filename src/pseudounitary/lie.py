@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import _resolvability, _unresolvable_error
+from .canonical import _T_MAX, _resolvability, _unresolvable_error
 from .metric import (
     DEFAULT_TOL,
     MembershipError,
@@ -28,9 +28,6 @@ from .metric import (
     as_matrix,
     require_member,
 )
-
-# exp_us symmetrizes its diagonal blocks as (C + C*) / 2, finite while cosh(s) <= max / 2
-_S_MAX = float(np.arccosh(np.finfo(float).max / 2.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,8 +75,8 @@ def exp_us(element: LieElement) -> np.ndarray:
     p, q = metric.p, metric.q
     b = element.block
     w, s, xh = np.linalg.svd(b)
-    if s.size and s[0] > _S_MAX:
-        raise ValueError(f"tangent too large: singular value {s[0]!r} exceeds {_S_MAX!r}")
+    if s.size and s[0] > _T_MAX:
+        raise ValueError(f"tangent too large: singular value {s[0]!r} exceeds {_T_MAX!r}")
     r = s.size
     cp = (w * np.cosh(_padded(s, p))[None, :]) @ w.conj().T
     cq = (xh.conj().T * np.cosh(_padded(s, q))[None, :]) @ xh

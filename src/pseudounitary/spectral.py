@@ -10,6 +10,7 @@ the numerical rank decisions below unambiguous.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,7 +133,14 @@ def _generators(a: np.ndarray, metric: SignatureMetric) -> GeneratorSet:
     must then show exactly that rank.
     """
     n, p = metric.n, metric.p
-    r_plus = int(round((n + (np.trace(a[:p, :p]) - np.trace(a[p:, p:])).real) / 2.0))
+    tr = float((np.trace(a[:p, :p]) - np.trace(a[p:, p:])).real)
+    r_plus = round((n + tr) / 2.0) if math.isfinite(tr) else -1
+    if not 0 <= r_plus <= n:
+        raise MembershipError(
+            f"trace rule violated: the trace of JM measures {tr:.6g}, outside the range "
+            f"[-{n}, {n}] of an involution of size {n}; "
+            "input is not a Hermitian member within tolerance"
+        )
     sigma = 1 if 2 * r_plus <= n else -1
     rank = r_plus if sigma == 1 else n - r_plus
 

@@ -9,9 +9,21 @@ import json
 
 import numpy as np
 
-from pseudounitary import GeneratorSet, MembershipError, SignatureMetric, require_member
+from pseudounitary import (
+    DEFAULT_TOL,
+    HYPERBOLIC,
+    IOTA,
+    GeneratorSet,
+    HyperbolicBlock,
+    MembershipError,
+    SignatureMetric,
+    extract_generators,
+    require_member,
+)
+from pseudounitary.canonical import CLASSIFY_MARGIN
 from pseudounitary.matrixfile import FORMAT_VERSION, KIND_SQUARE
-from pseudounitary.spectral import RANK_THRESHOLD, _orthogonalize_clusters
+from pseudounitary.metric import _phase_fixed_qr
+from pseudounitary.spectral import RANK_THRESHOLD, SPLIT_CUTOFF, _orthogonalize_clusters
 
 
 def hyperbolic(t: float) -> np.ndarray:
@@ -175,6 +187,90 @@ def unscaled_tangent_residual(T, metric: SignatureMetric) -> float:
     j = metric.signs
     defect = a.conj().T * j[None, :] + j[:, None] * a
     return np.linalg.norm(defect) / (1.0 + np.linalg.norm(a))
+
+
+def per_piece_matrix(block) -> np.ndarray:
+    """The 2x2 matrix of one canonical piece, built from its own cosh and sinh."""
+    if block.kind == IOTA:
+        return block.sign * np.diag([1.0 + 0j, -1.0 + 0j])
+    c, s = np.cosh(block.t), np.sinh(block.t)
+    return block.sign * np.array([[c, s], [s, c]], dtype=complex)
+
+
+def per_piece_assemble(blocks, unitary=None) -> np.ndarray:
+    """Block assembly one piece at a time, kept as the bitwise oracle of assemble_blocks.
+
+    Each piece is built on its own and placed at rows and columns (j, p + j);
+    with a unitary Q the result is Q* B Q. Input checks are left to the library.
+    """
+    p = len(blocks)
+    out = np.zeros((2 * p, 2 * p), dtype=complex)
+    j = np.arange(p)
+    idx = np.stack([j, p + j], axis=1)
+    out[idx[:, :, None], idx[:, None, :]] = np.array([per_piece_matrix(b) for b in blocks])
+    if unitary is not None:
+        Q = np.asarray(unitary, dtype=complex)
+        out = Q.conj().T @ out @ Q
+    return out
+
+
+def _column_map(cols: dict, dim: int) -> np.ndarray:
+    """Unitary sending each prescribed column to its slot, placed one column at a time."""
+    slots = sorted(cols)
+    m = len(slots)
+    basis = np.eye(dim, dtype=complex)
+    if m:
+        qf = _phase_fixed_qr(np.column_stack([cols[s] for s in slots]), mode="complete")
+        free = [j for j in range(dim) if j not in cols]
+        basis = np.empty((dim, dim), dtype=complex)
+        for i, s in enumerate(slots):
+            basis[:, s] = qf[:, i]
+        for i, s in enumerate(free):
+            basis[:, s] = qf[:, m + i]
+    return basis.conj().T
+
+
+def per_generator_block_decompose(M, metric: SignatureMetric) -> tuple:
+    """The canonical frame built one generator, column and piece at a time, kept as a
+    regression oracle of block_decompose; returns (q, [(kind, t, sign), ...]).
+
+    A norm per generator part, a dict of prescribed columns completed by a
+    QR and placed column by column, a full conjugation by q = U + V, each
+    piece classified on its own, and the reassembly residual against
+    per_piece_assemble. Only validation, generator extraction and the QR
+    with phase fix come from the library.
+    """
+    p = metric.p
+    a = require_member(M, metric)
+    gens = extract_generators(a, metric)
+    plus, minus = {}, {}
+    for j in range(gens.k):
+        zp, zm = gens.vectors[j, :p], gens.vectors[j, p:]
+        al, be = np.linalg.norm(zp), np.linalg.norm(zm)
+        if al > SPLIT_CUTOFF:
+            plus[j] = zp / al
+        if be > SPLIT_CUTOFF:
+            minus[j] = zm / be
+    q = np.zeros((2 * p, 2 * p), dtype=complex)
+    q[:p, :p] = _column_map(plus, p)
+    q[p:, p:] = _column_map(minus, p)
+    b = q @ a @ q.conj().T
+    margin = CLASSIFY_MARGIN
+    pieces = []
+    for j in range(p):
+        x, d, s = float(b[j, j].real), float(b[p + j, p + j].real), float(abs(b[j, p + j]))
+        sign = 1 if x > 0 else -1
+        same = (x > 0) == (d > 0)
+        if same and abs(x - d) < margin and min(abs(x), abs(d)) > 1.0 - margin:
+            pieces.append((HYPERBOLIC, float(np.log(max((abs(x) + abs(d)) / 2.0, 1.0) + s)), sign))
+        elif not same and s < margin and abs(abs(x) - 1.0) < margin and abs(abs(d) - 1.0) < margin:
+            pieces.append((IOTA, 0.0, sign))
+        else:
+            raise MembershipError(f"2x2 piece {j} does not match any canonical block")
+    err = np.linalg.norm(b - per_piece_assemble([HyperbolicBlock(*x) for x in pieces]))
+    if err > 1000.0 * DEFAULT_TOL * max(1.0, np.linalg.norm(a)):
+        raise MembershipError("block reduction failed")
+    return q, pieces
 
 
 def _fmt(x: float) -> str:

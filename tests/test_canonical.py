@@ -1,17 +1,28 @@
 """Block assembly, decomposition, canonical invariants, and equivalence."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import block_unitary, count_calls, hyperbolic, three_eigh_generators
+from conftest import (
+    block_unitary,
+    count_calls,
+    hyperbolic,
+    per_generator_block_decompose,
+    per_piece_assemble,
+    per_piece_matrix,
+    three_eigh_generators,
+)
 from pseudounitary import metric as metric_module
 from pseudounitary import (
     DEFAULT_TOL,
     HYPERBOLIC,
     IOTA,
     HyperbolicBlock,
+    LieElement,
     MembershipError,
     SampleSpec,
     are_equivalent,
@@ -19,6 +30,7 @@ from pseudounitary import (
     block_decompose,
     canonical,
     canonical_invariant,
+    exp_us,
     invariant_from_blocks,
     make_metric,
     membership_residual,
@@ -104,7 +116,8 @@ class TestAssemble:
 def classify(block):
     """Classify one numerical 2x2 piece through the array classifier of block_decompose."""
     b = np.asarray(block)
-    return canonical._classify(b[:1, 0].real, b[1:, 1].real, np.abs(b[:1, 1]))[0]
+    hyp_mask, t, sign = canonical._classify(np.diagonal(b).real.reshape(2, 1), np.abs(b[:1, 1]))
+    return HyperbolicBlock(HYPERBOLIC if hyp_mask[0] else IOTA, float(t[0]), int(sign[0]))
 
 
 class TestClassify:
@@ -420,6 +433,93 @@ class TestDecomposeOracle:
         dec = block_decompose(M, m)
         assert invariant_from_blocks(dec.blocks).matches(invariant_from_blocks(truth.blocks))
         assert len(validations) == 1
+
+
+@st.composite
+def piece_lists(draw):
+    """One to eight pieces of every kind and sign, t over [0, 700] with ties and zeros."""
+    pool = draw(st.lists(st.floats(0.0, 700.0), min_size=1, max_size=3)) + [0.0, 1e-7]
+    blocks = []
+    for _ in range(draw(st.integers(1, 8))):
+        sign = draw(st.sampled_from([1, -1]))
+        if draw(st.integers(0, 2)) == 0:
+            blocks.append(iota(sign))
+        else:
+            blocks.append(hyp(draw(st.sampled_from(pool)), sign))
+    return blocks
+
+
+class TestArrayAssembly:
+    """The array assembly and the array frame against the per-piece and per-generator oracles."""
+
+    @pytest.mark.parametrize("block", [hyp(0.0), hyp(0.0, -1), hyp(LN2), hyp(LN2, -1),
+                                       hyp(709.0), iota(1), iota(-1)])
+    def test_piece_matrix_is_bitwise_the_per_piece_formula(self, block):
+        assert block.matrix().tobytes() == per_piece_matrix(block).tobytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(piece_lists(), st.integers(0, 2**32 - 1), st.booleans())
+    def test_assemble_is_bitwise_the_per_piece_oracle(self, blocks, seed, conjugate):
+        m = make_metric(len(blocks), len(blocks))
+        Q = block_unitary(m, np.random.default_rng(seed)) if conjugate else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = assemble_blocks(blocks, Q, m)
+        # tobytes also tells the signs of zero apart
+        assert got.tobytes() == per_piece_assemble(blocks, Q).tobytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(block_form_specs(), st.sampled_from([1, -1]))
+    def test_frame_matches_per_generator_oracle(self, spec, sign):
+        m = spec.metric
+        M = sign * sample_us_pp(spec)[0]
+        try:
+            got = block_decompose(M, m)
+        except MembershipError:
+            with pytest.raises(MembershipError):
+                per_generator_block_decompose(M, m)
+            return
+        q, pieces = per_generator_block_decompose(M, m)
+        assert [(b.kind, b.sign) for b in got.blocks] == [(k, s) for k, _, s in pieces]
+        t_got = np.array([b.t for b in got.blocks])
+        t_ref = np.array([t for _, t, _ in pieces])
+        assert np.all(np.abs(t_got - t_ref) <= 1e-13 * np.maximum(1.0, t_ref))
+        assert np.max(np.abs(got.q - q)) <= 1e-13
+
+    def test_norm_calls_do_not_grow_with_p(self, monkeypatch):
+        counts = []
+        for p in (2, 32):
+            m = make_metric(p, p)
+            M = sample_us_pp(SampleSpec(metric=m, seed=4, block_kind_weights=(0.5, 0.5, 0.0, 0.0)))[0]
+            calls = count_calls(monkeypatch, "norm", np.linalg)
+            assert len(block_decompose(M, m).blocks) == p
+            counts.append(len(calls))
+            monkeypatch.undo()
+        # one norm call per generator part would give 2p + 2
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("t", [400.0, 600.0, 709.0])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_top_of_the_range_decomposes_without_warnings(self, t, sign):
+        m = make_metric(1, 1)
+        M = sign * exp_us(LieElement(m, np.array([[t]])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (piece,) = block_decompose(M, m).blocks
+        assert (piece.kind, piece.sign) == (HYPERBOLIC, sign)
+        assert abs(piece.t - t) <= T_COMPARE_TOL * t / 20.0
+
+    @pytest.mark.parametrize("conjugate", [False, True])
+    def test_parameters_past_the_float_range_are_refused(self, conjugate):
+        m = make_metric(2, 2)
+        Q = block_unitary(m, np.random.default_rng(6)) if conjugate else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"t = 709\.9 is past the limit 709\.78"):
+                hyp(709.9).matrix()
+            with pytest.raises(ValueError, match=r"t = 709\.9 is past the limit 709\.78"):
+                assemble_blocks([iota(1), hyp(709.9, -1)], Q, m)
+            assert np.isfinite(assemble_blocks([iota(1), hyp(709.0, -1)], Q, m)).all()
 
 
 class TestEquivalence:

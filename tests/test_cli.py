@@ -2,11 +2,17 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import count_calls, hyperbolic
+import pseudounitary
 from pseudounitary import canonical, dumps_matrix, loads_matrix, make_metric, sample_upq
 from pseudounitary.cli import main
 from pseudounitary.matrixfile import KIND_BLOCK, KIND_SQUARE
@@ -317,6 +323,17 @@ class TestSample:
         assert code == 2
         assert "error" in err
 
+    def test_parameters_past_the_float_range_exit_two_without_warnings(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys, "sample", "--family", "uspp", "--p", "1", "--q", "1",
+                "--seed", "1", "--tmax", "1e300")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: hyperbolic parameter t = ") and err.count("\n") == 1
+        assert caught == []
+
 
 class TestDim:
     def test_report(self, capsys):
@@ -329,6 +346,19 @@ class TestDim:
         code, out, _ = run_cli(capsys, "dim", "--p", str(p), "--q", str(q))
         assert code == 0
         assert json.loads(out)["result"]["dimension"] == d
+
+
+class TestModuleForm:
+    def test_python_dash_m_runs_main(self, capsys):
+        src = str(Path(pseudounitary.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            x for x in (src, os.environ.get("PYTHONPATH")) if x))
+        argv = ["dim", "--p", "2", "--q", "3"]
+        proc = subprocess.run([sys.executable, "-m", "pseudounitary.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        code, out, _ = run_cli(capsys, *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
+        assert code == 0 and json.loads(out)["result"]["dimension"] == 6
 
 
 class TestUsageErrors:

@@ -20,6 +20,7 @@ from pseudounitary import (
     MembershipError,
     SampleSpec,
     assemble_blocks,
+    block_decompose,
     construct_from_generators,
     exp_us,
     extract_generators,
@@ -160,6 +161,25 @@ class TestTraceRule:
         scale = max(1.0, float(np.linalg.norm(M)))
         for g in (got, ref):
             assert np.linalg.norm(construct_from_generators(g, tol=1e-8) - M) <= 1e-9 * scale
+
+
+class TestTraceRefusal:
+    """Where the trace of JM is rounding noise, the refusal names the measured trace."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_trace_outside_the_range_is_named(self, p):
+        # all pieces hyperbolic + at t = 40: cosh t * eps swamps tr M11 - tr M22 = 0
+        m = make_metric(p, p)
+        M = assemble_blocks([HyperbolicBlock(HYPERBOLIC, 40.0, 1)] * p,
+                            block_unitary(m, np.random.default_rng(0)), m)
+        tr = trace_jm(M, m)
+        assert abs(tr) > m.n + 1
+        for call in (extract_generators, block_decompose):
+            with pytest.raises(MembershipError) as err:
+                call(M, m)
+            msg = str(err.value)
+            assert f"the trace of JM measures {tr:.6g}, outside the range [-{m.n}, {m.n}]" in msg
+            assert "requires -" not in msg
 
 
 class TestExtractGenerators:
