@@ -33,7 +33,6 @@ from .metric import (
     make_metric,
     require_member,
 )
-from .spectral import SPLIT_CUTOFF, _generators
 
 HYPERBOLIC = "hyperbolic"
 IOTA = "iota"
@@ -41,9 +40,10 @@ IOTA = "iota"
 # Absolute tolerance for comparing hyperbolic parameters up to t = 20;
 # beyond that the comparison is relative.
 T_COMPARE_TOL = 1e-8
-# Canonical 2x2 entries are +-cosh(t) (magnitude at least 1) or +-1, so this
-# margin cleanly separates the piece families.
-CLASSIFY_MARGIN = 0.5
+# block_decompose calls a coupling s weak at or below this times max |eig(M11)|:
+# the SVD of M12 gives its V row only to about eps s_max / s, M22 to rounding
+# at a backward error of about s, and sqrt(eps) keeps both below the bound.
+WEAK_COUPLING = float(np.sqrt(np.finfo(float).eps))
 _EPS = np.finfo(float).eps
 # Largest hyperbolic parameter with finite output, arccosh(float max / 2): past it
 # a sum of two entries of size cosh t overflows, as (C + C*) / 2 in exp_us does.
@@ -82,12 +82,14 @@ class BlockDecomposition:
     """Canonical data for a Hermitian member of U(p, p): Q M Q* = sum of 2x2 pieces.
 
     q is block diagonal (one unitary per signature block); piece j occupies
-    rows and columns (j, p + j).
+    rows and columns (j, p + j). residual is the Frobenius norm of M minus
+    the reassembly, as block_decompose measured it (0 for data M is built from).
     """
 
     metric: SignatureMetric
     q: np.ndarray
     blocks: tuple
+    residual: float = 0.0
 
     def matrix(self) -> np.ndarray:
         """Reassemble the member this decomposition describes."""
@@ -132,12 +134,16 @@ def _require_block_unitary(Q: np.ndarray, metric: SignatureMetric) -> None:
         raise ValueError("conjugating matrix must be block diagonal for the signature")
 
 
-def _block_form(hyp: np.ndarray, t: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """The matrix with piece j at rows and columns (j, p + j), from the pieces'
-    hyperbolic mask, parameters (0 for iota pieces) and signs."""
+def _check_range(t: np.ndarray) -> None:
     if t.size and not t.max() <= _T_MAX:
         raise ValueError(f"hyperbolic parameter t = {float(t.max())!r} is past the limit "
                          f"{_T_MAX!r} = arccosh(float max / 2) of finite entries")
+
+
+def _block_form(hyp: np.ndarray, t: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """The matrix with piece j at rows and columns (j, p + j), from the pieces'
+    hyperbolic mask, parameters (0 for iota pieces) and signs."""
+    _check_range(t)
     p = t.size
     c = np.cosh(t)
     # entries (j, j), (j, p + j) = (p + j, j), (p + j, p + j), signed as sign * piece signs them
@@ -177,83 +183,79 @@ def assemble_blocks(blocks, unitary=None, metric: SignatureMetric | None = None)
     return out
 
 
-def _classify(x: np.ndarray, s: np.ndarray) -> tuple:
-    """Match numerical 2x2 pieces against the canonical vocabulary.
-
-    Piece j is [[x[0, j], *], [*, x[1, j]]] with coupling magnitude s[j].
-    Returns the hyperbolic mask, the parameters (0 for iota pieces) and the
-    signs.
-    """
-    margin = CLASSIFY_MARGIN
-    mag = np.abs(x)
-    pos = x > 0
-    # signs compared, not multiplied: x[0] * x[1] overflows from t of about 355 on
-    same = pos[0] == pos[1]
-    iota = ~same & (s < margin) & (np.abs(mag - 1.0) < margin).all(axis=0)
-    hyp = same & (np.abs(x[0] - x[1]) < margin) & (mag.min(axis=0) > 1.0 - margin)
-    ok = iota | hyp
-    if not ok.all():
-        j = np.flatnonzero(~ok)[0]
-        raise MembershipError(
-            f"2x2 piece {j} does not match any canonical block: "
-            f"diagonal ({x[0, j]:.6g}, {x[1, j]:.6g}), coupling {s[j]:.6g}"
-        )
-    t = np.log(np.maximum(mag.sum(axis=0) / 2.0, 1.0) + s)
-    return hyp, np.where(hyp, t, 0.0), np.where(pos[0], 1, -1)
-
-
-def _standard_basis_map(rows: np.ndarray, mask: np.ndarray, dim: int) -> np.ndarray:
-    """Unitary sending row j of rows, where mask[j] holds, to standard basis slot j.
-
-    Prescribed rows are polished to exact orthonormality (they arrive orthonormal
-    up to rounding); free slots are filled with an orthonormal completion.
-    """
-    if not mask.any():  # skips a QR of no columns, which costs as much as a small one
-        return np.eye(dim, dtype=complex)
-    slots = np.zeros(dim, dtype=bool)
-    slots[:mask.size] = mask
-    qf = _phase_fixed_qr(rows[mask].T, mode="complete")
-    out = np.empty((dim, dim), dtype=complex)
-    # the prescribed slots in order, then the free ones
-    out[np.argsort(~slots, kind="stable")] = qf.conj().T
-    return out
-
-
 def block_decompose(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> BlockDecomposition:
     """Decompose a Hermitian member of U(p, p) into canonical 2x2 pieces.
 
-    Generators occupy the leading slots (sorted by descending eigenvalue);
-    remaining slots hold the leftover signed iota pieces. The result is
-    verified by reassembly before it is returned.
+    Reads the pieces off the block spectra, as canonical_invariant does:
+    eigh(M11) = X diag(lambda) X*, Y = X* M12, and per sign eigenspace of M11
+    one SVD of its rows of Y. U holds those eigenspace columns turned by the
+    left singular vectors, V the right singular vectors times the sign, and
+    t = arcsinh(s). Weak couplings (see WEAK_COUPLING) take their V rows from
+    eigh of M22 on the complement of the others, in sign and magnitude order:
+    the same sign in M11 and M22 gives a hyperbolic piece, opposite signs an
+    iota piece. Strong couplings take the leading slots by descending t. The
+    result is verified by reassembly before it is returned.
     """
     if metric.p != metric.q:
         raise ValueError("block decomposition is defined for signature (p, p)")
-    p, n = metric.p, metric.n
+    p = metric.p
     a = require_member(M, metric, tol)
-    gens = _generators(a, metric)
-    # the rank check in _generators caps k at n // 2 = p; z[j] holds the
-    # positive and the negative part of generator j, with norms alpha_j, beta_j
-    z = gens.vectors.reshape(gens.k, 2, p)
-    norms = np.linalg.norm(z, axis=2)
-    kept = norms > SPLIT_CUTOFF
-    unit = z / np.where(kept, norms, 1.0)[:, :, None]
-    w = np.array([_standard_basis_map(unit[:, i], kept[:, i], p) for i in (0, 1)])
-    # conjugation by Q = U + V block by block, written through a (2, 2, p, p)
-    # view of b: block (i, j) of b is W_i A_ij W_j*
-    b = np.empty((n, n), dtype=complex)
-    np.matmul(w[:, None] @ a.reshape(2, p, 2, p).swapaxes(1, 2), w.conj().swapaxes(1, 2)[None],
-              out=b.reshape(2, p, 2, p).swapaxes(1, 2))
-    hyp, t, sign = _classify(np.diagonal(b).real.reshape(2, p), np.abs(np.diagonal(b, p)))
-    # both sides scaled by the power of two that keeps ||a|| from overflowing
-    _, scale, fro, _ = _scaled(a)
-    err = float(_fro(scale * (b - _block_form(hyp, t, sign))))
+    m11, m12, _, m22 = _blocks(a, p)
+    lam, x = np.linalg.eigh(m11)
+    y = x.conj().T @ m12
+    # eigh sorts ascending: the negative eigenspace of M11 comes first
+    neg = int(np.count_nonzero(lam < 0))
+    w0, v, s = np.empty((p, p), dtype=complex), np.empty((p, p), dtype=complex), np.empty(p)
+    for rows in (slice(0, neg), slice(neg, p)):
+        if rows.start < rows.stop:
+            left, s[rows], v[rows] = np.linalg.svd(y[rows], full_matrices=False)
+            w0[rows] = (x[:, rows] @ left).conj().T
+    sign = np.repeat([-1, 1], [neg, p - neg])
+    strong = s > WEAK_COUPLING * np.abs(lam).max()
+    # strong couplings by descending s, then the weak ones of the negative side
+    # by descending s and of the positive side by ascending s, which lines them
+    # up with the eigenvalues of M22 on the complement, sorted ascending
+    group = np.where(strong, 0, np.where(sign < 0, 1, 2))
+    order = np.lexsort((np.where(group == 2, s, -s), group))
+    w0, v, s, sign = w0[order], v[order] * sign[order, None], s[order], sign[order]
+    k = int(np.count_nonzero(strong))
+    # the strong V rows orthonormalized in slot order, then their complement
+    w1 = np.eye(p, dtype=complex) if k == 0 else _phase_fixed_qr(v[:k].T, mode="complete").T
+    hyp = np.ones(p, dtype=bool)
+    if k < p:
+        mu, rot = np.linalg.eigh(w1[k:] @ m22 @ w1[k:].conj().T)
+        w1[k:] = rot.conj().T @ w1[k:]
+        hyp[k:] = (mu > 0) == (sign[k:] > 0)
+    t = np.where(hyp & (s > 0), np.arcsinh(s), 0.0)
+    _check_range(t)
+    # the largest entry of each U row real and positive, each hyperbolic V row
+    # turned so that its coupling has the piece's sign, an iota V row by the
+    # rule of U rows; row j of U M12 is s_j times SVD row j, which gives z
+    rows = np.arange(p)
+    pivot = w0[rows, np.abs(w0).argmax(axis=1)]
+    w0 *= (pivot.conj() / np.abs(pivot))[:, None]
+    z = pivot.conj() * s * np.einsum("ij,ij->i", v, w1.conj())
+    pivot = w1[rows, np.abs(w1).argmax(axis=1)]
+    # the angle, not z / |z|, which overflows for a subnormal z
+    w1 *= np.where(hyp & (z != 0), np.exp(1j * np.angle(z)), pivot.conj() / np.abs(pivot))[:, None]
+    # M - Q* B Q block by block, B scaled by the power of two that keeps
+    # ||a|| from overflowing
+    b, scale, fro, _ = _scaled(a)
+    d1 = scale * sign * np.cosh(t)
+    b12 = (w0.conj().T * (scale * sign * np.sinh(t))) @ w1
+    r = b.copy()
+    r[:p, :p] -= (w0.conj().T * d1) @ w0
+    r[:p, p:] -= b12
+    r[p:, :p] -= b12.conj().T
+    r[p:, p:] -= (w1.conj().T * np.where(hyp, d1, -scale * sign)) @ w1
+    err = float(_fro(r))
     if err > 1000.0 * tol * max(scale, fro):
         raise MembershipError(f"block reduction failed: residual {err / scale:.3e}")
-    q = np.zeros((n, n), dtype=complex)
-    q[:p, :p], q[p:, p:] = w
+    q = np.zeros((2 * p, 2 * p), dtype=complex)
+    q[:p, :p], q[p:, p:] = w0, w1
     blocks = tuple(HyperbolicBlock(HYPERBOLIC if h else IOTA, tj, sj)
                    for h, tj, sj in zip(hyp.tolist(), t.tolist(), sign.tolist()))
-    return BlockDecomposition(metric=metric, q=q, blocks=blocks)
+    return BlockDecomposition(metric=metric, q=q, blocks=blocks, residual=err / scale)
 
 
 def _merge_iota_pairs(blocks) -> list[HyperbolicBlock]:

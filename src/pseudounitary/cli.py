@@ -145,11 +145,10 @@ def _pieces_payload(pieces) -> list:
 def _cmd_decompose(args) -> int:
     doc, source = _read_document(args.file)
     dec = block_decompose(doc.matrix, doc.metric, args.tol)
-    residual = float(np.linalg.norm(dec.matrix() - doc.matrix))
     _print_report("decompose", source, {"membership": args.tol}, doc.metric, {
         "blocks": _pieces_payload(dec.blocks),
         "unitary": _entries(dec.q),
-        "reconstruction_residual": residual,
+        "reconstruction_residual": dec.residual,
     })
     return 0
 

@@ -32,8 +32,6 @@ SPECTRAL_GAP_TOL = 1e-8
 RANK_THRESHOLD = 1.0
 # Eigenvalues closer than this (relative) form one degenerate cluster.
 CLUSTER_RTOL = 1e-8
-# A generator split with norm at or below this counts as exactly zero.
-SPLIT_CUTOFF = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,20 +118,19 @@ def extract_generators(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> 
     The sign sigma is chosen so that rank(sigma*M + J) <= rank(sigma*M - J),
     with sigma = +1 on ties. Generators are sorted by descending lambda, ties
     broken by the entry magnitudes of the vectors, so output is reproducible.
-    """
-    return _generators(require_member(M, metric, tol), metric)
-
-
-def _generators(a: np.ndarray, metric: SignatureMetric) -> GeneratorSet:
-    """extract_generators for an array already validated as a Hermitian member.
 
     JM is an involution on members (M J M = J), so rank(M + J), the dimension
     of its +1 eigenspace, is (n + tr JM) / 2 exactly: the sign needs a trace,
     not two rank computations, and the one eigendecomposition of sigma*M + J
     must then show exactly that rank.
     """
+    a = require_member(M, metric, tol)
     n, p = metric.n, metric.p
-    tr = float((np.trace(a[:p, :p]) - np.trace(a[p:, p:])).real)
+    # tr M11 - tr M22 from the diagonal scaled by a power of two at most
+    # 1 / max |M_jj|, so the sums stay finite for any member
+    d = np.diagonal(a).real
+    c = math.ldexp(1.0, -math.frexp(float(np.abs(d).max()))[1])
+    tr = float((c * d[:p]).sum() - (c * d[p:]).sum()) / c
     r_plus = round((n + tr) / 2.0) if math.isfinite(tr) else -1
     if not 0 <= r_plus <= n:
         raise MembershipError(

@@ -20,10 +20,15 @@ from pseudounitary import (
     extract_generators,
     require_member,
 )
-from pseudounitary.canonical import CLASSIFY_MARGIN
 from pseudounitary.matrixfile import FORMAT_VERSION, KIND_SQUARE
 from pseudounitary.metric import _phase_fixed_qr
-from pseudounitary.spectral import RANK_THRESHOLD, SPLIT_CUTOFF, _orthogonalize_clusters
+from pseudounitary.spectral import RANK_THRESHOLD, _orthogonalize_clusters
+
+# A generator split with norm at or below this counts as exactly zero.
+SPLIT_CUTOFF = 1e-8
+# Canonical 2x2 entries are +-cosh(t) (magnitude at least 1) or +-1, so this
+# margin cleanly separates the piece families.
+CLASSIFY_MARGIN = 0.5
 
 
 def hyperbolic(t: float) -> np.ndarray:
@@ -228,6 +233,32 @@ def _column_map(cols: dict, dim: int) -> np.ndarray:
         for i, s in enumerate(free):
             basis[:, s] = qf[:, m + i]
     return basis.conj().T
+
+
+def classify_pieces(x: np.ndarray, s: np.ndarray) -> tuple:
+    """Match numerical 2x2 pieces against the canonical vocabulary, all at once.
+
+    Piece j is [[x[0, j], *], [*, x[1, j]]] with coupling magnitude s[j].
+    Returns the hyperbolic mask, the parameters (0 for iota pieces) and the
+    signs. The array classifier of the generator route, kept beside its
+    per-generator oracle.
+    """
+    margin = CLASSIFY_MARGIN
+    mag = np.abs(x)
+    pos = x > 0
+    # signs compared, not multiplied: x[0] * x[1] overflows from t of about 355 on
+    same = pos[0] == pos[1]
+    iota = ~same & (s < margin) & (np.abs(mag - 1.0) < margin).all(axis=0)
+    hyp = same & (np.abs(x[0] - x[1]) < margin) & (mag.min(axis=0) > 1.0 - margin)
+    ok = iota | hyp
+    if not ok.all():
+        j = np.flatnonzero(~ok)[0]
+        raise MembershipError(
+            f"2x2 piece {j} does not match any canonical block: "
+            f"diagonal ({x[0, j]:.6g}, {x[1, j]:.6g}), coupling {s[j]:.6g}"
+        )
+    t = np.log(np.maximum(mag.sum(axis=0) / 2.0, 1.0) + s)
+    return hyp, np.where(hyp, t, 0.0), np.where(pos[0], 1, -1)
 
 
 def per_generator_block_decompose(M, metric: SignatureMetric) -> tuple:

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from conftest import (
     block_unitary,
+    classify_pieces,
     count_calls,
     hyperbolic,
     per_generator_block_decompose,
     per_piece_assemble,
     per_piece_matrix,
-    three_eigh_generators,
 )
 from pseudounitary import metric as metric_module
 from pseudounitary import (
@@ -114,9 +114,9 @@ class TestAssemble:
 
 
 def classify(block):
-    """Classify one numerical 2x2 piece through the array classifier of block_decompose."""
+    """Classify one numerical 2x2 piece through the array classifier of the generator route."""
     b = np.asarray(block)
-    hyp_mask, t, sign = canonical._classify(np.diagonal(b).real.reshape(2, 1), np.abs(b[:1, 1]))
+    hyp_mask, t, sign = classify_pieces(np.diagonal(b).real.reshape(2, 1), np.abs(b[:1, 1]))
     return HyperbolicBlock(HYPERBOLIC if hyp_mask[0] else IOTA, float(t[0]), int(sign[0]))
 
 
@@ -265,8 +265,9 @@ class TestInvariants:
 
 
 @st.composite
-def block_form_specs(draw):
-    """Sample specs at p <= 8 with tied and zero parameters and iota-heavy kind mixes."""
+def block_form_specs(draw, t_max=6.0):
+    """Sample specs at p <= 8 with tied and zero parameters, t <= t_max, and
+    iota-heavy kind mixes."""
     p = draw(st.integers(1, 8))
     weights = draw(st.sampled_from([
         DEFAULT_KIND_WEIGHTS, (0.3, 0.3, 0.2, 0.2), (0.1, 0.1, 0.4, 0.4), (0.0, 0.0, 0.5, 0.5),
@@ -277,7 +278,7 @@ def block_form_specs(draw):
     # flattens differences in t below rounding
     base = 10.0 ** draw(st.floats(-7.0, -2.0))
     offset = 10.0 ** draw(st.floats(-7.0, -5.0))
-    pool = draw(st.lists(st.floats(0.0, 6.0), min_size=1, max_size=3)) + [0.0, base, base + offset]
+    pool = draw(st.lists(st.floats(0.0, t_max), min_size=1, max_size=3)) + [0.0, base, base + offset]
     t_values = draw(st.lists(st.sampled_from(pool), min_size=p, max_size=p))
     seed = draw(st.integers(0, 2**32 - 1))
     return SampleSpec(metric=make_metric(p, p), seed=seed, block_kind_weights=weights,
@@ -357,9 +358,9 @@ class TestSpectralInvariant:
 
     def test_seeded_sweep_is_never_wrong(self):
         # a refusal is allowed where the documented rule predicts it, a wrong
-        # invariant never; the block-decomposition route must not answer more
-        # members correctly. It does answer a few members the rule refuses:
-        # those sit within a factor 2 of the rule's threshold.
+        # invariant never. The decomposition returns wherever the spectral
+        # route does, with the same invariant, so it answers at least as many
+        # members correctly; it also answers members the rule refuses.
         correct = {"spectral": 0, "decomposition": 0}
         for seed in range(3000):
             p = 1 + seed % 6
@@ -372,15 +373,18 @@ class TestSpectralInvariant:
                 got = canonical_invariant(M, m)
             except MembershipError:
                 assert t_max > 14.0 and resolvability(truth.blocks) > 0.5, (seed, p, t_max)
+                got = None
             else:
                 assert got.matches(expected), (seed, p, t_max, got, expected)
                 correct["spectral"] += 1
             try:
-                if invariant_from_blocks(block_decompose(M, m).blocks).matches(expected):
-                    correct["decomposition"] += 1
+                dec = invariant_from_blocks(block_decompose(M, m).blocks)
             except MembershipError:
-                pass
-        assert correct["spectral"] >= correct["decomposition"]
+                assert got is None, (seed, p, t_max)
+                continue
+            assert got is None or dec.matches(got), (seed, p, t_max, dec, got)
+            correct["decomposition"] += dec.matches(expected)
+        assert correct["decomposition"] >= correct["spectral"]
 
     def test_small_parameter_next_to_large_ones(self):
         # t = 0.0113 beside t = 15.8 and 17.9: block reduction through the
@@ -408,23 +412,38 @@ class TestSpectralInvariant:
             canonical_invariant(np.eye(3), make_metric(1, 2))
 
 
+def agrees_with_oracle(M, m) -> None:
+    """block_decompose against the per-generator frame of the generator route.
+
+    Where the oracle returns, block_decompose returns too and the invariants
+    are equal; both reassemble M within the reassembly bound of the library.
+    Slot order and q differ between the routes.
+    """
+    try:
+        q, pieces = per_generator_block_decompose(M, m)
+    except MembershipError:
+        ref = None
+    else:
+        ref = [HyperbolicBlock(*piece) for piece in pieces]
+    try:
+        got = block_decompose(M, m)
+    except MembershipError:
+        assert ref is None, "refused where the oracle returns"
+        return
+    bound = 1000.0 * DEFAULT_TOL * max(1.0, np.linalg.norm(M))
+    assert np.linalg.norm(got.matrix() - M) <= bound
+    if ref is not None:
+        assert np.linalg.norm(per_piece_assemble(ref, q) - M) <= bound
+        assert invariant_from_blocks(got.blocks).matches(invariant_from_blocks(ref))
+
+
 class TestDecomposeOracle:
-    """block_decompose on the trace-sign route against the same steps fed by the oracle."""
+    """block_decompose on the block spectra against the generator route, up to t = 15."""
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(block_form_specs(), st.sampled_from([1, -1]))
+    @given(block_form_specs(t_max=15.0), st.sampled_from([1, -1]))
     def test_matches_oracle_fed_decomposition(self, spec, sign):
-        m = spec.metric
-        M = sign * sample_us_pp(spec)[0]
-        try:
-            got = block_decompose(M, m)
-        except MembershipError:
-            return
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(canonical, "_generators", three_eigh_generators)
-            ref = block_decompose(M, m)
-        assert got.blocks == ref.blocks
-        assert np.array_equal(got.q, ref.q)
+        agrees_with_oracle(sign * sample_us_pp(spec)[0], spec.metric)
 
     def test_validates_once(self, monkeypatch):
         m = make_metric(4, 4)
@@ -433,6 +452,101 @@ class TestDecomposeOracle:
         dec = block_decompose(M, m)
         assert invariant_from_blocks(dec.blocks).matches(invariant_from_blocks(truth.blocks))
         assert len(validations) == 1
+
+
+@st.composite
+def full_range_members(draw):
+    """Members at p <= 8 with t up to 700, conjugated by a block unitary.
+
+    Ties, iota-heavy mixes and both signs, per piece and global. Parameters
+    within 15 of the largest one stay resolvable beside it; small ones and
+    iota pieces only while the largest is below about 18.
+    """
+    p = draw(st.integers(1, 8))
+    top = draw(st.sampled_from([700.0, 300.0, 100.0, 40.0, 18.0, 10.0, 3.0, 1.0]))
+    top -= draw(st.floats(0.0, 1.0))
+    pool = [top, max(0.0, top - draw(st.floats(0.0, 15.0)))]
+    # small parameters and iota pieces are unresolvable beside a large one,
+    # so members with a large one get them only half the time
+    mixed = top < 20.0 or draw(st.booleans())
+    if mixed:
+        pool.append(draw(st.sampled_from([0.0, 1e-10, 1e-7, 1e-3, 0.5])))
+    iota_share = draw(st.sampled_from([0, 1, 3])) if mixed else 0
+    blocks = []
+    for _ in range(p):
+        sign = draw(st.sampled_from([1, -1]))
+        if draw(st.integers(0, 3)) < iota_share:
+            blocks.append(iota(sign))
+        else:
+            blocks.append(hyp(draw(st.sampled_from(pool)), sign))
+    m = make_metric(p, p)
+    Q = block_unitary(m, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    return m, draw(st.sampled_from([1, -1])) * assemble_blocks(blocks, Q, m)
+
+
+class TestBlockSpectraRoute:
+    """block_decompose and canonical_invariant read the same block spectra."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(full_range_members())
+    def test_decomposes_wherever_the_invariant_returns(self, case):
+        m, M = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                expected = canonical_invariant(M, m)
+            except MembershipError:
+                expected = None
+            try:
+                dec = block_decompose(M, m)
+            except MembershipError:
+                assert expected is None
+                return
+        assert dec.residual <= 1e-7 * max(1.0, float(np.abs(M).max()) * M.shape[0])
+        if expected is not None:
+            assert invariant_from_blocks(dec.blocks).matches(expected)
+
+    @pytest.mark.parametrize("p", [1, 4])
+    def test_kernels_act_on_blocks_of_side_at_most_p(self, monkeypatch, p):
+        m = make_metric(p, p)
+        M = sample_us_pp(SampleSpec(metric=m, seed=3, block_kind_weights=(0.3, 0.3, 0.2, 0.2)))[0]
+        calls = {name: count_calls(monkeypatch, name, np.linalg) for name in ("eigh", "svd", "qr")}
+        block_decompose(M, m)
+        assert calls["eigh"] and calls["svd"]
+        shapes = [x.shape for name in calls for x in calls[name]]
+        assert all(max(shape) <= p for shape in shapes), shapes
+
+    @pytest.mark.parametrize("blocks", [
+        [hyp(17.0), hyp(1e-3), hyp(1e-3 + 2e-7, -1)],
+        [hyp(15.0), hyp(1e-7), iota(-1), hyp(1e-7, -1)],
+        [hyp(3.0, -1), iota(-1), iota(1), hyp(1e-10)],
+        [hyp(0.0, -1), iota(-1), hyp(1e-12), hyp(0.5)],
+        [hyp(300.0), hyp(290.0, -1), hyp(300.0, -1)],
+    ])
+    def test_small_couplings_beside_large_ones(self, blocks):
+        # couplings far below the largest take their V rows from M22, which
+        # resolves them where the SVD of M12 does not
+        m = make_metric(len(blocks), len(blocks))
+        expected = invariant_from_blocks(blocks)
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            M = assemble_blocks(blocks, block_unitary(m, rng), m)
+            dec = block_decompose(M, m)
+            assert invariant_from_blocks(dec.blocks).matches(expected)
+            assert unitary_residual(dec.q) <= 1e-14
+
+
+    def test_weak_couplings_are_real_with_the_piece_sign(self):
+        # beside t = 18 the couplings of t = 1e-4 and 2e-4 are weak: their V
+        # rows come from M22, turned so that the frame holds sign * sinh t
+        m = make_metric(3, 3)
+        blocks = [hyp(18.0), hyp(1e-4, -1), hyp(2e-4)]
+        M = assemble_blocks(blocks, block_unitary(m, np.random.default_rng(9)), m)
+        dec = block_decompose(M, m)
+        assert [b.t > 1.0 for b in dec.blocks] == [True, False, False]
+        coupling = np.diagonal(dec.q @ M @ dec.q.conj().T, 3)
+        assert np.allclose(coupling[1:], [b.sign * np.sinh(b.t) for b in dec.blocks[1:]],
+                           rtol=0.0, atol=1e-6)
 
 
 @st.composite
@@ -450,7 +564,7 @@ def piece_lists(draw):
 
 
 class TestArrayAssembly:
-    """The array assembly and the array frame against the per-piece and per-generator oracles."""
+    """The array assembly against the per-piece oracle, the frame against the per-generator one."""
 
     @pytest.mark.parametrize("block", [hyp(0.0), hyp(0.0, -1), hyp(LN2), hyp(LN2, -1),
                                        hyp(709.0), iota(1), iota(-1)])
@@ -471,20 +585,7 @@ class TestArrayAssembly:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(block_form_specs(), st.sampled_from([1, -1]))
     def test_frame_matches_per_generator_oracle(self, spec, sign):
-        m = spec.metric
-        M = sign * sample_us_pp(spec)[0]
-        try:
-            got = block_decompose(M, m)
-        except MembershipError:
-            with pytest.raises(MembershipError):
-                per_generator_block_decompose(M, m)
-            return
-        q, pieces = per_generator_block_decompose(M, m)
-        assert [(b.kind, b.sign) for b in got.blocks] == [(k, s) for k, _, s in pieces]
-        t_got = np.array([b.t for b in got.blocks])
-        t_ref = np.array([t for _, t, _ in pieces])
-        assert np.all(np.abs(t_got - t_ref) <= 1e-13 * np.maximum(1.0, t_ref))
-        assert np.max(np.abs(got.q - q)) <= 1e-13
+        agrees_with_oracle(sign * sample_us_pp(spec)[0], spec.metric)
 
     def test_norm_calls_do_not_grow_with_p(self, monkeypatch):
         counts = []

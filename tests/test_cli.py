@@ -13,7 +13,15 @@ import pytest
 
 from conftest import count_calls, hyperbolic
 import pseudounitary
-from pseudounitary import canonical, dumps_matrix, loads_matrix, make_metric, sample_upq
+from pseudounitary import (
+    LieElement,
+    canonical,
+    dumps_matrix,
+    exp_us,
+    loads_matrix,
+    make_metric,
+    sample_upq,
+)
 from pseudounitary.cli import main
 from pseudounitary.matrixfile import KIND_BLOCK, KIND_SQUARE
 
@@ -180,6 +188,26 @@ class TestDecomposeAndInvariants:
             assert a["kind"] == b["kind"]
             assert a["sign"] == b["sign"]
             assert a["t"] == pytest.approx(b["t"], abs=1e-8)
+
+    @pytest.mark.parametrize("t", [400.0, 600.0, 709.0])
+    def test_top_of_the_range_reports_valid_json_without_warnings(self, tmp_path, capsys, t):
+        # the residual is the one block_decompose measured with scaling; an
+        # unscaled reassembly would overflow to Infinity, which is not JSON
+        m = make_metric(1, 1)
+        M = exp_us(LieElement(m, np.array([[t * np.exp(0.7j)]])))
+        path = write_square(tmp_path / "m.json", M, m)
+
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "decompose", path)
+        assert code == 0, err
+        result = json.loads(out, parse_constant=refuse)["result"]
+        (piece,) = result["blocks"]
+        assert (piece["kind"], piece["sign"]) == ("hyperbolic", 1)
+        assert abs(piece["t"] - t) <= 1e-8 * t / 20.0
+        assert 0.0 <= result["reconstruction_residual"] <= 1e-9 * np.cosh(t)
 
     def test_rectangular_signature_exits_two(self, tmp_path, capsys):
         path = write_square(tmp_path / "m.json", np.eye(3), make_metric(1, 2))

@@ -10,7 +10,11 @@ output is known to be right.
 
 import hashlib
 import io
+import json
 
+import numpy as np
+
+from pseudounitary import HyperbolicBlock, assemble_blocks, invariant_from_blocks, loads_matrix
 from pseudounitary.cli import main
 
 # name -> (argv, name of the invocation whose stdout is fed to stdin, or None)
@@ -46,7 +50,7 @@ GOLDEN_SHA256 = {
     "exp": "3c6870b26d46eb29dee6753dc4d83354b26281d446d54ce7f62eb11b80834448",
     "log": "779604f8825d588380e7ffcb5aadee543f8dfe0464ca20bac469a8431399c45c",
     "invert": "c4bc9cb01334713d697ed2e1469b35c770276b9bf8c9702feda8219a91f383f2",
-    "decompose": "1e3939be386e4643a559dd02286a87dd799fbcb70a92f7b77d0ab676cb699eff",
+    "decompose": "2275483121bba3619d1f4c3c47dc0388f37ec52f70ec7d56c49870faadc7bbbe",
     "generators": "dcc9d7e99b6dbe95b164b4395a8828d433e0c61e4c59ad2813b9a10e4e2b2456",
 }
 
@@ -76,3 +80,17 @@ def test_stdout_matches_golden_digests(capsys, monkeypatch):
     changed = sorted(name for name in got if got[name] != GOLDEN_SHA256[name])
     assert changed == []
 
+
+
+def test_decompose_report_reassembles_its_sample(capsys, monkeypatch):
+    # what the "decompose" digest pins, checked by meaning: the pieces and q
+    # of the report rebuild the sampled member, with the sample's invariant
+    sample = _run(capsys, monkeypatch, INVOCATIONS["sample-uspp-3"][0], None)
+    report = json.loads(_run(capsys, monkeypatch, INVOCATIONS["decompose"][0], sample))
+    doc = loads_matrix(sample)
+    q = np.array(report["result"]["unitary"]).view(complex).reshape(doc.matrix.shape)
+    blocks = [HyperbolicBlock(b["kind"], b["t"], b["sign"]) for b in report["result"]["blocks"]]
+    assert np.linalg.norm(assemble_blocks(blocks, q, doc.metric) - doc.matrix) <= 1e-9
+    truth = [HyperbolicBlock(b["kind"], b["t"], b["sign"])
+             for b in json.loads(sample)["ground_truth"]["blocks"]]
+    assert invariant_from_blocks(blocks).matches(invariant_from_blocks(truth))

@@ -1,6 +1,7 @@
 """Source-level properties of the package."""
 
 import ast
+import re
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "pseudounitary").glob("*.py"))
@@ -49,3 +50,45 @@ def test_no_numpy2_only_names():
     found = [f"{path.name}:{hit}" for path in SOURCES
              for hit in numpy2_names(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def unread_constants(sources: dict) -> list:
+    """Module-level UPPER_CASE constants that no code in the given sources reads.
+
+    sources maps a file name to its text. A constant counts as read where its
+    name is loaded, as a name or as an attribute, anywhere in the sources;
+    importing or re-exporting it does not count.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    found = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, ast.AnnAssign) else [])
+            found.extend(f"{name}:{t.id}" for t in targets
+                         if isinstance(t, ast.Name) and CONSTANT.fullmatch(t.id)
+                         and t.id not in read)
+    return found
+
+
+def test_constant_guard_sees_an_unread_threshold():
+    sources = {"a.py": "CUTOFF = 1e-8\nMARGIN = 0.5\n_LIMIT = 2\n\ndef f(x):\n    return x > MARGIN\n",
+               "b.py": "from .a import CUTOFF\nfrom . import a\n\ndef g(x):\n    return a._LIMIT\n"}
+    assert unread_constants(sources) == ["a.py:CUTOFF"]
+
+
+def test_module_constants_are_used():
+    # a threshold left behind after the code that compared against it is gone
+    assert SOURCES
+    assert unread_constants({path.name: path.read_text(encoding="utf-8")
+                             for path in SOURCES}) == []

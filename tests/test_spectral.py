@@ -1,5 +1,7 @@
 """Rank pairs, generator extraction, reconstruction, and the spectral gap."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +26,7 @@ from pseudounitary import (
     construct_from_generators,
     exp_us,
     extract_generators,
+    invariant_from_blocks,
     make_metric,
     membership_residual,
     sample_us_lie,
@@ -170,16 +173,27 @@ class TestTraceRefusal:
     def test_trace_outside_the_range_is_named(self, p):
         # all pieces hyperbolic + at t = 40: cosh t * eps swamps tr M11 - tr M22 = 0
         m = make_metric(p, p)
-        M = assemble_blocks([HyperbolicBlock(HYPERBOLIC, 40.0, 1)] * p,
-                            block_unitary(m, np.random.default_rng(0)), m)
+        blocks = [HyperbolicBlock(HYPERBOLIC, 40.0, 1)] * p
+        M = assemble_blocks(blocks, block_unitary(m, np.random.default_rng(0)), m)
         tr = trace_jm(M, m)
         assert abs(tr) > m.n + 1
-        for call in (extract_generators, block_decompose):
-            with pytest.raises(MembershipError) as err:
-                call(M, m)
-            msg = str(err.value)
-            assert f"the trace of JM measures {tr:.6g}, outside the range [-{m.n}, {m.n}]" in msg
-            assert "requires -" not in msg
+        with pytest.raises(MembershipError) as err:
+            extract_generators(M, m)
+        msg = str(err.value)
+        assert f"the trace of JM measures {tr:.6g}, outside the range [-{m.n}, {m.n}]" in msg
+        assert "requires -" not in msg
+        # the block spectra need no trace: the decomposition returns the pieces
+        dec = block_decompose(M, m)
+        assert invariant_from_blocks(dec.blocks).matches(invariant_from_blocks(blocks))
+
+    def test_trace_at_the_top_of_the_range_does_not_overflow(self):
+        # tr M11 and tr M22 each overflow at six pieces of t = 709
+        m = make_metric(6, 6)
+        M = assemble_blocks([HyperbolicBlock(HYPERBOLIC, 709.0, 1)] * 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gens = extract_generators(M, m)
+        assert (gens.sigma, gens.k) == (1, 6)
 
 
 class TestExtractGenerators:
@@ -389,29 +403,30 @@ class TestConstructFromGenerators:
 
 
 class TestEigenvalueBound:
-    """The spectral-gap check of generator extraction, run without validation:
-    an eigenvalue of sigma*M + J strictly inside the band (0, 2) is refused."""
+    """The spectral-gap check of generator extraction: an eigenvalue of
+    sigma*M + J strictly inside the band (0, 2) is refused, also where a loose
+    tolerance lets the input through validation."""
 
     def test_members_pass(self):
-        assert spectral._generators(hyperbolic(LN3), make_metric(1, 1)).k == 1
+        assert extract_generators(hyperbolic(LN3), make_metric(1, 1)).k == 1
         m = make_metric(1, 2)
-        assert spectral._generators(m.matrix, m).k == 0
-        assert spectral._generators(np.eye(3), m).k == 1
+        assert extract_generators(m.matrix, m).k == 0
+        assert extract_generators(np.eye(3), m).k == 1
 
     def test_non_member_fails(self):
         m = make_metric(1, 1)
         with pytest.raises(MembershipError, match="spectral gap"):
-            spectral._generators(0.5 * np.eye(2), m)
+            extract_generators(0.5 * np.eye(2), m, tol=1.0)
 
     def test_samples_pass(self):
         m = make_metric(2, 2)
         for seed in range(10):
             M, _ = sample_us_pp(SampleSpec(metric=m, seed=seed))
-            spectral._generators(M, m)
+            extract_generators(M, m)
 
     def test_conjugated_samples_pass(self):
         m = make_metric(2, 2)
         rng = np.random.default_rng(31)
         M, _ = sample_us_pp(SampleSpec(metric=m, seed=3))
         Q = block_unitary(m, rng)
-        spectral._generators(Q.conj().T @ M @ Q, m)
+        extract_generators(Q.conj().T @ M @ Q, m)
