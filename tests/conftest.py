@@ -262,8 +262,9 @@ def classify_pieces(x: np.ndarray, s: np.ndarray) -> tuple:
 
 
 def per_generator_block_decompose(M, metric: SignatureMetric) -> tuple:
-    """The canonical frame built one generator, column and piece at a time, kept as a
-    regression oracle of block_decompose; returns (q, [(kind, t, sign), ...]).
+    """The canonical frame of the generator route, built one generator, column and
+    piece at a time; returns (q, [(kind, t, sign), ...]). Kept as the oracle of
+    block_decompose up to t = 15, where that route resolves the pieces.
 
     A norm per generator part, a dict of prescribed columns completed by a
     QR and placed column by column, a full conjugation by q = U + V, each
