@@ -19,10 +19,6 @@ from .metric import (
     unitary_residual,
 )
 from .spectral import (
-    CLUSTER_RTOL,
-    RANK_THRESHOLD,
-    SPECTRAL_GAP_TOL,
-    ZERO_EIGENVALUE_TOL,
     GeneratorSet,
     construct_from_generators,
     extract_generators,

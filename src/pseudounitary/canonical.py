@@ -9,7 +9,9 @@ either a signed hyperbolic block
 
 or a signed copy of diag(1, -1), called an iota block here. The multiset of
 pieces, normalized for the global sign freedom, is a complete equivalence
-invariant under M -> -M and M -> Q* M Q.
+invariant under M -> -M and M -> Q* M Q. At (p, q) the same frame holds
+min(p, q) pieces and |p - q| unpaired +-1 entries on the larger side; the
+generators of spectral.py are read off it.
 """
 
 from __future__ import annotations
@@ -198,20 +200,42 @@ def block_decompose(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> Blo
     """
     if metric.p != metric.q:
         raise ValueError("block decomposition is defined for signature (p, p)")
-    p = metric.p
-    a = require_member(M, metric, tol)
+    q, hyp, t, d, residual = _frame(require_member(M, metric, tol), metric.p, tol)
+    blocks = tuple(HyperbolicBlock(HYPERBOLIC if h else IOTA, tj, sj)
+                   for h, tj, sj in zip(hyp.tolist(), t.tolist(), d[:metric.p].tolist()))
+    return BlockDecomposition(metric=metric, q=q, blocks=blocks, residual=residual)
+
+
+def _frame(a: np.ndarray, p: int, tol: float) -> tuple:
+    """The canonical frame of a validated Hermitian member at signature (p, n - p).
+
+    Returns (Q, hyp, t, d, residual) with M = Q* B Q. The block diagonal
+    unitary Q puts piece j of the min(p, q) pieces on rows j and p + j, with
+    its hyperbolic mask and parameter; the |p - q| rows of the larger side
+    after its paired ones are unpaired. d holds the sign of the diagonal
+    of B row by row, so a piece's sign is d[j], and an unpaired row's entry
+    of B is d there. residual is the Frobenius norm of M minus the
+    reassembly, which is checked before it is returned.
+    """
+    q = a.shape[0] - p
+    if p > q:
+        # the block swap [[M22, M21], [M12, M11]] is a member of U(q, p); its
+        # frame with rows and columns swapped back is the frame of M
+        swap, back = np.r_[p:p + q, :p], np.r_[q:p + q, :q]
+        unitary, hyp, t, d, residual = _frame(a[np.ix_(swap, swap)], q, tol)
+        return unitary[np.ix_(back, back)], hyp, t, d[back], residual
     m11, m12, _, m22 = _blocks(a, p)
     lam, x = np.linalg.eigh(m11)
     y = x.conj().T @ m12
     # eigh sorts ascending: the negative eigenspace of M11 comes first
     neg = int(np.count_nonzero(lam < 0))
-    w0, v, s = np.empty((p, p), dtype=complex), np.empty((p, p), dtype=complex), np.empty(p)
+    w0, v, s = np.empty((p, p), dtype=complex), np.empty((p, q), dtype=complex), np.empty(p)
     for rows in (slice(0, neg), slice(neg, p)):
         if rows.start < rows.stop:
             left, s[rows], v[rows] = np.linalg.svd(y[rows], full_matrices=False)
             w0[rows] = (x[:, rows] @ left).conj().T
-    sign = np.repeat([-1, 1], [neg, p - neg])
-    strong = s > WEAK_COUPLING * np.abs(lam).max()
+    sign = np.where(lam < 0, -1, 1)
+    strong = s > WEAK_COUPLING * np.abs(lam).max(initial=0.0)
     # strong couplings by descending s, then the weak ones of the negative side
     # by descending s and of the positive side by ascending s, which lines them
     # up with the eigenvalues of M22 on the complement, sorted ascending
@@ -220,42 +244,51 @@ def block_decompose(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> Blo
     w0, v, s, sign = w0[order], v[order] * sign[order, None], s[order], sign[order]
     k = int(np.count_nonzero(strong))
     # the strong V rows orthonormalized in slot order, then their complement
-    w1 = np.eye(p, dtype=complex) if k == 0 else _phase_fixed_qr(v[:k].T, mode="complete").T
+    w1 = np.eye(q, dtype=complex) if k == 0 else _phase_fixed_qr(v[:k].T, mode="complete").T
     hyp = np.ones(p, dtype=bool)
-    if k < p:
+    unpaired = np.zeros(0, dtype=int)
+    if k < q:
         mu, rot = np.linalg.eigh(w1[k:] @ m22 @ w1[k:].conj().T)
-        w1[k:] = rot.conj().T @ w1[k:]
-        hyp[k:] = (mu > 0) == (sign[k:] > 0)
+        # the weak rows of the negative side take the complement from the
+        # front, those of the positive side from the back; the q - p rows
+        # between them are the unpaired ones, and they go last
+        front = int(np.count_nonzero(group == 1))
+        slots = np.concatenate([np.arange(front), np.arange(front + q - p, q - k),
+                                np.arange(front, front + q - p)])
+        w1[k:] = (rot.conj().T @ w1[k:])[slots]
+        mu = mu[slots]
+        hyp[k:] = (mu[:p - k] > 0) == (sign[k:] > 0)
+        unpaired = np.where(mu[p - k:] > 0, 1, -1)
     t = np.where(hyp & (s > 0), np.arcsinh(s), 0.0)
     _check_range(t)
     # the largest entry of each U row real and positive, each hyperbolic V row
-    # turned so that its coupling has the piece's sign, an iota V row by the
-    # rule of U rows; row j of U M12 is s_j times SVD row j, which gives z
-    rows = np.arange(p)
-    pivot = w0[rows, np.abs(w0).argmax(axis=1)]
+    # turned so that its coupling has the piece's sign, the other V rows by
+    # the rule of U rows; row j of U M12 is s_j times SVD row j, which gives z
+    pivot = w0[np.arange(p), np.abs(w0).argmax(axis=1)] if p else np.ones(0)
     w0 *= (pivot.conj() / np.abs(pivot))[:, None]
-    z = pivot.conj() * s * np.einsum("ij,ij->i", v, w1.conj())
-    pivot = w1[rows, np.abs(w1).argmax(axis=1)]
+    z = pivot.conj() * s * np.einsum("ij,ij->i", v, w1[:p].conj())
+    pivot = w1[np.arange(q), np.abs(w1).argmax(axis=1)]
+    phase = pivot.conj() / np.abs(pivot)
     # the angle, not z / |z|, which overflows for a subnormal z
-    w1 *= np.where(hyp & (z != 0), np.exp(1j * np.angle(z)), pivot.conj() / np.abs(pivot))[:, None]
+    phase[:p] = np.where(hyp & (z != 0), np.exp(1j * np.angle(z)), phase[:p])
+    w1 *= phase[:, None]
     # M - Q* B Q block by block, B scaled by the power of two that keeps
     # ||a|| from overflowing
     b, scale, fro, _ = _scaled(a)
     d1 = scale * sign * np.cosh(t)
-    b12 = (w0.conj().T * (scale * sign * np.sinh(t))) @ w1
+    b12 = (w0.conj().T * (scale * sign * np.sinh(t))) @ w1[:p]
     r = b.copy()
     r[:p, :p] -= (w0.conj().T * d1) @ w0
     r[:p, p:] -= b12
     r[p:, :p] -= b12.conj().T
-    r[p:, p:] -= (w1.conj().T * np.where(hyp, d1, -scale * sign)) @ w1
+    r[p:, p:] -= (w1.conj().T * np.concatenate([np.where(hyp, d1, -scale * sign),
+                                                 scale * unpaired])) @ w1
     err = float(_fro(r))
     if err > 1000.0 * tol * max(scale, fro):
         raise MembershipError(f"block reduction failed: residual {err / scale:.3e}")
-    q = np.zeros((2 * p, 2 * p), dtype=complex)
-    q[:p, :p], q[p:, p:] = w0, w1
-    blocks = tuple(HyperbolicBlock(HYPERBOLIC if h else IOTA, tj, sj)
-                   for h, tj, sj in zip(hyp.tolist(), t.tolist(), sign.tolist()))
-    return BlockDecomposition(metric=metric, q=q, blocks=blocks, residual=err / scale)
+    unitary = np.zeros((p + q, p + q), dtype=complex)
+    unitary[:p, :p], unitary[p:, p:] = w0, w1
+    return unitary, hyp, t, np.concatenate([sign, np.where(hyp, sign, -sign), unpaired]), err / scale
 
 
 def _merge_iota_pairs(blocks) -> list[HyperbolicBlock]:

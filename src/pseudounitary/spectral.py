@@ -4,34 +4,18 @@ A Hermitian member M of U(p, q) is, up to a sign sigma, a finite sum
 sigma * (sum_j lambda_j z_j z_j* - J) with orthonormal vectors z_j that are
 also orthogonal in the indefinite form, and lambda_j = 2 / (alpha_j^2 - beta_j^2)
 where alpha_j, beta_j are the norms of the positive and negative parts of z_j.
-Every nonzero eigenvalue of sigma*M + J has magnitude at least 2, which makes
-the numerical rank decisions below unambiguous.
+Every nonzero eigenvalue of sigma*M + J has magnitude at least 2. The
+generators are read in closed form off the canonical frame of the member.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import (
-    DEFAULT_TOL,
-    MembershipError,
-    SignatureMetric,
-    _phase_fixed_qr,
-    as_matrix,
-    require_member,
-)
-
-# Eigenvalues of sigma*M + J at or below this magnitude count as zero.
-ZERO_EIGENVALUE_TOL = 1e-8
-# Nonzero eigenvalues must have magnitude at least 2 minus this.
-SPECTRAL_GAP_TOL = 1e-8
-# Rank cutoff, placed between the zero cluster and the magnitude >= 2 cluster.
-RANK_THRESHOLD = 1.0
-# Eigenvalues closer than this (relative) form one degenerate cluster.
-CLUSTER_RTOL = 1e-8
+from .canonical import _frame
+from .metric import DEFAULT_TOL, SignatureMetric, as_matrix, require_member
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,93 +61,46 @@ class GeneratorSet:
         return np.linalg.norm(self.minus_parts, axis=1)
 
 
-def _symmetrized(h: np.ndarray) -> np.ndarray:
-    return (h + h.conj().T) / 2.0
-
-
-def _cluster_slices(values: np.ndarray) -> list[slice]:
-    """Group consecutive sorted eigenvalues whose relative gap is below CLUSTER_RTOL."""
-    slices = []
-    start = 0
-    for i in range(1, values.size + 1):
-        if i == values.size or abs(values[i] - values[i - 1]) > CLUSTER_RTOL * max(
-            1.0, abs(values[i - 1])
-        ):
-            slices.append(slice(start, i))
-            start = i
-    return slices
-
-
-def _orthogonalize_clusters(lam: np.ndarray, vec: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Rotate each degenerate eigenvalue cluster so the indefinite form is diagonal on it.
-
-    Within a cluster the eigenvectors returned by eigh are only determined up
-    to a unitary mix; re-orthonormalize, then diagonalize the cluster's
-    indefinite Gram matrix to pin the mix down.
-    """
-    out = vec.copy()
-    for sl in _cluster_slices(lam):
-        if sl.stop - sl.start < 2:
-            continue
-        qc = _phase_fixed_qr(out[:, sl])
-        gram = _symmetrized(qc.conj().T @ (signs[:, None] * qc))
-        _, rot = np.linalg.eigh(gram)
-        out[:, sl] = qc @ rot
-    return out
-
-
 def extract_generators(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> GeneratorSet:
-    """Recover the generator data of a Hermitian member from sigma*M + J.
+    """Read the generator data of a Hermitian member off its canonical frame.
+
+    The frame of block_decompose, at any (p, q), writes M = Q* B Q with Q
+    block diagonal and B a sum of 2x2 pieces and unpaired +-1 entries, so
+    the eigenpairs of sigma*M + J follow from those of sigma*B + J in
+    closed form. A hyperbolic piece with e = sigma * sign and parameter t
+    gives lambda = 2 e cosh t on the vector with weights
+    (sqrt((1 + e sech t) / 2), sqrt((1 - e sech t) / 2)) on its two rows.
+    Any other positive row with sigma * d = +1 gives lambda = 2, any other
+    negative row with sigma * d = -1 gives lambda = -2, on its unit vector.
 
     The sign sigma is chosen so that rank(sigma*M + J) <= rank(sigma*M - J),
-    with sigma = +1 on ties. Generators are sorted by descending lambda, ties
-    broken by the entry magnitudes of the vectors, so output is reproducible.
-
-    JM is an involution on members (M J M = J), so rank(M + J), the dimension
-    of its +1 eigenspace, is (n + tr JM) / 2 exactly: the sign needs a trace,
-    not two rank computations, and the one eigendecomposition of sigma*M + J
-    must then show exactly that rank.
+    with sigma = +1 on ties; rank(M + J) = #pos(M11) + #neg(M22) counts the
+    diagonal signs of B, which are exact. Generators are sorted by
+    descending lambda, ties broken by the entry magnitudes of the vectors,
+    so output is reproducible; inside a tied lambda the basis is the frame's.
     """
     a = require_member(M, metric, tol)
-    n, p = metric.n, metric.p
-    # tr M11 - tr M22 from the diagonal scaled by a power of two at most
-    # 1 / max |M_jj|, so the sums stay finite for any member
-    d = np.diagonal(a).real
-    c = math.ldexp(1.0, -math.frexp(float(np.abs(d).max()))[1])
-    tr = float((c * d[:p]).sum() - (c * d[p:]).sum()) / c
-    r_plus = round((n + tr) / 2.0) if math.isfinite(tr) else -1
-    if not 0 <= r_plus <= n:
-        raise MembershipError(
-            f"trace rule violated: the trace of JM measures {tr:.6g}, outside the range "
-            f"[-{n}, {n}] of an involution of size {n}; "
-            "input is not a Hermitian member within tolerance"
-        )
-    sigma = 1 if 2 * r_plus <= n else -1
-    rank = r_plus if sigma == 1 else n - r_plus
-
-    h = _symmetrized(sigma * a + metric.matrix)
-    w, v = np.linalg.eigh(h)
-    aw = np.abs(w)
-    bad = (aw > ZERO_EIGENVALUE_TOL) & (aw < 2.0 - SPECTRAL_GAP_TOL)
-    if np.any(bad):
-        val = w[bad][0]
-        raise MembershipError(
-            f"eigenvalue {val:.6g} of the shifted matrix violates the spectral gap "
-            f"(forbidden band ({ZERO_EIGENVALUE_TOL:.1e}, {2.0 - SPECTRAL_GAP_TOL})); "
-            "input is not a Hermitian member within tolerance"
-        )
-    keep = np.flatnonzero(aw > RANK_THRESHOLD)
-    if keep.size != rank:
-        raise MembershipError(
-            f"rank structure violated: {keep.size} nonzero eigenvalues after sign "
-            f"normalization, but the trace of JM requires {rank}"
-        )
-    lam = w[keep]
-    vec = _orthogonalize_clusters(lam, v[:, keep], metric.signs)
-    # descending lambda, then ascending entry magnitudes (lexsort keys run last to first)
-    order = np.lexsort(np.vstack([np.abs(vec)[::-1], -lam]))
-    return GeneratorSet(metric=metric, sigma=sigma, lambdas=lam[order],
-                        vectors=vec[:, order].T.copy())
+    n, p, j = metric.n, metric.p, metric.signs
+    Q, hyp, t, d, _ = _frame(a, p, tol)
+    # rank(M + J) = #pos(M11) + #neg(M22): the rows where d J > 0
+    sigma = 1 if 2 * np.count_nonzero(d * j > 0) <= n else -1
+    # one generator per hyperbolic piece, on its two rows, and one per other
+    # row with sigma d J = +1, lambda = 2 J there
+    h = np.flatnonzero(hyp)
+    e, sech = sigma * d[h], 1.0 / np.cosh(t[h])
+    free = np.ones(n, dtype=bool)
+    free[h] = free[p + h] = False
+    rows = np.flatnonzero(free & (sigma * d * j > 0))
+    vec = np.concatenate([np.sqrt((1.0 + e * sech) / 2.0)[:, None] * Q[h].conj()
+                          + np.sqrt((1.0 - e * sech) / 2.0)[:, None] * Q[p + h].conj(),
+                          Q[rows].conj()])
+    lam = np.concatenate([2.0 * e * np.cosh(t[h]), 2.0 * j[rows]])
+    # descending lambda, then ascending entry magnitudes (lexsort keys run last
+    # to first); the n magnitude keys are sorted only where lambdas tie
+    order = np.argsort(-lam, kind="stable")
+    if np.any(lam[order[1:]] == lam[order[:-1]]):
+        order = np.lexsort(np.vstack([np.abs(vec).T[::-1], -lam]))
+    return GeneratorSet(metric=metric, sigma=sigma, lambdas=lam[order], vectors=vec[order])
 
 
 def validate_generators(gens: GeneratorSet, tol: float = DEFAULT_TOL) -> list[str]:
@@ -205,19 +142,21 @@ def validate_generators(gens: GeneratorSet, tol: float = DEFAULT_TOL) -> list[st
     if ndev > tol:
         problems.append(f"norm-sum: largest deviation of alpha^2 + beta^2 from 1 is {ndev:.3e}")
 
+    # lambda (alpha^2 - beta^2) = 2 within tol |lambda|, for |lambda| >= 2: the
+    # product, not 2 / (alpha^2 - beta^2), since alpha^2 - beta^2 = sech t
+    # carries an absolute rounding error of about eps
     denom = al2 - be2
-    degenerate = np.abs(denom) <= tol
+    dev = np.abs(lam * denom - 2.0) / np.maximum(np.abs(lam), 2.0)
+    bad = dev > tol
+    degenerate = bad & (np.abs(denom) <= tol)
     if np.any(degenerate):
-        worst = float(np.min(np.abs(denom)))
+        worst = float(np.min(np.abs(denom[degenerate])))
         problems.append(
             f"alpha=beta degeneracy: smallest |alpha^2 - beta^2| is {worst:.3e}"
         )
-    ok = ~degenerate
-    if np.any(ok):
-        expected = 2.0 / denom[ok]
-        ldev = float(np.max(np.abs(lam[ok] - expected) / np.maximum(1.0, np.abs(expected))))
-        if ldev > tol:
-            problems.append(f"lambda mismatch: largest relative deviation {ldev:.3e}")
+    if np.any(bad & ~degenerate):
+        ldev = float(np.max(dev[bad & ~degenerate]))
+        problems.append(f"lambda mismatch: largest relative deviation {ldev:.3e}")
     return problems
 
 

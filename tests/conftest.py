@@ -6,6 +6,7 @@ library code paths they are used to check.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -17,12 +18,10 @@ from pseudounitary import (
     HyperbolicBlock,
     MembershipError,
     SignatureMetric,
-    extract_generators,
     require_member,
 )
 from pseudounitary.matrixfile import FORMAT_VERSION, KIND_SQUARE
 from pseudounitary.metric import _phase_fixed_qr
-from pseudounitary.spectral import RANK_THRESHOLD, _orthogonalize_clusters
 
 # A generator split with norm at or below this counts as exactly zero.
 SPLIT_CUTOFF = 1e-8
@@ -99,8 +98,85 @@ def _herm(h: np.ndarray) -> np.ndarray:
     return (h + h.conj().T) / 2.0
 
 
+# The thresholds of the n x n generator route below. Eigenvalues of
+# sigma*M + J at or below ZERO_EIGENVALUE_TOL count as zero, nonzero ones
+# must reach 2 - SPECTRAL_GAP_TOL, RANK_THRESHOLD sits between the two
+# clusters, and eigenvalues closer than CLUSTER_RTOL (relative) are tied.
+ZERO_EIGENVALUE_TOL = 1e-8
+SPECTRAL_GAP_TOL = 1e-8
+RANK_THRESHOLD = 1.0
+CLUSTER_RTOL = 1e-8
+
+
+def _cluster_slices(values: np.ndarray) -> list[slice]:
+    """Group consecutive sorted eigenvalues whose relative gap is below CLUSTER_RTOL."""
+    slices = []
+    start = 0
+    for i in range(1, values.size + 1):
+        if i == values.size or abs(values[i] - values[i - 1]) > CLUSTER_RTOL * max(
+            1.0, abs(values[i - 1])
+        ):
+            slices.append(slice(start, i))
+            start = i
+    return slices
+
+
+def _orthogonalize_clusters(lam: np.ndarray, vec: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Rotate each degenerate eigenvalue cluster so the indefinite form is diagonal on it.
+
+    Within a cluster the eigenvectors returned by eigh are only determined up
+    to a unitary mix; re-orthonormalize, then diagonalize the cluster's
+    indefinite Gram matrix to pin the mix down.
+    """
+    out = vec.copy()
+    for sl in _cluster_slices(lam):
+        if sl.stop - sl.start < 2:
+            continue
+        qc = _phase_fixed_qr(out[:, sl])
+        gram = _herm(qc.conj().T @ (signs[:, None] * qc))
+        _, rot = np.linalg.eigh(gram)
+        out[:, sl] = qc @ rot
+    return out
+
+
+def nxn_generators(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> GeneratorSet:
+    """Generator extraction by one n x n eigh of sigma*M + J, kept as the oracle
+    of extract_generators up to t = 15.
+
+    The sign comes from the trace rule: JM is an involution on members, so
+    rank(M + J) = (n + tr JM) / 2, with sigma = +1 on ties. The eigenvalues
+    must show exactly that rank and respect the spectral gap; degenerate
+    clusters are rotated so the indefinite form is diagonal on them. Only
+    validation and the QR with phase fix come from the library. Rounding of
+    size eps cosh t in the zero eigenvalues refuses valid members from
+    about t = 19, and the trace from about t = 36.
+    """
+    a = require_member(M, metric, tol)
+    n, p = metric.n, metric.p
+    d = np.diagonal(a).real
+    c = math.ldexp(1.0, -math.frexp(float(np.abs(d).max()))[1])
+    tr = float((c * d[:p]).sum() - (c * d[p:]).sum()) / c
+    r_plus = round((n + tr) / 2.0) if math.isfinite(tr) else -1
+    if not 0 <= r_plus <= n:
+        raise MembershipError(f"trace rule violated: the trace of JM measures {tr:.6g}")
+    sigma = 1 if 2 * r_plus <= n else -1
+    rank = r_plus if sigma == 1 else n - r_plus
+    w, v = np.linalg.eigh(_herm(sigma * a + metric.matrix))
+    aw = np.abs(w)
+    if np.any((aw > ZERO_EIGENVALUE_TOL) & (aw < 2.0 - SPECTRAL_GAP_TOL)):
+        raise MembershipError("spectral gap violated")
+    keep = np.flatnonzero(aw > RANK_THRESHOLD)
+    if keep.size != rank:
+        raise MembershipError("rank structure violated")
+    lam = w[keep]
+    vec = _orthogonalize_clusters(lam, v[:, keep], metric.signs)
+    order = np.lexsort(np.vstack([np.abs(vec)[::-1], -lam]))
+    return GeneratorSet(metric=metric, sigma=sigma, lambdas=lam[order],
+                        vectors=vec[:, order].T.copy())
+
+
 def _numeric_rank(h: np.ndarray) -> int:
-    """Count of eigenvalues of the Hermitian part of h above the library's rank cutoff."""
+    """Count of eigenvalues of the Hermitian part of h above RANK_THRESHOLD."""
     return int(np.count_nonzero(np.abs(np.linalg.eigvalsh(_herm(h))) > RANK_THRESHOLD))
 
 
@@ -125,8 +201,8 @@ def three_eigh_generators(M, metric: SignatureMetric) -> GeneratorSet:
     calls), with sigma = +1 on ties; the generators come from eigh of
     sigma*M + J, at most n // 2 of them, sorted by descending lambda and then
     by a Python sort on the entry magnitudes of the vectors. Only the
-    validation, the rank threshold and the rotation of degenerate clusters
-    come from the library.
+    validation and the QR with phase fix inside the rotation of degenerate
+    clusters come from the library.
     """
     a = require_member(M, metric)
     jm = metric.matrix
@@ -219,6 +295,26 @@ def per_piece_assemble(blocks, unitary=None) -> np.ndarray:
     return out
 
 
+def per_piece_frame(blocks, unpaired, metric: SignatureMetric, unitary=None) -> np.ndarray:
+    """A member of U(p, q) in block form, placed one piece and one slot at a time.
+
+    Piece j of the min(p, q) pieces sits at rows and columns (j, p + j), and
+    the |p - q| unpaired values +-1 on the diagonal of the larger side, after
+    its paired rows; with a unitary Q the result is Q* B Q.
+    """
+    p, q = metric.p, metric.q
+    out = np.zeros((metric.n, metric.n), dtype=complex)
+    for j, b in enumerate(blocks):
+        out[np.ix_([j, p + j], [j, p + j])] = per_piece_matrix(b)
+    start = q if p > q else p + p
+    for i, value in enumerate(unpaired):
+        out[start + i, start + i] = value
+    if unitary is not None:
+        Q = np.asarray(unitary, dtype=complex)
+        out = Q.conj().T @ out @ Q
+    return out
+
+
 def _column_map(cols: dict, dim: int) -> np.ndarray:
     """Unitary sending each prescribed column to its slot, placed one column at a time."""
     slots = sorted(cols)
@@ -269,12 +365,12 @@ def per_generator_block_decompose(M, metric: SignatureMetric) -> tuple:
     A norm per generator part, a dict of prescribed columns completed by a
     QR and placed column by column, a full conjugation by q = U + V, each
     piece classified on its own, and the reassembly residual against
-    per_piece_assemble. Only validation, generator extraction and the QR
-    with phase fix come from the library.
+    per_piece_assemble, on the generators of nxn_generators. Only validation
+    and the QR with phase fix come from the library.
     """
     p = metric.p
     a = require_member(M, metric)
-    gens = extract_generators(a, metric)
+    gens = nxn_generators(a, metric)
     plus, minus = {}, {}
     for j in range(gens.k):
         zp, zm = gens.vectors[j, :p], gens.vectors[j, p:]

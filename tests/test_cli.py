@@ -163,6 +163,24 @@ class TestGenerators:
         assert result["sigma"] == 1
 
 
+    def test_sample_past_t_19_reassembles(self, capsys, monkeypatch):
+        # a uspp sample with t up to 25: the generators come off the frame, so
+        # the rounding of size eps cosh t of an n x n route does not refuse it
+        argv = ("sample", "--family", "uspp", "--p", "2", "--q", "2", "--seed", "3", "--tmax", "25")
+        code, sample, _ = run_cli(capsys, *argv)
+        assert code == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(sample))
+        code, out, err = run_cli(capsys, "generators", "-")
+        assert code == 0, err
+        result = json.loads(out)["result"]
+        M = loads_matrix(sample).matrix
+        rebuilt = -result["sigma"] * np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
+        for g in result["generators"]:
+            z = np.array(g["vector"]).view(complex).reshape(-1)
+            rebuilt += result["sigma"] * g["lambda"] * np.outer(z, z.conj())
+        assert np.linalg.norm(rebuilt - M) <= 1e-9 * max(1.0, np.linalg.norm(M))
+
+
 class TestDecomposeAndInvariants:
     def test_reports_agree_with_embedded_truth(self, tmp_path, capsys):
         code, sample_out, _ = run_cli(

@@ -14,7 +14,15 @@ import json
 
 import numpy as np
 
-from pseudounitary import HyperbolicBlock, assemble_blocks, invariant_from_blocks, loads_matrix
+from pseudounitary import (
+    GeneratorSet,
+    HyperbolicBlock,
+    assemble_blocks,
+    construct_from_generators,
+    invariant_from_blocks,
+    loads_matrix,
+    validate_generators,
+)
 from pseudounitary.cli import main
 
 # name -> (argv, name of the invocation whose stdout is fed to stdin, or None)
@@ -51,7 +59,7 @@ GOLDEN_SHA256 = {
     "log": "779604f8825d588380e7ffcb5aadee543f8dfe0464ca20bac469a8431399c45c",
     "invert": "c4bc9cb01334713d697ed2e1469b35c770276b9bf8c9702feda8219a91f383f2",
     "decompose": "2275483121bba3619d1f4c3c47dc0388f37ec52f70ec7d56c49870faadc7bbbe",
-    "generators": "dcc9d7e99b6dbe95b164b4395a8828d433e0c61e4c59ad2813b9a10e4e2b2456",
+    "generators": "0c55d2760f35200b5b4eebd3c88e22a36eb799c998a6c2f4458d21f19eff8d0a",
 }
 
 
@@ -94,3 +102,18 @@ def test_decompose_report_reassembles_its_sample(capsys, monkeypatch):
     truth = [HyperbolicBlock(b["kind"], b["t"], b["sign"])
              for b in json.loads(sample)["ground_truth"]["blocks"]]
     assert invariant_from_blocks(blocks).matches(invariant_from_blocks(truth))
+
+
+def test_generators_report_reassembles_its_sample(capsys, monkeypatch):
+    # what the "generators" digest pins, checked by meaning: the report is a
+    # valid generator set that rebuilds the sampled member
+    sample = _run(capsys, monkeypatch, INVOCATIONS["sample-uspp-3"][0], None)
+    report = json.loads(_run(capsys, monkeypatch, INVOCATIONS["generators"][0], sample))
+    doc = loads_matrix(sample)
+    result = report["result"]
+    vectors = [np.array(g["vector"]).view(complex).reshape(-1) for g in result["generators"]]
+    gens = GeneratorSet(metric=doc.metric, sigma=result["sigma"],
+                        lambdas=np.array([g["lambda"] for g in result["generators"]]),
+                        vectors=np.array(vectors).reshape(result["count"], doc.metric.n))
+    assert validate_generators(gens) == []
+    assert np.linalg.norm(construct_from_generators(gens) - doc.matrix) <= 1e-9
