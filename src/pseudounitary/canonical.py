@@ -17,7 +17,9 @@ generators of spectral.py are read off it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import sub
 
 import numpy as np
 
@@ -46,7 +48,7 @@ T_COMPARE_TOL = 1e-8
 # the SVD of M12 gives its V row only to about eps s_max / s, M22 to rounding
 # at a backward error of about s, and sqrt(eps) keeps both below the bound.
 WEAK_COUPLING = float(np.sqrt(np.finfo(float).eps))
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 # Largest hyperbolic parameter with finite output, arccosh(float max / 2): past it
 # a sum of two entries of size cosh t overflows, as (C + C*) / 2 in exp_us does.
 _T_MAX = float(np.arccosh(np.finfo(float).max / 2.0))
@@ -74,9 +76,6 @@ class HyperbolicBlock:
 
     def matrix(self) -> np.ndarray:
         return assemble_blocks([self])
-
-    def flipped(self) -> "HyperbolicBlock":
-        return HyperbolicBlock(self.kind, self.t, -self.sign)
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,31 +290,31 @@ def _frame(a: np.ndarray, p: int, tol: float) -> tuple:
     return unitary, hyp, t, np.concatenate([sign, np.where(hyp, sign, -sign), unpaired]), err / scale
 
 
-def _merge_iota_pairs(blocks) -> list[HyperbolicBlock]:
-    """Canonicalize opposite-sign iota pairs into a (t = 0, +-1) hyperbolic pair.
+def _normalized(triples: list) -> CanonicalInvariant:
+    """Canonical invariant of (kind, t, sign) triples: merge iota pairs, fix the global sign, sort.
 
-    The pairing between positive and negative directions inside zero-coupling
+    An opposite-sign iota pair becomes a (t = 0, +-1) hyperbolic pair. The
+    pairing between positive and negative directions inside zero-coupling
     pieces is not rigid: conjugation can permute the two sides independently,
     which turns an iota(+1) and an iota(-1) into a t = 0 hyperbolic block and
     its negative. Decomposition always emits iota pieces of a single sign, so
     this only changes invariants built from hand-made block lists.
+
+    The global sign keeps the smaller of the sorted triples and the sorted
+    flipped triples, parameters within T_COMPARE_TOL counting as equal.
     """
-    plus = sum(1 for b in blocks if b.kind == IOTA and b.sign == 1)
-    minus = sum(1 for b in blocks if b.kind == IOTA and b.sign == -1)
-    m = min(plus, minus)
-    if m == 0:
-        return list(blocks)
-    out = [b for b in blocks if b.kind != IOTA]
-    out.extend([HyperbolicBlock(IOTA, 0.0, 1)] * (plus - m))
-    out.extend([HyperbolicBlock(IOTA, 0.0, -1)] * (minus - m))
-    out.extend([HyperbolicBlock(HYPERBOLIC, 0.0, 1)] * m)
-    out.extend([HyperbolicBlock(HYPERBOLIC, 0.0, -1)] * m)
-    return out
-
-
-def _sort_key(b: HyperbolicBlock, flip: bool = False) -> tuple:
-    """Sort key of b, or of b.flipped() when flip is set (without building that block)."""
-    return (b.kind, b.sign if flip else -b.sign, b.t)
+    plus, minus = triples.count((IOTA, 0.0, 1)), triples.count((IOTA, 0.0, -1))
+    if plus and minus:
+        m = min(plus, minus)
+        triples = ([x for x in triples if x[0] != IOTA]
+                   + [(IOTA, 0.0, 1)] * (plus - m) + [(IOTA, 0.0, -1)] * (minus - m)
+                   + [(HYPERBOLIC, 0.0, 1)] * m + [(HYPERBOLIC, 0.0, -1)] * m)
+    # sort keys (kind, -sign, t), and those of the flipped triples
+    key = sorted([(k, -s, t) for k, t, s in triples])
+    flip = sorted([(k, s, t) for k, t, s in triples])
+    if _flip_is_smaller(key, flip):
+        key = flip
+    return CanonicalInvariant(tuple([(k, t, -s) for k, s, t in key]))
 
 
 def _flip_is_smaller(base_key, flip_key) -> bool:
@@ -333,32 +332,33 @@ def _flip_is_smaller(base_key, flip_key) -> bool:
 
 
 def invariant_from_blocks(blocks) -> CanonicalInvariant:
-    """Canonical invariant of a block list: merge iota pairs, fix the global sign, sort.
+    """Canonical invariant of a block list: merge opposite-sign iota pairs, fix
+    the global sign (parameters within T_COMPARE_TOL count as equal), sort."""
+    return _normalized([(b.kind, b.t, b.sign) for b in blocks])
 
-    The global sign is chosen by comparing the sorted list against the sorted
-    list of the flipped blocks and keeping the smaller one, where parameters
-    closer than the comparison tolerance count as equal.
+
+def _unresolvable(s: list, h: list, t: list) -> MembershipError | None:
+    """The resolvability rule on pieces with couplings s, h = hypot(1, s) and t = arcsinh(s).
+
+    Rounding of size eps * max(s) moves t_j = arccosh(h_j) by eps * max(s) / h_j;
+    a piece is refused where that is not within T_COMPARE_TOL * max(1, t_j / 20),
+    a NaN included. Returns the refusal naming the worst piece's measured
+    value, its limit and their ratio, or None.
     """
-    base = _merge_iota_pairs(blocks)
-    base_key = sorted(_sort_key(b) for b in base)
-    flip_key = sorted(_sort_key(b, flip=True) for b in base)
-    chosen = flip_key if _flip_is_smaller(base_key, flip_key) else base_key
-    triples = tuple((kind, t, -negsign) for (kind, negsign, t) in chosen)
-    return CanonicalInvariant(triples=triples)
-
-
-def _resolvability(h: np.ndarray, t: np.ndarray, s_max) -> tuple:
-    """The resolvability rule per piece: how far rounding of size eps * s_max moves
-    t_j = arccosh(h_j), against T_COMPARE_TOL * max(1, t_j / 20); refused where above."""
-    return _EPS * s_max / h, T_COMPARE_TOL * np.maximum(1.0, t / 20.0)
-
-
-def _unresolvable_error(measured: np.ndarray, limit: np.ndarray) -> MembershipError:
-    """The refusal naming the worst piece's measured value, its limit and their ratio."""
-    j = np.argmax(measured / limit)
+    # h_j >= 1 and every limit is at least T_COMPARE_TOL, so no piece is
+    # refused while eps * sum(s) is within it; a NaN or inf in s fails this test
+    if _EPS * sum(s) <= T_COMPARE_TOL:
+        return None
+    c = _EPS * max(s)
+    measured = [c / x for x in h]
+    limit = [T_COMPARE_TOL * max(1.0, x / 20.0) for x in t]
+    if all([m <= x for m, x in zip(measured, limit)]):
+        return None
+    ratio = [m / x for m, x in zip(measured, limit)]
+    j = ratio.index(max(ratio))
     return MembershipError(
         f"hyperbolic parameters not resolvable: eps * s_max / h is {measured[j]:.3e} "
-        f"against the limit {limit[j]:.3e}, a ratio of {measured[j] / limit[j]:.3g}")
+        f"against the limit {limit[j]:.3e}, a ratio of {ratio[j]:.3g}")
 
 
 def _invariants(stack: np.ndarray, metric: SignatureMetric, tol: float) -> list:
@@ -369,8 +369,8 @@ def _invariants(stack: np.ndarray, metric: SignatureMetric, tol: float) -> list:
     after it are not computed and hold None, since every caller stops at the
     first refusal. One validation of the whole stack, one eigh of the M11
     stack, one eigvalsh of the M22 stack and one SVD serve the items; the
-    rules of canonical_invariant are array expressions over them, and Python
-    only assembles the triples.
+    rules of canonical_invariant then run item by item on Python floats, and
+    _normalized reads each invariant off plain triples.
     """
     p = metric.p
     refusals, norms = _refusals(stack, metric, tol)
@@ -379,63 +379,53 @@ def _invariants(stack: np.ndarray, metric: SignatureMetric, tol: float) -> list:
     b = next((i for i, r in enumerate(refusals) if r), len(refusals))
     if b < len(out):
         out[b] = MembershipError(refusals[b])
-        stack, norms = stack[:b], norms[:b]
+        stack = stack[:b]
     if not b:
         return out
     lam11, x = np.linalg.eigh(stack[:, :p, :p])
     lam22 = np.linalg.eigvalsh(stack[:, p:, p:])
     neg = lam11 < 0
-    pos = ~neg
     y = x.conj().swapaxes(-1, -2) @ stack[:, :p, p:]
     # side 0 keeps the rows of Y = X* M12 on the negative eigenspace of M11,
     # side 1 those on the positive one: the singular values of a masked Y
     # are those of M12 restricted to that eigenspace, padded with zeros
-    s = np.linalg.svd(y * np.array([neg, pos])[..., None], compute_uv=False)
-    # eigh sorts ascending, so |lambda| descends over the negative
-    # eigenvalues and over the reversed positive ones, as s does; a position
-    # holding an eigenvalue of its side holds a coupling, the rest padding
-    real = np.array([neg, pos[:, ::-1]])
-    t = np.arcsinh(s)
-    h = np.hypot(1.0, s)
-    s_max = np.where(real, s, 0.0).max(axis=(0, 2))
-    measured, limit = _resolvability(h, t, s_max[:, None])
-    unresolvable = (real & (measured > limit)).any(axis=(0, 2)).tolist()
-    gap = np.where(real, np.abs(np.array([-lam11, lam11[:, ::-1]]) - h), 0.0).max(axis=(0, 2))
-    # each item's p values of sqrt(1 + s^2), descending, against |eig(M22)|
-    h_all = np.sort(np.where(real, h, 0.0).swapaxes(0, 1).reshape(b, 2 * p))[:, :-p - 1:-1]
-    err = np.maximum(gap, np.abs(np.sort(np.abs(lam22))[:, ::-1] - h_all).max(axis=1))
-    inconsistent = (err > 1000.0 * tol * np.maximum(1.0, norms)).tolist()
-    n_neg = neg.sum(axis=1).tolist()
-    excess = (pos.sum(axis=1) - (lam22 > 0).sum(axis=1)).tolist()
-    t = t.tolist()
-    for k in range(b):
-        ts = (t[0][k][:n_neg[k]], t[1][k][:p - n_neg[k]])
-        if unresolvable[k]:
-            out[k] = _unresolvable_error(measured[:, k][real[:, k]], limit[:, k][real[:, k]])
-        elif inconsistent[k]:
-            out[k] = MembershipError(f"block spectra inconsistent: residual {err[k]:.3e}")
-        else:
-            out[k] = invariant_from_blocks(_pieces(ts, excess[k]))
+    s = np.linalg.svd(y * np.array([neg, ~neg])[..., None], compute_uv=False)
+    # indexed [side][item][position]
+    s_all, t_all, h_all = s.tolist(), np.arcsinh(s).tolist(), np.hypot(1.0, s).tolist()
+    # a float, so that a numpy scalar tol does not set the precision of the bounds
+    bound = float(1000.0 * tol)
+    for k, (lam, lam2, norm) in enumerate(zip(lam11.tolist(), lam22.tolist(), norms)):
+        # eigh sorts ascending, so |lambda| descends over the n negative
+        # eigenvalues and over the reversed positive ones, as s does: the
+        # couplings of a side are its leading positions, the rest padding
+        n = bisect_left(lam, 0.0)
+        t0, t1 = t_all[0][k][:n], t_all[1][k][:p - n]
+        h = h_all[0][k][:n] + h_all[1][k][:p - n]
+        refusal = _unresolvable(s_all[0][k][:n] + s_all[1][k][:p - n], h, t0 + t1)
+        if refusal is None:
+            # |eig(M11)| side by side, then the p values of |eig(M22)|,
+            # descending, against h = sqrt(1 + s^2)
+            mag = list(map(abs, lam))
+            err = max(map(abs, map(sub, mag[:n] + mag[n:][::-1] + sorted(map(abs, lam2), reverse=True),
+                                   h + sorted(h, reverse=True))))
+            if err > bound * max(1.0, norm):
+                refusal = MembershipError(f"block spectra inconsistent: residual {err:.3e}")
+        if refusal is not None:
+            out[k] = refusal
+            continue
+        # hyperbolic pieces put the same sign into M11 and M22, iota pieces
+        # opposite signs, so (after iota-pair merging) the iota count is the
+        # excess of positive eigenvalues of M11 over M22, and its sign is the
+        # sign of that excess; the iota pieces take the smallest couplings of
+        # their sign
+        excess = bisect_right(lam2, 0.0) - n
+        if excess > 0:
+            t1 = t1[:len(t1) - excess]
+        elif excess < 0:
+            t0 = t0[:n + excess]
+        out[k] = _normalized([(HYPERBOLIC, x, -1) for x in t0] + [(HYPERBOLIC, x, 1) for x in t1]
+                             + [(IOTA, 0.0, 1 if excess > 0 else -1)] * abs(excess))
     return out
-
-
-def _pieces(t_sides: tuple, excess: int) -> list:
-    """Blocks of one member from its parameters on the negative and the positive side.
-
-    Hyperbolic pieces put the same sign into M11 and M22, iota pieces
-    opposite signs, so (after iota-pair merging) the iota count is the
-    excess of positive eigenvalues of M11 over M22, and its sign is the sign
-    of that excess. The iota pieces take the smallest couplings of their sign.
-    """
-    n_iota = abs(excess)
-    iota_sign = 1 if excess > 0 else -1
-    blocks = []
-    for sign, ts in zip((-1, 1), t_sides):
-        if sign == iota_sign:
-            ts = ts[:len(ts) - n_iota]
-        blocks.extend(HyperbolicBlock(HYPERBOLIC, tj, sign) for tj in ts)
-    blocks.extend([HyperbolicBlock(IOTA, 0.0, iota_sign)] * n_iota)
-    return blocks
 
 
 def _checked_invariants(matrices, metric: SignatureMetric, tol: float) -> list:

@@ -8,8 +8,9 @@ predicates and residuals defined here.
 from __future__ import annotations
 
 import functools
-import operator
+import math
 from dataclasses import dataclass
+from operator import add, index, mul, truediv
 
 import numpy as np
 
@@ -67,7 +68,7 @@ def make_metric(p: int, q: int) -> SignatureMetric:
     """
     if not (isinstance(p, bool) or isinstance(q, bool)):
         try:
-            return SignatureMetric(operator.index(p), operator.index(q))
+            return SignatureMetric(index(p), index(q))
         except TypeError:
             pass
     raise ValueError(f"signature entries must be integers, got ({p!r}, {q!r})")
@@ -129,7 +130,8 @@ def quadratic_form(z, metric: SignatureMetric) -> float:
 
 
 def _fro(x: np.ndarray):
-    """Frobenius norm of a matrix, or of each item of a stack, as np.linalg.norm forms it.
+    """Frobenius norm of a matrix, or the list of those of the items of a stack,
+    as np.linalg.norm forms it.
 
     The real parts and the imaginary parts are each dotted with themselves,
     item by item, so a stack item gets the bits np.linalg.norm gives the
@@ -140,7 +142,7 @@ def _fro(x: np.ndarray):
         re, im = v.real, v.imag
         return np.sqrt(re.dot(re) + im.dot(im))
     v = x.reshape(len(x), -1)
-    return np.sqrt([r.dot(r) + i.dot(i) for r, i in zip(v.real, v.imag)])
+    return [math.sqrt(r.dot(r) + i.dot(i)) for r, i in zip(v.real, v.imag)]
 
 
 # Below 2^(_SCALE_FROM + 1) in every real and imaginary part, no product or
@@ -161,7 +163,8 @@ def _scaled(a: np.ndarray) -> tuple:
     are finite over the whole float range and, where the plain formulas do
     not overflow, agree with them up to the rounding of the squared norm
     (numpy's x ** 2 is not always correctly rounded). A norm of a beyond the
-    float range is inf.
+    float range is inf. For a stack, s is the float 1 or the list of the
+    items' s, and the norms are lists of floats.
     """
     parts = np.abs(a.reshape(a.shape[:-2] + (-1,)).view(float))
     if parts.max() < 2.0 ** (_SCALE_FROM + 1):
@@ -172,35 +175,52 @@ def _scaled(a: np.ndarray) -> tuple:
     s = np.ldexp(1.0, _SCALE_FROM + 1 - k)
     b = a * s[..., None, None]
     fro = _fro(b)
-    with np.errstate(over="ignore"):
-        return b, s, fro, fro / s
+    if a.ndim == 2:
+        with np.errstate(over="ignore"):
+            return b, s, fro, fro / s
+    s = s.tolist()
+    return b, s, fro, list(map(truediv, fro, s))
 
 
-def _gram_residual(b: np.ndarray, s, fro, j: np.ndarray) -> np.ndarray:
-    """||A* diag(j) A - diag(j)|| / (1 + ||A||^2) per item, from _scaled(A)."""
+def _each(s, fro: list) -> list:
+    """The s of _scaled for a stack, one float per item."""
+    return s if type(s) is list else [s] * len(fro)
+
+
+def _gram_residual(b: np.ndarray, s, fro, j: np.ndarray):
+    """||A* diag(j) A - diag(j)|| / (1 + ||A||^2), a list per item for a stack, from _scaled(A)."""
     defect = (b.conj().swapaxes(-1, -2) * j) @ b
-    s2 = s * s
     n = j.size
-    defect.reshape(defect.shape[:-2] + (n * n,))[..., :: n + 1] -= np.multiply.outer(s2, j)
-    return _fro(defect) / (s2 + fro ** 2)
+    # s is the float 1 while nothing was scaled
+    defect.reshape(defect.shape[:-2] + (n * n,))[..., :: n + 1] -= (
+        j if type(s) is float else np.multiply.outer(np.square(s), j))
+    d = _fro(defect)
+    if b.ndim == 2:
+        return d / (s * s + fro ** 2)
+    # x * x, as numpy squares an array, where the float ** 2 of the matrix path calls pow
+    s = _each(s, fro)
+    return list(map(truediv, d, map(add, map(mul, s, s), map(mul, fro, fro))))
 
 
-def _skew_residual(b: np.ndarray, s, fro) -> np.ndarray:
-    """||A - A*|| / (1 + ||A||) per item, from _scaled(A)."""
-    return _fro(b - b.conj().swapaxes(-1, -2)) / (s + fro)
+def _skew_residual(b: np.ndarray, s, fro):
+    """||A - A*|| / (1 + ||A||), a list per item for a stack, from _scaled(A)."""
+    d = _fro(b - b.conj().swapaxes(-1, -2))
+    if b.ndim == 2:
+        return d / (s + fro)
+    return list(map(truediv, d, map(add, _each(s, fro), fro)))
 
 
-def _membership_residual(a: np.ndarray, metric: SignatureMetric) -> np.ndarray:
+def _membership_residual(a: np.ndarray, metric: SignatureMetric):
     b, s, fro, _ = _scaled(a)
     return _gram_residual(b, s, fro, metric.signs)
 
 
-def _hermitian_residual(a: np.ndarray) -> np.ndarray:
+def _hermitian_residual(a: np.ndarray):
     b, s, fro, _ = _scaled(a)
     return _skew_residual(b, s, fro)
 
 
-def _unitary_residual(a: np.ndarray) -> np.ndarray:
+def _unitary_residual(a: np.ndarray):
     b, s, fro, _ = _scaled(a)
     return _gram_residual(b, s, fro, np.ones(a.shape[-1]))
 
@@ -215,13 +235,16 @@ def _refusals(a: np.ndarray, metric: SignatureMetric, tol: float,
     when no item is Hermitian.
     """
     b, s, fro, norms = _scaled(a)
-    messages = [None] * (1 if a.ndim == 2 else len(a))
+    one = a.ndim == 2
+    messages = [None] * (1 if one else len(a))
     if hermitian:
-        for i, hr in enumerate(_skew_residual(b, s, fro).reshape(-1).tolist()):
+        skew = _skew_residual(b, s, fro)
+        for i, hr in enumerate([skew] if one else skew):
             if not hr <= tol:
                 messages[i] = f"matrix is not Hermitian: residual {hr:.3e} exceeds {tol:.3e}"
     if None in messages:
-        for i, r in enumerate(_gram_residual(b, s, fro, metric.signs).reshape(-1).tolist()):
+        gram = _gram_residual(b, s, fro, metric.signs)
+        for i, r in enumerate([gram] if one else gram):
             if messages[i] is None and not r <= tol:
                 messages[i] = (f"matrix is not in U({metric.p},{metric.q}): "
                                f"membership residual {r:.3e} exceeds {tol:.3e}")

@@ -60,8 +60,8 @@ class SampleSpec:
         if len(w) != 4 or any(x < 0 for x in w) or abs(sum(w) - 1.0) > 1e-9:
             raise ValueError("block_kind_weights must be four nonnegative numbers summing to 1")
         object.__setattr__(self, "block_kind_weights", w)
-        if not (self.t_max > 0):
-            raise ValueError("t_max must be positive")
+        if not (0 < self.t_max < np.inf):
+            raise ValueError(f"t_max must be finite and positive, got {self.t_max!r}")
         if self.t_values is not None:
             tv = tuple(float(x) for x in self.t_values)
             if len(tv) != self.metric.p:

@@ -14,6 +14,8 @@ from pseudounitary import (
     DEFAULT_TOL,
     HYPERBOLIC,
     IOTA,
+    T_COMPARE_TOL,
+    CanonicalInvariant,
     GeneratorSet,
     HyperbolicBlock,
     MembershipError,
@@ -435,3 +437,157 @@ def per_entry_dumps_matrix(m, metric: SignatureMetric, kind: str = KIND_SQUARE,
     lines.append("  ]")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# The stacked invariant pass with its rules as array expressions and its
+# invariants built from HyperbolicBlock objects, as the library computed it
+# before it ran the rules item by item on Python floats. Kept as the bitwise
+# oracle of canonical._invariants, with the array validation it ran first.
+
+
+def _array_fro(x: np.ndarray) -> np.ndarray:
+    v = x.reshape(len(x), -1)
+    return np.sqrt([r.dot(r) + i.dot(i) for r, i in zip(v.real, v.imag)])
+
+
+def array_residuals(a: np.ndarray, metric: SignatureMetric) -> tuple:
+    """(Hermitian residuals, membership residuals, Frobenius norms) of the items
+    of a (B, n, n) stack as arrays over the stack, scaled as metric._scaled scales."""
+    parts = np.abs(a.reshape(len(a), -1).view(float))
+    if parts.max() < 2.0 ** 201:
+        b, s = a, 1.0
+        fro = norms = _array_fro(a)
+    else:
+        k = np.frexp(parts.max(axis=-1, initial=2.0 ** 200))[1]
+        s = np.ldexp(1.0, 201 - k)
+        b = a * s[:, None, None]
+        fro = _array_fro(b)
+        with np.errstate(over="ignore"):
+            norms = fro / s
+    skew = _array_fro(b - b.conj().swapaxes(-1, -2)) / (s + fro)
+    j = metric.signs
+    n = j.size
+    defect = (b.conj().swapaxes(-1, -2) * j) @ b
+    s2 = s * s
+    defect.reshape(len(a), n * n)[:, :: n + 1] -= np.multiply.outer(s2, j)
+    gram = _array_fro(defect) / (s2 + fro ** 2)
+    return skew, gram, norms
+
+
+def array_refusals(a: np.ndarray, metric: SignatureMetric, tol: float) -> tuple:
+    """Refusal messages and Frobenius norms of the items of a (B, n, n) stack,
+    from array_residuals."""
+    skew, gram, norms = array_residuals(a, metric)
+    messages = [None] * len(a)
+    for i, hr in enumerate(skew.tolist()):
+        if not hr <= tol:
+            messages[i] = f"matrix is not Hermitian: residual {hr:.3e} exceeds {tol:.3e}"
+    if None in messages:
+        for i, r in enumerate(gram.tolist()):
+            if messages[i] is None and not r <= tol:
+                messages[i] = (f"matrix is not in U({metric.p},{metric.q}): "
+                               f"membership residual {r:.3e} exceeds {tol:.3e}")
+    return messages, norms
+
+
+def _merge_iota_pairs(blocks) -> list:
+    plus = sum(1 for b in blocks if b.kind == IOTA and b.sign == 1)
+    minus = sum(1 for b in blocks if b.kind == IOTA and b.sign == -1)
+    m = min(plus, minus)
+    if m == 0:
+        return list(blocks)
+    out = [b for b in blocks if b.kind != IOTA]
+    out.extend([HyperbolicBlock(IOTA, 0.0, 1)] * (plus - m))
+    out.extend([HyperbolicBlock(IOTA, 0.0, -1)] * (minus - m))
+    out.extend([HyperbolicBlock(HYPERBOLIC, 0.0, 1)] * m)
+    out.extend([HyperbolicBlock(HYPERBOLIC, 0.0, -1)] * m)
+    return out
+
+
+def _t_close(t1: float, t2: float) -> bool:
+    return abs(t1 - t2) <= T_COMPARE_TOL * max(1.0, max(t1, t2) / 20.0)
+
+
+def _flip_is_smaller(base_key, flip_key) -> bool:
+    for (k1, s1, t1), (k2, s2, t2) in zip(base_key, flip_key):
+        if k1 != k2:
+            return k2 < k1
+        if s1 != s2:
+            return s2 < s1
+        if not _t_close(t1, t2):
+            return t2 < t1
+    return False
+
+
+def _block_sort_key(b, flip: bool = False) -> tuple:
+    return (b.kind, b.sign if flip else -b.sign, b.t)
+
+
+def block_invariant(blocks) -> CanonicalInvariant:
+    """invariant_from_blocks on HyperbolicBlock objects: merge iota pairs into
+    new blocks, sort the keys of the blocks and of their flips, walk them."""
+    base = _merge_iota_pairs(blocks)
+    base_key = sorted(_block_sort_key(b) for b in base)
+    flip_key = sorted(_block_sort_key(b, flip=True) for b in base)
+    chosen = flip_key if _flip_is_smaller(base_key, flip_key) else base_key
+    return CanonicalInvariant(triples=tuple((kind, t, -negsign) for (kind, negsign, t) in chosen))
+
+
+def _array_pieces(t_sides: tuple, excess: int) -> list:
+    n_iota = abs(excess)
+    iota_sign = 1 if excess > 0 else -1
+    blocks = []
+    for sign, ts in zip((-1, 1), t_sides):
+        if sign == iota_sign:
+            ts = ts[:len(ts) - n_iota]
+        blocks.extend(HyperbolicBlock(HYPERBOLIC, tj, sign) for tj in ts)
+    blocks.extend([HyperbolicBlock(IOTA, 0.0, iota_sign)] * n_iota)
+    return blocks
+
+
+def array_rules_invariants(stack: np.ndarray, metric: SignatureMetric, tol: float) -> list:
+    """Invariants of the items of a stack, or the MembershipError refusing one,
+    and None after the first item validation refuses; the resolvability rule,
+    the spectra bound and the sign counts as array expressions over the stack."""
+    p = metric.p
+    refusals, norms = array_refusals(stack, metric, tol)
+    out = [None] * len(refusals)
+    b = next((i for i, r in enumerate(refusals) if r), len(refusals))
+    if b < len(out):
+        out[b] = MembershipError(refusals[b])
+        stack, norms = stack[:b], norms[:b]
+    if not b:
+        return out
+    lam11, x = np.linalg.eigh(stack[:, :p, :p])
+    lam22 = np.linalg.eigvalsh(stack[:, p:, p:])
+    neg = lam11 < 0
+    pos = ~neg
+    y = x.conj().swapaxes(-1, -2) @ stack[:, :p, p:]
+    s = np.linalg.svd(y * np.array([neg, pos])[..., None], compute_uv=False)
+    real = np.array([neg, pos[:, ::-1]])
+    t = np.arcsinh(s)
+    h = np.hypot(1.0, s)
+    s_max = np.where(real, s, 0.0).max(axis=(0, 2))
+    measured = np.finfo(float).eps * s_max[:, None] / h
+    limit = T_COMPARE_TOL * np.maximum(1.0, t / 20.0)
+    unresolvable = (real & (measured > limit)).any(axis=(0, 2)).tolist()
+    gap = np.where(real, np.abs(np.array([-lam11, lam11[:, ::-1]]) - h), 0.0).max(axis=(0, 2))
+    h_all = np.sort(np.where(real, h, 0.0).swapaxes(0, 1).reshape(b, 2 * p))[:, :-p - 1:-1]
+    err = np.maximum(gap, np.abs(np.sort(np.abs(lam22))[:, ::-1] - h_all).max(axis=1))
+    inconsistent = (err > 1000.0 * tol * np.maximum(1.0, norms)).tolist()
+    n_neg = neg.sum(axis=1).tolist()
+    excess = (pos.sum(axis=1) - (lam22 > 0).sum(axis=1)).tolist()
+    t = t.tolist()
+    for k in range(b):
+        ts = (t[0][k][:n_neg[k]], t[1][k][:p - n_neg[k]])
+        if unresolvable[k]:
+            m_k, l_k = measured[:, k][real[:, k]], limit[:, k][real[:, k]]
+            j = np.argmax(m_k / l_k)
+            out[k] = MembershipError(
+                f"hyperbolic parameters not resolvable: eps * s_max / h is {m_k[j]:.3e} "
+                f"against the limit {l_k[j]:.3e}, a ratio of {m_k[j] / l_k[j]:.3g}")
+        elif inconsistent[k]:
+            out[k] = MembershipError(f"block spectra inconsistent: residual {err[k]:.3e}")
+        else:
+            out[k] = block_invariant(_array_pieces(ts, excess[k]))
+    return out

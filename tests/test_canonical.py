@@ -8,6 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    array_refusals,
+    array_residuals,
+    array_rules_invariants,
+    block_invariant,
     block_unitary,
     classify_pieces,
     count_calls,
@@ -21,6 +25,7 @@ from pseudounitary import (
     DEFAULT_TOL,
     HYPERBOLIC,
     IOTA,
+    CanonicalInvariant,
     HyperbolicBlock,
     LieElement,
     MembershipError,
@@ -38,7 +43,7 @@ from pseudounitary import (
     spectral,
     unitary_residual,
 )
-from pseudounitary.canonical import T_COMPARE_TOL, _sort_key
+from pseudounitary.canonical import T_COMPARE_TOL
 from pseudounitary.sampler import DEFAULT_KIND_WEIGHTS
 
 LN2 = np.log(2.0)
@@ -196,13 +201,18 @@ class TestDecompose:
 
 
 class TestInvariants:
-    @pytest.mark.parametrize("block", [HyperbolicBlock(HYPERBOLIC, 0.7, 1),
-                                       HyperbolicBlock(HYPERBOLIC, 0.7, -1),
-                                       HyperbolicBlock(IOTA, 0.0, 1),
-                                       HyperbolicBlock(IOTA, 0.0, -1)])
+    @pytest.mark.parametrize("block", [(HYPERBOLIC, 0.7, 1), (HYPERBOLIC, 0.7, -1),
+                                       (IOTA, 0.0, 1), (IOTA, 0.0, -1)])
     def test_flipped_sort_key_is_the_key_of_the_flipped_block(self, block):
-        assert _sort_key(block, flip=True) == _sort_key(block.flipped())
-        assert _sort_key(block, flip=True) != _sort_key(block)
+        # the normalizer sorts the flipped triples by keys it builds without
+        # flipping them, so a list of (kind, t, sign) triples and its flipped
+        # list normalize alike
+        triples = [block, (HYPERBOLIC, 1.3, -1)]
+        flipped = [(k, t, -s) for k, t, s in triples]
+        got = canonical._normalized(triples).triples
+        assert got == canonical._normalized(flipped).triples
+        assert got in (tuple(sorted(triples, key=lambda x: (x[0], -x[2], x[1]))),
+                       tuple(sorted(flipped, key=lambda x: (x[0], -x[2], x[1]))))
 
     def test_sign_flip_invariance(self):
         m = make_metric(1, 1)
@@ -755,6 +765,154 @@ class TestStackedInvariants:
         canonical_invariant(M, m)
         assert [len(calls[k]) for k in ("eigh", "eigvalsh", "svd")] == [2, 2, 2]
         assert len(validations) == 2
+
+
+def _inconsistent(m, rng) -> np.ndarray:
+    """hyp(12) and hyp(0.05) beside p - 2 pieces at t = 1, the hyp(0.05) piece
+    perturbed on its own by 1e-9 ||M||: the membership residual is about 1e-14,
+    relative to ||M||^2, but the spectra of that piece move by about 1e-4."""
+    p = m.p
+    b = assemble_blocks([hyp(12.0), hyp(0.05)] + [hyp(1.0)] * (p - 2))
+    e = np.zeros((2 * p, 2 * p), dtype=complex)
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    e[np.ix_([1, p + 1], [1, p + 1])] = z + z.conj().T
+    Q = block_unitary(m, rng)
+    return Q.conj().T @ (b + 1e-9 * np.linalg.norm(b) / np.linalg.norm(e) * e) @ Q
+
+
+@st.composite
+def oracle_stacks(draw):
+    """One to five matrices at one (p, p), p <= 5, and a tolerance: sampled
+    members (t up to 30, iota-heavy mixes, tied t), Hermitian non-members,
+    non-Hermitian matrices, members scaled past 2^201, members with every t
+    at 150 (entries past 2^201), unresolvable members, and near-members whose
+    block spectra are inconsistent at the tolerance 1e-13."""
+    p = draw(st.integers(1, 5))
+    m = make_metric(p, p)
+    items = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["member", "member", "member", "tied", "nonmember",
+                                     "non-Hermitian", "scaled", "huge", "unresolvable",
+                                     "inconsistent"]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        if kind == "unresolvable" and p > 1:
+            blocks = [hyp(40.0), iota(1)] + [hyp(rng.uniform(0.0, 3.0)) for _ in range(p - 2)]
+            items.append(assemble_blocks(blocks, block_unitary(m, rng), m))
+            continue
+        if kind == "inconsistent" and p > 1:
+            items.append(_inconsistent(m, rng))
+            continue
+        weights = draw(st.sampled_from([DEFAULT_KIND_WEIGHTS, (0.3, 0.3, 0.2, 0.2),
+                                        (0.1, 0.1, 0.4, 0.4), (0.0, 0.0, 0.5, 0.5)]))
+        t_values = None
+        if kind in ("tied", "huge"):
+            t = 150.0 if kind == "huge" else draw(st.sampled_from([0.0, 0.3, 2.0]))
+            t_values = (t,) * p
+        spec = SampleSpec(metric=m, seed=int(rng.integers(2**31)),
+                          t_max=draw(st.sampled_from([3.0, 8.0, 20.0, 30.0])),
+                          block_kind_weights=weights, t_values=t_values)
+        M = sample_us_pp(spec)[0]
+        if kind == "nonmember":
+            M = _perturbed(M, rng)
+        elif kind == "non-Hermitian":
+            M = M + 1e-6 * rng.standard_normal(M.shape)
+        elif kind == "scaled":
+            M = 2.0 ** 210 * M
+        items.append(M)
+    tol = draw(st.sampled_from([DEFAULT_TOL, DEFAULT_TOL, 1e-13, 1e-7]))
+    return m, np.array(items), tol
+
+
+def _bitwise(result) -> tuple:
+    """A result of the pass with every float as its bit pattern."""
+    if isinstance(result, CanonicalInvariant):
+        return tuple((k, type(t), float(t).hex(), type(s), s) for k, t, s in result.triples)
+    return type(result), str(result)
+
+
+@st.composite
+def hand_made_blocks(draw):
+    """Block lists with iota pairs, both signs, and t tied within T_COMPARE_TOL
+    (zeros of both signs among them)."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 7))):
+        sign = draw(st.sampled_from([1, -1]))
+        if draw(st.booleans()):
+            blocks.append(iota(sign))
+            continue
+        base = draw(st.sampled_from([0.0, -0.0, 0.5, 1.0, 20.0, 30.0]))
+        step = draw(st.sampled_from([0.0, 0.5, 1 - 1e-6, 1 + 1e-6, 2.0])) * T_COMPARE_TOL
+        blocks.append(hyp(base + step * draw(st.integers(0, 2)) if step else base, sign))
+    return blocks
+
+
+class TestArrayRulesOracle:
+    """The pass on Python floats against array_rules_invariants, the pass with
+    its rules as array expressions over the stack and its invariants built
+    from HyperbolicBlock objects."""
+
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(oracle_stacks())
+    def test_pass_is_bitwise_the_array_rules(self, case):
+        m, stack, tol = case
+        got = canonical._invariants(stack, m, tol)
+        expected = array_rules_invariants(stack, m, tol)
+        assert [_bitwise(r) for r in got] == [_bitwise(r) for r in expected]
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(oracle_stacks())
+    def test_validation_is_bitwise_the_array_residuals(self, case):
+        m, stack, tol = case
+        messages, norms = metric_module._refusals(stack, m, tol)
+        expected_messages, expected_norms = array_refusals(stack, m, tol)
+        assert messages == expected_messages
+        assert [x.hex() for x in norms] == [x.hex() for x in expected_norms.tolist()]
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** 300])
+    def test_stacked_residuals_are_bitwise_the_array_residuals(self, scale):
+        # about one squared norm in a thousand rounds differently under pow,
+        # so the stack is large enough to hold some
+        m = make_metric(2, 2)
+        z = np.random.default_rng(17).standard_normal((20000, 4, 4, 2)).view(complex)[..., 0]
+        stack = scale * (np.eye(4) + 1e-3 * (z + z.conj().swapaxes(-1, -2)) + 1e-9 * z)
+        expected = [x.tolist() for x in array_residuals(stack, m)]
+        got = [metric_module._hermitian_residual(stack),
+               metric_module._membership_residual(stack, m),
+               metric_module._scaled(stack)[3]]
+        assert [[x.hex() for x in g] for g in got] == [[x.hex() for x in e] for e in expected]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(hand_made_blocks())
+    def test_invariant_from_blocks_is_bitwise_the_block_route(self, blocks):
+        assert _bitwise(invariant_from_blocks(blocks)) == _bitwise(block_invariant(blocks))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_inconsistent_block_spectra_refused(self, seed):
+        m = make_metric(2, 2)
+        M = _inconsistent(m, np.random.default_rng(seed))
+        tol = 1.01 * membership_residual(M, m)
+        with pytest.raises(MembershipError, match="^block spectra inconsistent: residual ") as exc:
+            canonical_invariant(M, m, tol)
+        assert str(exc.value) == str(array_rules_invariants(M[None], m, tol)[0])
+
+    def test_invariants_build_no_block_objects(self, monkeypatch):
+        built = []
+        init = HyperbolicBlock.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(HyperbolicBlock, "__init__", counted)
+        m = make_metric(3, 3)
+        # hyperbolic pieces of both signs and an iota piece
+        M = sample_us_pp(SampleSpec(metric=m, seed=1, block_kind_weights=(0.3, 0.3, 0.2, 0.2)))[0]
+        built.clear()
+        Q = block_unitary(m, np.random.default_rng(1))
+        assert are_equivalent(M, Q.conj().T @ M @ Q, m)
+        canonical_invariant(-M, m)
+        assert built == []
+        hyp(1.0)
+        assert len(built) == 1
 
 
 class TestSpecial:

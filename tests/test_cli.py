@@ -463,6 +463,16 @@ class TestUsageErrors:
         assert err.startswith("error: entries must be numeric [re, im] pairs")
 
 
+    @pytest.mark.parametrize("tmax", ["inf", "nan"])
+    def test_non_finite_tmax(self, capsys, tmax):
+        code, out, err = run_cli(capsys, "sample", "--family", "uspp", "--p", "1",
+                                 "--q", "1", "--seed", "0", "--tmax", tmax)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: t_max must be finite and positive")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestPipelineInvariant:
     def test_sampled_invariants_match_truth_over_seed_range(self, tmp_path, capsys):
         # the full sample -> file -> invariants chain must reproduce the

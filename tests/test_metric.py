@@ -407,8 +407,8 @@ class TestFullRangeResiduals:
         stack = np.array([a, a.conj().T, 2.0 ** 600 * a], dtype=complex)
         for fn in (lambda x: metric_module._membership_residual(x, metric),
                    metric_module._hermitian_residual, metric_module._unitary_residual):
-            assert fn(stack).tolist() == [float(fn(x)) for x in stack]
+            assert fn(stack) == [float(fn(x)) for x in stack]
         messages, norms = metric_module._refusals(stack, metric, DEFAULT_TOL)
         single = [metric_module._refusals(x, metric, DEFAULT_TOL) for x in stack]
         assert messages == [m for (m,), _ in single]
-        assert norms.tolist() == [float(n) for _, n in single]
+        assert norms == [float(n) for _, n in single]

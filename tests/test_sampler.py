@@ -69,6 +69,12 @@ class TestSampleSpec:
         with pytest.raises(ValueError):
             SampleSpec(metric=make_metric(1, 1), seed=0, t_max=0.0)
 
+    @pytest.mark.parametrize("t_max", [np.inf, np.nan])
+    def test_t_max_finite(self, t_max):
+        # rng.uniform(0, inf) raises OverflowError, not a usage error
+        with pytest.raises(ValueError, match="t_max must be finite and positive"):
+            SampleSpec(metric=make_metric(1, 1), seed=0, t_max=t_max)
+
 
 class TestSampleBlockForm:
     @pytest.mark.parametrize("p", [1, 2, 4, 8])
