@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
 from operator import sub
 
@@ -54,25 +55,24 @@ _EPS = float(np.finfo(float).eps)
 _T_MAX = float(np.arccosh(np.finfo(float).max / 2.0))
 
 
-@dataclass(frozen=True)
-class HyperbolicBlock:
-    """One canonical 2x2 piece: a signed hyperbolic block or a signed iota block."""
+class HyperbolicBlock(namedtuple("HyperbolicBlock", "kind t sign", defaults=(0.0, 1))):
+    """One canonical 2x2 piece, a signed hyperbolic or iota block: the (kind, t, sign)
+    triple, checked when built."""
 
-    kind: str
-    t: float = 0.0
-    sign: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in (HYPERBOLIC, IOTA):
-            raise ValueError(f"unknown block kind {self.kind!r}")
-        if self.sign not in (1, -1):
+    def __new__(cls, kind: str, t: float = 0.0, sign: int = 1):
+        if kind not in (HYPERBOLIC, IOTA):
+            raise ValueError(f"unknown block kind {kind!r}")
+        if sign not in (1, -1):
             raise ValueError("block sign must be +1 or -1")
-        if not math.isfinite(self.t):
+        if not math.isfinite(t):
             raise ValueError("block parameter must be finite")
-        if self.kind == IOTA and self.t != 0.0:
+        if kind == IOTA and t != 0.0:
             raise ValueError("iota blocks carry no hyperbolic parameter")
-        if self.t < 0:
+        if t < 0:
             raise ValueError("hyperbolic parameter must be nonnegative")
+        return tuple.__new__(cls, (kind, t, sign))
 
     def matrix(self) -> np.ndarray:
         return assemble_blocks([self])
@@ -82,9 +82,9 @@ class HyperbolicBlock:
 class BlockDecomposition:
     """Canonical data for a Hermitian member of U(p, p): Q M Q* = sum of 2x2 pieces.
 
-    q is block diagonal (one unitary per signature block); piece j occupies
-    rows and columns (j, p + j). residual is the Frobenius norm of M minus
-    the reassembly, as block_decompose measured it (0 for data M is built from).
+    q is block diagonal (one unitary per signature block); piece j of blocks
+    occupies rows and columns (j, p + j). residual is the Frobenius norm of M
+    minus the reassembly, as block_decompose measured it (0 for data M is built from).
     """
 
     metric: SignatureMetric
@@ -160,11 +160,12 @@ def _block_form(hyp: np.ndarray, t: np.ndarray, sign: np.ndarray) -> np.ndarray:
 def assemble_blocks(blocks, unitary=None, metric: SignatureMetric | None = None) -> np.ndarray:
     """Place 2x2 pieces at rows/columns (j, p + j), then conjugate by the unitary.
 
-    With unitary Q, returns Q* B Q where B is the block-form matrix, so the
-    result decomposes back to the given pieces with the same Q. Raises
+    Each piece is a (kind, t, sign) triple, checked as HyperbolicBlock checks
+    it. With unitary Q, returns Q* B Q where B is the block-form matrix, so
+    the result decomposes back to the given pieces with the same Q. Raises
     ValueError for a parameter past arccosh(float max / 2).
     """
-    blocks = tuple(blocks)
+    blocks = [HyperbolicBlock(k, t, s) for k, t, s in blocks]
     p = len(blocks)
     if metric is None:
         if p == 0:
@@ -174,9 +175,8 @@ def assemble_blocks(blocks, unitary=None, metric: SignatureMetric | None = None)
         raise ValueError("block assembly needs a (p, p) signature")
     if metric.p != p:
         raise ValueError(f"expected {metric.p} blocks for this metric, got {p}")
-    out = _block_form(np.array([b.kind == HYPERBOLIC for b in blocks]),
-                      np.array([b.t for b in blocks]),
-                      np.array([b.sign for b in blocks]))
+    kind, t, sign = zip(*blocks)
+    out = _block_form(np.array(kind) == HYPERBOLIC, np.array(t), np.array(sign))
     if unitary is not None:
         Q = as_matrix(unitary, (metric.n, metric.n), "unitary")
         _require_block_unitary(Q, metric)
@@ -200,8 +200,8 @@ def block_decompose(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> Blo
     if metric.p != metric.q:
         raise ValueError("block decomposition is defined for signature (p, p)")
     q, hyp, t, d, residual = _frame(require_member(M, metric, tol), metric.p, tol)
-    blocks = tuple(HyperbolicBlock(HYPERBOLIC if h else IOTA, tj, sj)
-                   for h, tj, sj in zip(hyp.tolist(), t.tolist(), d[:metric.p].tolist()))
+    blocks = tuple(map(HyperbolicBlock, np.where(hyp, HYPERBOLIC, IOTA).tolist(), t.tolist(),
+                       d[:metric.p].tolist()))
     return BlockDecomposition(metric=metric, q=q, blocks=blocks, residual=residual)
 
 
@@ -332,9 +332,10 @@ def _flip_is_smaller(base_key, flip_key) -> bool:
 
 
 def invariant_from_blocks(blocks) -> CanonicalInvariant:
-    """Canonical invariant of a block list: merge opposite-sign iota pairs, fix
-    the global sign (parameters within T_COMPARE_TOL count as equal), sort."""
-    return _normalized([(b.kind, b.t, b.sign) for b in blocks])
+    """Canonical invariant of (kind, t, sign) pieces, each checked as
+    HyperbolicBlock checks it: merge opposite-sign iota pairs, fix the global
+    sign (parameters within T_COMPARE_TOL count as equal), sort."""
+    return _normalized([HyperbolicBlock(k, t, s) for k, t, s in blocks])
 
 
 def _unresolvable(s: list, h: list, t: list) -> MembershipError | None:

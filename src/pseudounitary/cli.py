@@ -20,7 +20,6 @@ import numpy as np
 
 from .canonical import (
     T_COMPARE_TOL,
-    HyperbolicBlock,
     _checked_invariants,
     block_decompose,
     canonical_invariant,
@@ -132,14 +131,8 @@ def _cmd_generators(args) -> int:
 
 
 def _pieces_payload(pieces) -> list:
-    """JSON form of canonical pieces: HyperbolicBlock items or (kind, t, sign) triples."""
-    out = []
-    for piece in pieces:
-        if isinstance(piece, HyperbolicBlock):
-            piece = (piece.kind, piece.t, piece.sign)
-        kind, t, sign = piece
-        out.append({"kind": kind, "t": float(t), "sign": int(sign)})
-    return out
+    """JSON form of canonical (kind, t, sign) pieces."""
+    return [{"kind": kind, "t": float(t), "sign": int(sign)} for kind, t, sign in pieces]
 
 
 def _cmd_decompose(args) -> int:
@@ -213,11 +206,9 @@ def _cmd_sample(args) -> int:
     elif args.family == "upq":
         m = sample_upq(metric, args.seed)
         sys.stdout.write(dumps_matrix(m, metric, KIND_SQUARE))
-    elif args.family == "haar":
+    else:
         m = haar_unitary(metric.n, args.seed)
         sys.stdout.write(dumps_matrix(m, metric, KIND_SQUARE))
-    else:  # pragma: no cover - argparse restricts the choices
-        raise ValueError(f"unknown family {args.family!r}")
     return 0
 
 

@@ -115,7 +115,11 @@ def dumps_matrix(m, metric: SignatureMetric, kind: str = KIND_SQUARE,
 
 def loads_matrix(text: str) -> MatrixDocument:
     """Parse the JSON file format, validating shape and finiteness."""
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        # the decoder recurses once per nested array or object, unknown keys included
+        raise ValueError("matrix file nests too deeply to parse") from None
     if not isinstance(doc, dict):
         raise ValueError("matrix file must hold a JSON object")
     if doc.get("format") != FORMAT_VERSION:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from operator import add, index, mul, truediv
+from operator import add, index, truediv
 
 import numpy as np
 
@@ -197,9 +197,9 @@ def _gram_residual(b: np.ndarray, s, fro, j: np.ndarray):
     d = _fro(defect)
     if b.ndim == 2:
         return d / (s * s + fro ** 2)
-    # x * x, as numpy squares an array, where the float ** 2 of the matrix path calls pow
-    s = _each(s, fro)
-    return list(map(truediv, d, map(add, map(mul, s, s), map(mul, fro, fro))))
+    # each norm squared with ** 2, pow as on the matrix path, not x * x as numpy
+    # squares an array: the two round differently about once in a thousand
+    return [x / (y * y + f ** 2) for x, y, f in zip(d, _each(s, fro), fro)]
 
 
 def _skew_residual(b: np.ndarray, s, fro):

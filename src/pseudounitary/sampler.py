@@ -108,18 +108,15 @@ def sample_us_lie(metric: SignatureMetric, seed: int, scale: float = 1.0) -> Lie
     return LieElement(metric=metric, block=b)
 
 
-def sample_upq(metric: SignatureMetric, seed: int, scale: float | None = None) -> np.ndarray:
+def sample_upq(metric: SignatureMetric, seed: int) -> np.ndarray:
     """Generic member of U(p, q): a block-diagonal unitary times an exponential.
 
-    Draw order: the two Haar factors, then the tangent draw. The default
-    scale 1/sqrt(n) keeps the hyperbolic angles at desk scale.
+    Draw order: the two Haar factors, then the tangent draw. The tangent
+    entries have scale 1/sqrt(n), which keeps the hyperbolic angles at desk scale.
     """
     rng = _rng(seed)
     p, q = metric.p, metric.q
-    if scale is None:
-        scale = 1.0 / np.sqrt(metric.n)
-    if scale < 0 or not np.isfinite(scale):
-        raise ValueError("scale must be a nonnegative finite number")
+    scale = 1.0 / np.sqrt(metric.n)
     u = _haar(rng, p)
     v = _haar(rng, q)
     shape = (p, q)

@@ -470,7 +470,9 @@ def array_residuals(a: np.ndarray, metric: SignatureMetric) -> tuple:
     defect = (b.conj().swapaxes(-1, -2) * j) @ b
     s2 = s * s
     defect.reshape(len(a), n * n)[:, :: n + 1] -= np.multiply.outer(s2, j)
-    gram = _array_fro(defect) / (s2 + fro ** 2)
+    # each norm squared with the float ** 2 (pow) of the matrix path, not
+    # with numpy's array square, which is x * x
+    gram = _array_fro(defect) / (s2 + np.array([x ** 2 for x in fro.tolist()]))
     return skew, gram, norms
 
 

@@ -1,6 +1,9 @@
 """Block assembly, decomposition, canonical invariants, and equivalence."""
 
+import io
+import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -44,6 +47,8 @@ from pseudounitary import (
     unitary_residual,
 )
 from pseudounitary.canonical import T_COMPARE_TOL
+from pseudounitary.cli import main
+from pseudounitary.matrixfile import dumps_matrix
 from pseudounitary.sampler import DEFAULT_KIND_WEIGHTS
 
 LN2 = np.log(2.0)
@@ -69,6 +74,11 @@ class TestHyperbolicBlock:
         m = make_metric(1, 1)
         for b in (hyp(0.7), hyp(1.2, -1), iota(1), iota(-1)):
             assert membership_residual(b.matrix(), m) <= 1e-15
+
+    def test_constructor_defaults_and_repr(self):
+        assert HyperbolicBlock(IOTA) == (IOTA, 0.0, 1)
+        assert HyperbolicBlock(kind=HYPERBOLIC, sign=-1, t=0.5) == (HYPERBOLIC, 0.5, -1)
+        assert repr(hyp(1.5, -1)) == "HyperbolicBlock(kind='hyperbolic', t=1.5, sign=-1)"
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -896,13 +906,14 @@ class TestArrayRulesOracle:
         assert str(exc.value) == str(array_rules_invariants(M[None], m, tol)[0])
 
     def test_invariants_build_no_block_objects(self, monkeypatch):
+        # a piece is a tuple, built and checked in __new__
         built = []
-        init = HyperbolicBlock.__init__
+        new = HyperbolicBlock.__new__
 
-        def counted(self, *args, **kwargs):
+        def counted(cls, *args, **kwargs):
             built.append(args)
-            init(self, *args, **kwargs)
-        monkeypatch.setattr(HyperbolicBlock, "__init__", counted)
+            return new(cls, *args, **kwargs)
+        monkeypatch.setattr(HyperbolicBlock, "__new__", counted)
         m = make_metric(3, 3)
         # hyperbolic pieces of both signs and an iota piece
         M = sample_us_pp(SampleSpec(metric=m, seed=1, block_kind_weights=(0.3, 0.3, 0.2, 0.2)))[0]
@@ -913,6 +924,97 @@ class TestArrayRulesOracle:
         assert built == []
         hyp(1.0)
         assert len(built) == 1
+
+
+# hyperbolic pieces only, iota pieces only, both kinds at even odds, the sampler's default
+KIND_MIXES = ((0.5, 0.5, 0.0, 0.0), (0.0, 0.0, 0.5, 0.5), (0.3, 0.3, 0.2, 0.2),
+              DEFAULT_KIND_WEIGHTS)
+
+
+@st.composite
+def kind_mix_specs(draw):
+    """Sample specs at p <= 6 under each kind mix, t <= 6 with ties and zeros."""
+    p = draw(st.integers(1, 6))
+    pool = draw(st.lists(st.floats(0.0, 6.0), min_size=1, max_size=3)) + [0.0]
+    return SampleSpec(metric=make_metric(p, p), seed=draw(st.integers(0, 2**32 - 1)),
+                      block_kind_weights=draw(st.sampled_from(KIND_MIXES)),
+                      t_values=tuple(draw(st.lists(st.sampled_from(pool), min_size=p, max_size=p))))
+
+
+valid_triples = st.one_of(
+    st.tuples(st.just(HYPERBOLIC), st.floats(0.0, 700.0), st.sampled_from([1, -1])),
+    st.tuples(st.just(IOTA), st.just(0.0), st.sampled_from([1, -1])))
+
+BAD_TRIPLES = {
+    "unknown_kind": (("circle", 0.0, 1), "unknown block kind"),
+    "sign_2": ((HYPERBOLIC, 1.0, 2), "block sign must be"),
+    "negative_t": ((HYPERBOLIC, -0.5, 1), "must be nonnegative"),
+    "nan_t": ((HYPERBOLIC, float("nan"), 1), "must be finite"),
+    "iota_with_t": ((IOTA, 0.3, -1), "iota blocks carry no hyperbolic parameter"),
+}
+
+
+def decompose_payload(M, m) -> list:
+    """The pieces `upq decompose` prints for M, as (kind, t, sign) triples."""
+    out = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(dumps_matrix(M, m))), mock.patch("sys.stdout", out):
+        assert main(["decompose", "-"]) == 0
+    return [(b["kind"], b["t"], b["sign"]) for b in json.loads(out.getvalue())["result"]["blocks"]]
+
+
+class TestOnePieceType:
+    """Decompositions, samples, invariants and upq reports hold one piece type,
+    the (kind, t, sign) triple, and the boundaries check every piece they take."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(kind_mix_specs(), st.sampled_from([1, -1]))
+    def test_routes_give_one_invariant(self, spec, sign):
+        m = spec.metric
+        M, truth = sample_us_pp(spec)
+        M = sign * M
+        dec = block_decompose(M, m)
+        payload = decompose_payload(M, m)
+        assert all(type(b) is HyperbolicBlock for b in dec.blocks + truth.blocks)
+        assert payload == list(dec.blocks)
+        inv = invariant_from_blocks(dec.blocks)
+        assert _bitwise(invariant_from_blocks(payload)) == _bitwise(inv)
+        assert inv.matches(canonical_invariant(M, m))
+        assert inv.matches(invariant_from_blocks(truth.blocks))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(kind_mix_specs(), st.sampled_from([1, -1]))
+    def test_invariant_triples_assemble_to_an_equivalent_member(self, spec, sign):
+        M = sign * sample_us_pp(spec)[0]
+        triples = canonical_invariant(M, spec.metric).triples
+        assert all(type(x) is tuple and len(x) == 3 for x in triples)
+        assert are_equivalent(assemble_blocks(triples), M, spec.metric)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(valid_triples)
+    def test_a_piece_is_its_triple(self, x):
+        piece = HyperbolicBlock(*x)
+        assert piece == x and hash(piece) == hash(x)
+        assert (piece.kind, piece.t, piece.sign) == x
+        assert assemble_blocks([x]).tobytes() == piece.matrix().tobytes()
+
+    @pytest.mark.parametrize("case", sorted(BAD_TRIPLES))
+    def test_bad_triples_are_refused_at_both_boundaries(self, case):
+        bad, message = BAD_TRIPLES[case]
+        with pytest.raises(ValueError, match=message):
+            HyperbolicBlock(*bad)
+        with pytest.raises(ValueError, match=message):
+            invariant_from_blocks([hyp(1.0), bad])
+        with pytest.raises(ValueError, match=message):
+            assemble_blocks([hyp(1.0), bad])
+
+    @pytest.mark.parametrize("piece", [(HYPERBOLIC, 1.0), (HYPERBOLIC, 1.0, 1, 0)],
+                             ids=["short", "long"])
+    def test_pieces_must_be_triples(self, piece):
+        # the constructor's defaults do not fill in a short piece
+        with pytest.raises(ValueError, match="values to unpack"):
+            invariant_from_blocks([hyp(1.0), piece])
+        with pytest.raises(ValueError, match="values to unpack"):
+            assemble_blocks([hyp(1.0), piece])
 
 
 class TestSpecial:

@@ -450,6 +450,15 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_deeply_nested_file(self, tmp_path, capsys):
+        # json.loads raises RecursionError here, which is not a non-member's exit 1
+        path = tmp_path / "deep.json"
+        path.write_text('{"format": "upq-matrix/1", "note": ' + "[" * 100000 + "]" * 100000 + "}")
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: matrix file nests too deeply to parse\n"
+
     @pytest.mark.parametrize("entry", ['"1"', "true", "null", "1" + "0" * 400],
                              ids=["string", "boolean", "null", "huge_integer"])
     def test_non_numeric_entries(self, tmp_path, capsys, entry):

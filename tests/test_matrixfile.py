@@ -148,6 +148,18 @@ class TestReaderRejects:
         with pytest.raises(ValueError, match=r"entries must be \[re, im\] pairs"):
             loads_matrix(_document([1.0, 0.0, 0.0, -1.0]))
 
+    @pytest.mark.parametrize("where", ["document", "unknown_key"])
+    def test_deep_nesting_is_a_value_error(self, where):
+        # the decoder raises RecursionError past its nesting limit; readers
+        # ignore unknown keys, but they still have to parse them
+        deep = "[" * 100000 + "]" * 100000
+        text = deep
+        if where == "unknown_key":
+            valid = _document([[1, 0], [0, 0], [0, 0], [-1, 0]])
+            text = valid.replace("{", '{"note": ' + deep + ", ", 1)
+        with pytest.raises(ValueError, match="^matrix file nests too deeply to parse$"):
+            loads_matrix(text)
+
     def test_json_integers_are_numbers(self):
         doc = loads_matrix(_document([[1, 0], [0, 0], [0, 0], [-1, 0]]))
         assert np.array_equal(doc.matrix, np.diag([1.0, -1.0]))

@@ -412,3 +412,15 @@ class TestFullRangeResiduals:
         single = [metric_module._refusals(x, metric, DEFAULT_TOL) for x in stack]
         assert messages == [m for (m,), _ in single]
         assert norms == [float(n) for _, n in single]
+
+    def test_stack_item_squares_its_norm_as_the_matrix_does(self):
+        # item 1693 read one ulp apart when the stack squared its norms with
+        # x * x and the matrix with pow; a tol between the two refused the
+        # one-item stack of canonical_invariant and accepted require_member
+        m = make_metric(2, 2)
+        z = np.random.default_rng(17).standard_normal((3000, 4, 4, 2)).view(complex)[..., 0]
+        a = (np.eye(4) + 1e-3 * (z + z.conj().swapaxes(-1, -2)) + 1e-9 * z)[1693]
+        tol = 0.00255307948817986
+        assert metric_module._membership_residual(a[None], m) == [membership_residual(a, m)]
+        assert metric_module._refusals(a[None], m, tol)[0] == [None]
+        require_member(a, m, tol)
