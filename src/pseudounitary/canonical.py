@@ -66,13 +66,22 @@ class HyperbolicBlock(namedtuple("HyperbolicBlock", "kind t sign", defaults=(0.0
             raise ValueError(f"unknown block kind {kind!r}")
         if sign not in (1, -1):
             raise ValueError("block sign must be +1 or -1")
-        if not math.isfinite(t):
+        try:
+            finite = math.isfinite(t)
+        except TypeError:
+            raise ValueError(f"block parameter must be a real number, got {t!r}") from None
+        if not finite:
             raise ValueError("block parameter must be finite")
         if kind == IOTA and t != 0.0:
             raise ValueError("iota blocks carry no hyperbolic parameter")
         if t < 0:
             raise ValueError("hyperbolic parameter must be nonnegative")
         return tuple.__new__(cls, (kind, t, sign))
+
+    @classmethod
+    def _make(cls, iterable):
+        # the namedtuple's _make, and _replace through it, would skip the checks
+        return cls(*iterable)
 
     def matrix(self) -> np.ndarray:
         return assemble_blocks([self])
@@ -368,21 +377,23 @@ def _invariants(stack: np.ndarray, metric: SignatureMetric, tol: float) -> list:
     Returns, in item order, a CanonicalInvariant or the MembershipError that
     refuses the item, up to the first item validation refuses; the items
     after it are not computed and hold None, since every caller stops at the
-    first refusal. One validation of the whole stack, one eigh of the M11
-    stack, one eigvalsh of the M22 stack and one SVD serve the items; the
-    rules of canonical_invariant then run item by item on Python floats, and
-    _normalized reads each invariant off plain triples.
+    first refusal. The items are validated one by one, as require_member
+    validates a matrix; one eigh of the M11 stack, one eigvalsh of the M22
+    stack and one SVD then serve the items validation accepted. The rules of
+    canonical_invariant run item by item on Python floats, and _normalized
+    reads each invariant off plain triples.
     """
     p = metric.p
-    refusals, norms = _refusals(stack, metric, tol)
-    out = [None] * len(refusals)
-    # the number of items before the first refused one
-    b = next((i for i, r in enumerate(refusals) if r), len(refusals))
-    if b < len(out):
-        out[b] = MembershipError(refusals[b])
-        stack = stack[:b]
-    if not b:
+    out, norms = [None] * len(stack), []
+    for a in stack:
+        refusal, norm = _refusals(a, metric, tol)
+        if refusal:
+            out[len(norms)] = MembershipError(refusal)
+            break
+        norms.append(norm)
+    if not norms:
         return out
+    stack = stack[:len(norms)]
     lam11, x = np.linalg.eigh(stack[:, :p, :p])
     lam22 = np.linalg.eigvalsh(stack[:, p:, p:])
     neg = lam11 < 0
@@ -475,8 +486,8 @@ def canonical_invariant(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) ->
 def are_equivalent(M1, M2, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> bool:
     """True when the two members agree up to global sign and block-unitary conjugation.
 
-    Both invariants come from one stacked pass: one validation, one eigh, one
-    eigvalsh and one SVD call for the pair.
+    Both invariants come from one stacked pass: one validation per matrix,
+    then one eigh, one eigvalsh and one SVD call for the pair.
     """
     inv1, inv2 = _checked_invariants([M1, M2], metric, tol)
     return inv1.matches(inv2)

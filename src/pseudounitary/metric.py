@@ -8,9 +8,8 @@ predicates and residuals defined here.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
-from operator import add, index, truediv
+from operator import index
 
 import numpy as np
 
@@ -124,25 +123,16 @@ def quadratic_form(z, metric: SignatureMetric) -> float:
     return float(indefinite_form(z, z, metric).real)
 
 
-# The helpers below trust an array that as_matrix has already coerced and
-# checked; the public functions coerce once and then call them. They take a
-# matrix or a (B, n, n) stack and return one value per item.
+# The helpers below trust a matrix that as_matrix has already coerced and
+# checked; the public functions coerce once and then call them.
 
 
 def _fro(x: np.ndarray):
-    """Frobenius norm of a matrix, or the list of those of the items of a stack,
-    as np.linalg.norm forms it.
-
-    The real parts and the imaginary parts are each dotted with themselves,
-    item by item, so a stack item gets the bits np.linalg.norm gives the
-    matrix alone.
-    """
-    if x.ndim == 2:
-        v = x.ravel(order="K")
-        re, im = v.real, v.imag
-        return np.sqrt(re.dot(re) + im.dot(im))
-    v = x.reshape(len(x), -1)
-    return [math.sqrt(r.dot(r) + i.dot(i)) for r, i in zip(v.real, v.imag)]
+    """Frobenius norm of a matrix as np.linalg.norm forms it: the real parts
+    and the imaginary parts each dotted with themselves."""
+    v = x.ravel(order="K")
+    re, im = v.real, v.imag
+    return np.sqrt(re.dot(re) + im.dot(im))
 
 
 # Below 2^(_SCALE_FROM + 1) in every real and imaginary part, no product or
@@ -151,63 +141,41 @@ _SCALE_FROM = 200
 
 
 def _scaled(a: np.ndarray) -> tuple:
-    """(b, s, ||b||, ||a||) with b = s a per item, s a power of two.
+    """(b, s, ||b||, ||a||) with b = s a, s a power of two.
 
-    An item with a real or imaginary part at or above 2^(_SCALE_FROM + 1)
-    gets s = 2^(_SCALE_FROM + 1 - k), with 2^k the smallest power of two
-    above its largest part, which brings its parts below that bound; every
-    other item gets s = 1, so below the bound the residuals are bitwise
-    those of the plain formulas. While no item needs scaling, s is the float
-    1 and a is used as it is, which saves about a third of a one-shot
-    residual's time. Scaling by a power of two is exact, so the residuals
-    are finite over the whole float range and, where the plain formulas do
-    not overflow, agree with them up to the rounding of the squared norm
-    (numpy's x ** 2 is not always correctly rounded). A norm of a beyond the
-    float range is inf. For a stack, s is the float 1 or the list of the
-    items' s, and the norms are lists of floats.
+    With a real or imaginary part at or above 2^(_SCALE_FROM + 1), s is
+    2^(_SCALE_FROM + 1 - k), 2^k the smallest power of two above the largest
+    part. Below that bound s is the float 1 and a is used as it is, with no
+    copy, so the residuals are bitwise those of the plain formulas. Scaling
+    by a power of two is exact: the residuals are finite over the whole float
+    range and agree with the plain formulas where those do not overflow, up
+    to the rounding of the squared norm (numpy's x ** 2 is not always
+    correctly rounded). A norm of a beyond the float range is inf.
     """
-    parts = np.abs(a.reshape(a.shape[:-2] + (-1,)).view(float))
-    if parts.max() < 2.0 ** (_SCALE_FROM + 1):
+    # reshape copies a matrix that view cannot take, such as a transpose
+    big = np.abs(a.reshape(-1).view(float)).max()
+    if big < 2.0 ** (_SCALE_FROM + 1):
         fro = _fro(a)
         return a, 1.0, fro, fro
     # frexp writes big = m 2^k with m in [0.5, 1); big >= 2^_SCALE_FROM gives s <= 1
-    k = np.frexp(parts.max(axis=-1, initial=2.0 ** _SCALE_FROM))[1]
-    s = np.ldexp(1.0, _SCALE_FROM + 1 - k)
-    b = a * s[..., None, None]
+    s = np.ldexp(1.0, _SCALE_FROM + 1 - np.frexp(big)[1])
+    b = a * s
     fro = _fro(b)
-    if a.ndim == 2:
-        with np.errstate(over="ignore"):
-            return b, s, fro, fro / s
-    s = s.tolist()
-    return b, s, fro, list(map(truediv, fro, s))
-
-
-def _each(s, fro: list) -> list:
-    """The s of _scaled for a stack, one float per item."""
-    return s if type(s) is list else [s] * len(fro)
+    with np.errstate(over="ignore"):
+        return b, s, fro, fro / s
 
 
 def _gram_residual(b: np.ndarray, s, fro, j: np.ndarray):
-    """||A* diag(j) A - diag(j)|| / (1 + ||A||^2), a list per item for a stack, from _scaled(A)."""
-    defect = (b.conj().swapaxes(-1, -2) * j) @ b
-    n = j.size
+    """||A* diag(j) A - diag(j)|| / (1 + ||A||^2), from _scaled(A)."""
+    defect = (b.conj().T * j) @ b
     # s is the float 1 while nothing was scaled
-    defect.reshape(defect.shape[:-2] + (n * n,))[..., :: n + 1] -= (
-        j if type(s) is float else np.multiply.outer(np.square(s), j))
-    d = _fro(defect)
-    if b.ndim == 2:
-        return d / (s * s + fro ** 2)
-    # each norm squared with ** 2, pow as on the matrix path, not x * x as numpy
-    # squares an array: the two round differently about once in a thousand
-    return [x / (y * y + f ** 2) for x, y, f in zip(d, _each(s, fro), fro)]
+    defect.reshape(-1)[:: j.size + 1] -= j if type(s) is float else np.square(s) * j
+    return _fro(defect) / (s * s + fro ** 2)
 
 
 def _skew_residual(b: np.ndarray, s, fro):
-    """||A - A*|| / (1 + ||A||), a list per item for a stack, from _scaled(A)."""
-    d = _fro(b - b.conj().swapaxes(-1, -2))
-    if b.ndim == 2:
-        return d / (s + fro)
-    return list(map(truediv, d, map(add, _each(s, fro), fro)))
+    """||A - A*|| / (1 + ||A||), from _scaled(A)."""
+    return _fro(b - b.conj().T) / (s + fro)
 
 
 def _membership_residual(a: np.ndarray, metric: SignatureMetric):
@@ -227,28 +195,19 @@ def _unitary_residual(a: np.ndarray):
 
 def _refusals(a: np.ndarray, metric: SignatureMetric, tol: float,
               hermitian: bool = True) -> tuple:
-    """Validate a matrix, or each item of a (B, n, n) stack, as require_member does.
-
-    Returns the list of MembershipError messages, one per item (one for a
-    matrix), with None where the item is accepted, and the Frobenius norms
-    of the items. A NaN residual is refused. Membership is not computed
-    when no item is Hermitian.
-    """
-    b, s, fro, norms = _scaled(a)
-    one = a.ndim == 2
-    messages = [None] * (1 if one else len(a))
+    """Validate a matrix as require_member does: (the MembershipError message,
+    or None where it is accepted, and its Frobenius norm). A NaN residual is
+    refused; membership is not computed for a matrix that is not Hermitian."""
+    b, s, fro, norm = _scaled(a)
     if hermitian:
-        skew = _skew_residual(b, s, fro)
-        for i, hr in enumerate([skew] if one else skew):
-            if not hr <= tol:
-                messages[i] = f"matrix is not Hermitian: residual {hr:.3e} exceeds {tol:.3e}"
-    if None in messages:
-        gram = _gram_residual(b, s, fro, metric.signs)
-        for i, r in enumerate([gram] if one else gram):
-            if messages[i] is None and not r <= tol:
-                messages[i] = (f"matrix is not in U({metric.p},{metric.q}): "
-                               f"membership residual {r:.3e} exceeds {tol:.3e}")
-    return messages, norms
+        hr = _skew_residual(b, s, fro)
+        if not hr <= tol:
+            return f"matrix is not Hermitian: residual {hr:.3e} exceeds {tol:.3e}", norm
+    r = _gram_residual(b, s, fro, metric.signs)
+    if not r <= tol:
+        return (f"matrix is not in U({metric.p},{metric.q}): "
+                f"membership residual {r:.3e} exceeds {tol:.3e}"), norm
+    return None, norm
 
 
 def membership_residual(M, metric: SignatureMetric) -> float:
@@ -301,7 +260,7 @@ def fast_inverse(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> np.nda
     Costs one conjugate transpose and two sign flips instead of a solve.
     """
     a = as_matrix(M, (metric.n, metric.n))
-    (refusal,), _ = _refusals(a, metric, tol, hermitian=False)
+    refusal, _ = _refusals(a, metric, tol, hermitian=False)
     if refusal:
         raise MembershipError(refusal)
     j = metric.signs
@@ -312,7 +271,7 @@ def require_member(M, metric: SignatureMetric, tol: float = DEFAULT_TOL,
                    hermitian: bool = True) -> np.ndarray:
     """Validate membership (and optionally Hermitian symmetry), returning the array."""
     a = as_matrix(M, (metric.n, metric.n))
-    (refusal,), _ = _refusals(a, metric, tol, hermitian)
+    refusal, _ = _refusals(a, metric, tol, hermitian)
     if refusal:
         raise MembershipError(refusal)
     return a

@@ -39,9 +39,11 @@ from pseudounitary import (
     canonical,
     canonical_invariant,
     exp_us,
+    hermitian_residual,
     invariant_from_blocks,
     make_metric,
     membership_residual,
+    require_member,
     sample_us_pp,
     spectral,
     unitary_residual,
@@ -695,6 +697,34 @@ def mixed_stacks(draw):
     return m, np.array(items)
 
 
+@st.composite
+def validation_inputs(draw):
+    """A sampled member at (p, p), p <= 4, as it is, perturbed off the group
+    or off Hermitian symmetry, then scaled by 2^k, k up to 600."""
+    p = draw(st.integers(1, 4))
+    m = make_metric(p, p)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = SampleSpec(metric=m, seed=int(rng.integers(2**31)),
+                      t_max=draw(st.sampled_from([3.0, 8.0, 20.0])),
+                      block_kind_weights=(0.3, 0.3, 0.2, 0.2))
+    M = sample_us_pp(spec)[0]
+    kind = draw(st.sampled_from(["member", "perturbed", "non-Hermitian"]))
+    if kind == "perturbed":
+        M = _perturbed(M, rng)
+    elif kind == "non-Hermitian":
+        M = M + 1e-9 * rng.standard_normal(M.shape)
+    return m, 2.0 ** draw(st.one_of(st.just(0), st.integers(1, 600))) * M
+
+
+def _refusal(call):
+    """The message of the MembershipError call() raises, or None."""
+    try:
+        call()
+    except MembershipError as e:
+        return str(e)
+    return None
+
+
 def _same_result(a, b) -> bool:
     if isinstance(a, MembershipError) or isinstance(b, MembershipError):
         return type(a) is type(b) and str(a) == str(b)
@@ -718,7 +748,7 @@ class TestStackedInvariants:
                 continue
             single = canonical._invariants(item[None], m, DEFAULT_TOL)
             assert _same_result(result, single[0])
-            validated = metric_module._refusals(item, m, DEFAULT_TOL)[0] == [None]
+            validated = metric_module._refusals(item, m, DEFAULT_TOL)[0] is None
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(block_form_specs(), st.sampled_from([1.0, -1.0]), st.floats(0.05, 0.5),
@@ -763,6 +793,8 @@ class TestStackedInvariants:
         assert expected in str(both.value)
 
     def test_one_validation_and_one_call_of_each_kernel(self, monkeypatch):
+        # one validation per matrix, each of one matrix; one call of each
+        # kernel per pass, over the whole stack
         m = make_metric(3, 3)
         M = sample_us_pp(SampleSpec(metric=m, seed=4))[0]
         Q = block_unitary(m, np.random.default_rng(4))
@@ -771,10 +803,43 @@ class TestStackedInvariants:
         validations = count_calls(monkeypatch, "_refusals", canonical)
         assert are_equivalent(M, Q.conj().T @ M @ Q, m)
         assert [len(calls[k]) for k in ("eigh", "eigvalsh", "svd")] == [1, 1, 1]
-        assert len(validations) == 1
+        assert calls["eigh"][0].shape == (2, 3, 3)
+        assert [a.shape for a in validations] == [(6, 6), (6, 6)]
         canonical_invariant(M, m)
         assert [len(calls[k]) for k in ("eigh", "eigvalsh", "svd")] == [2, 2, 2]
-        assert len(validations) == 2
+        assert len(validations) == 3
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(validation_inputs())
+    def test_pass_refuses_exactly_where_require_member_refuses(self, case):
+        # at tol equal to the membership residual and one ulp below it, the
+        # pass refuses an input on validation exactly when require_member
+        # does, with its message; past validation, only the rules of the
+        # pass may refuse it
+        m, M = case
+        residual = membership_residual(M, m)
+        identity = np.eye(m.n)
+        for tol in (residual, np.nextafter(residual, 0.0)):
+            expected = _refusal(lambda: require_member(M, m, tol))
+            for got in (_refusal(lambda: canonical_invariant(M, m, tol)),
+                        _refusal(lambda: are_equivalent(M, M, m, tol)),
+                        _refusal(lambda: are_equivalent(identity, M, m, tol))):
+                if expected is None:
+                    assert got is None or not got.startswith("matrix is not")
+                else:
+                    assert got == expected
+
+    @pytest.mark.parametrize("non_finite_first", [True, False])
+    def test_non_finite_input_raises_before_any_refusal(self, non_finite_first):
+        # every matrix is coerced before any is validated
+        m = make_metric(2, 2)
+        nonmember = 2.0 * np.eye(4)
+        non_finite = np.eye(4)
+        non_finite[0, 1] = np.nan
+        pair = [non_finite, nonmember] if non_finite_first else [nonmember, non_finite]
+        with pytest.raises(ValueError, match="non-finite") as raised:
+            are_equivalent(*pair, m)
+        assert type(raised.value) is ValueError
 
 
 def _inconsistent(m, rng) -> np.ndarray:
@@ -872,11 +937,12 @@ class TestArrayRulesOracle:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(oracle_stacks())
     def test_validation_is_bitwise_the_array_residuals(self, case):
+        # validation takes one matrix; the oracle reads the whole stack
         m, stack, tol = case
-        messages, norms = metric_module._refusals(stack, m, tol)
+        messages, norms = zip(*[metric_module._refusals(a, m, tol) for a in stack])
         expected_messages, expected_norms = array_refusals(stack, m, tol)
-        assert messages == expected_messages
-        assert [x.hex() for x in norms] == [x.hex() for x in expected_norms.tolist()]
+        assert list(messages) == expected_messages
+        assert [float(x).hex() for x in norms] == [x.hex() for x in expected_norms.tolist()]
 
     @pytest.mark.parametrize("scale", [1.0, 2.0 ** 300])
     def test_stacked_residuals_are_bitwise_the_array_residuals(self, scale):
@@ -886,9 +952,9 @@ class TestArrayRulesOracle:
         z = np.random.default_rng(17).standard_normal((20000, 4, 4, 2)).view(complex)[..., 0]
         stack = scale * (np.eye(4) + 1e-3 * (z + z.conj().swapaxes(-1, -2)) + 1e-9 * z)
         expected = [x.tolist() for x in array_residuals(stack, m)]
-        got = [metric_module._hermitian_residual(stack),
-               metric_module._membership_residual(stack, m),
-               metric_module._scaled(stack)[3]]
+        got = [[hermitian_residual(a) for a in stack],
+               [membership_residual(a, m) for a in stack],
+               [float(metric_module._scaled(a)[3]) for a in stack]]
         assert [[x.hex() for x in g] for g in got] == [[x.hex() for x in e] for e in expected]
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -950,6 +1016,9 @@ BAD_TRIPLES = {
     "sign_2": ((HYPERBOLIC, 1.0, 2), "block sign must be"),
     "negative_t": ((HYPERBOLIC, -0.5, 1), "must be nonnegative"),
     "nan_t": ((HYPERBOLIC, float("nan"), 1), "must be finite"),
+    "str_t": ((HYPERBOLIC, "1", 1), "must be a real number"),
+    "none_t": ((HYPERBOLIC, None, 1), "must be a real number"),
+    "complex_t": ((HYPERBOLIC, 1j, 1), "must be a real number"),
     "iota_with_t": ((IOTA, 0.3, -1), "iota blocks carry no hyperbolic parameter"),
 }
 
@@ -1006,6 +1075,17 @@ class TestOnePieceType:
             invariant_from_blocks([hyp(1.0), bad])
         with pytest.raises(ValueError, match=message):
             assemble_blocks([hyp(1.0), bad])
+
+    def test_replace_and_make_check_the_piece(self):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            HyperbolicBlock(HYPERBOLIC, 1.0, 1)._replace(t=-1.0)
+        with pytest.raises(ValueError, match="block sign must be"):
+            HyperbolicBlock._make((IOTA, 5.0, 7))
+        with pytest.raises(ValueError, match="must be a real number"):
+            HyperbolicBlock(HYPERBOLIC, 1.0, 1)._replace(t="2")
+        piece = HyperbolicBlock(HYPERBOLIC, 1.0, 1)._replace(t=2.0)
+        assert type(piece) is HyperbolicBlock and piece == (HYPERBOLIC, 2.0, 1)
+        assert HyperbolicBlock._make((IOTA, 0.0, -1)) == HyperbolicBlock(IOTA, 0.0, -1)
 
     @pytest.mark.parametrize("piece", [(HYPERBOLIC, 1.0), (HYPERBOLIC, 1.0, 1, 0)],
                              ids=["short", "long"])

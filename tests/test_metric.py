@@ -400,27 +400,21 @@ class TestFullRangeResiduals:
         _, norm = metric_module._refusals(a, metric, DEFAULT_TOL)
         assert float(norm) == np.linalg.norm(a)
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(residual_inputs())
-    def test_stack_items_match_single_matrices(self, case):
-        metric, a = case
-        stack = np.array([a, a.conj().T, 2.0 ** 600 * a], dtype=complex)
-        for fn in (lambda x: metric_module._membership_residual(x, metric),
-                   metric_module._hermitian_residual, metric_module._unitary_residual):
-            assert fn(stack) == [float(fn(x)) for x in stack]
-        messages, norms = metric_module._refusals(stack, metric, DEFAULT_TOL)
-        single = [metric_module._refusals(x, metric, DEFAULT_TOL) for x in stack]
-        assert messages == [m for (m,), _ in single]
-        assert norms == [float(n) for _, n in single]
-
     def test_stack_item_squares_its_norm_as_the_matrix_does(self):
-        # item 1693 read one ulp apart when the stack squared its norms with
-        # x * x and the matrix with pow; a tol between the two refused the
-        # one-item stack of canonical_invariant and accepted require_member
+        # item 1693 read one ulp apart when the invariant pass validated its
+        # stack on a path of its own, which squared norms with x * x; at this
+        # tol, its membership residual, canonical_invariant refused it and
+        # require_member accepted it
         m = make_metric(2, 2)
         z = np.random.default_rng(17).standard_normal((3000, 4, 4, 2)).view(complex)[..., 0]
         a = (np.eye(4) + 1e-3 * (z + z.conj().swapaxes(-1, -2)) + 1e-9 * z)[1693]
         tol = 0.00255307948817986
-        assert metric_module._membership_residual(a[None], m) == [membership_residual(a, m)]
-        assert metric_module._refusals(a[None], m, tol)[0] == [None]
+        assert membership_residual(a, m) == tol
         require_member(a, m, tol)
+        canonical_invariant(a, m, tol)
+        below = np.nextafter(tol, 0.0)
+        with pytest.raises(MembershipError, match="membership residual") as refused:
+            require_member(a, m, below)
+        with pytest.raises(MembershipError) as also_refused:
+            canonical_invariant(a, m, below)
+        assert str(also_refused.value) == str(refused.value)
