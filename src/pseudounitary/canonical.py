@@ -64,19 +64,25 @@ class HyperbolicBlock(namedtuple("HyperbolicBlock", "kind t sign", defaults=(0.0
     def __new__(cls, kind: str, t: float = 0.0, sign: int = 1):
         if kind not in (HYPERBOLIC, IOTA):
             raise ValueError(f"unknown block kind {kind!r}")
-        if sign not in (1, -1):
+        # bool is a subclass of int, but True is neither a sign nor a parameter
+        if isinstance(sign, (bool, np.bool_)) or sign not in (1, -1):
             raise ValueError("block sign must be +1 or -1")
         try:
             finite = math.isfinite(t)
         except TypeError:
-            raise ValueError(f"block parameter must be a real number, got {t!r}") from None
+            finite = None
+        if finite is None or isinstance(t, (bool, np.bool_)):
+            raise ValueError(f"block parameter must be a real number, got {t!r}")
         if not finite:
             raise ValueError("block parameter must be finite")
+        t = float(t)
         if kind == IOTA and t != 0.0:
             raise ValueError("iota blocks carry no hyperbolic parameter")
         if t < 0:
             raise ValueError("hyperbolic parameter must be nonnegative")
-        return tuple.__new__(cls, (kind, t, sign))
+        # stored as the plain types every piece list holds: str, float, int
+        return tuple.__new__(cls, (HYPERBOLIC if kind == HYPERBOLIC else IOTA, t,
+                                   1 if sign == 1 else -1))
 
     @classmethod
     def _make(cls, iterable):

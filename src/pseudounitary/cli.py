@@ -118,13 +118,9 @@ def _cmd_generators(args) -> int:
         "sigma": gens.sigma,
         "count": gens.k,
         "generators": [
-            {
-                "lambda": float(gens.lambdas[j]),
-                "alpha": float(gens.alphas[j]),
-                "beta": float(gens.betas[j]),
-                "vector": _entries(gens.vectors[j]),
-            }
-            for j in range(gens.k)
+            {"lambda": lam, "alpha": alpha, "beta": beta, "vector": _entries(z)}
+            for lam, alpha, beta, z in zip(gens.lambdas.tolist(), gens.alphas.tolist(),
+                                           gens.betas.tolist(), gens.vectors)
         ],
     })
     return 0

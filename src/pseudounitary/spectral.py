@@ -108,36 +108,30 @@ def validate_generators(gens: GeneratorSet, tol: float = DEFAULT_TOL) -> list[st
 
     Each message starts with the failed condition: orthonormality,
     J-orthogonality, norm-sum, alpha=beta degeneracy, or lambda mismatch.
+    All of them are read off the Grams pg of the positive and mg of the
+    negative parts: pg + mg is the Gram of the vectors, pg - mg their J-Gram,
+    and the diagonals are alpha^2 and beta^2.
     """
     problems: list[str] = []
-    k = gens.k
-    if k == 0:
+    if gens.k == 0:
         return problems
-    v = gens.vectors
-    lam = gens.lambdas
-    signs = gens.metric.signs
+    pp, mm, lam = gens.plus_parts, gens.minus_parts, gens.lambdas
+    pg, mg = pp.conj() @ pp.T, mm.conj() @ mm.T
+    al2, be2 = pg.diagonal().real.copy(), mg.diagonal().real.copy()
 
-    gram = v.conj() @ v.T
-    dev = float(np.max(np.abs(gram - np.eye(k))))
+    dev = float(np.max(np.abs(pg + mg - np.eye(gens.k))))
     if dev > tol:
         problems.append(f"orthonormality: largest Gram deviation {dev:.3e}")
 
-    jgram = v.conj() @ (signs[None, :] * v).T
-    cross = 0.0
-    if k > 1:
-        off = jgram - np.diag(np.diagonal(jgram))
-        cross = float(np.max(np.abs(off)))
-        # Derived split conditions: positive and negative parts pairwise orthogonal.
-        pp = gens.plus_parts
-        mm = gens.minus_parts
-        pgram = pp.conj() @ pp.T - np.diag(np.linalg.norm(pp, axis=1) ** 2)
-        mgram = mm.conj() @ mm.T - np.diag(np.linalg.norm(mm, axis=1) ** 2)
-        cross = max(cross, float(np.max(np.abs(pgram))), float(np.max(np.abs(mgram))))
+    # off the diagonal: the J-Gram, and the derived split conditions that the
+    # positive and negative parts are pairwise orthogonal
+    jgram = pg - mg
+    for g in (jgram, pg, mg):
+        np.fill_diagonal(g, 0.0)
+    cross = float(max(np.max(np.abs(g)) for g in (jgram, pg, mg)))
     if cross > tol:
         problems.append(f"J-orthogonality: largest cross term {cross:.3e}")
 
-    al2 = gens.alphas ** 2
-    be2 = gens.betas ** 2
     ndev = float(np.max(np.abs(al2 + be2 - 1.0)))
     if ndev > tol:
         problems.append(f"norm-sum: largest deviation of alpha^2 + beta^2 from 1 is {ndev:.3e}")
@@ -151,9 +145,7 @@ def validate_generators(gens: GeneratorSet, tol: float = DEFAULT_TOL) -> list[st
     degenerate = bad & (np.abs(denom) <= tol)
     if np.any(degenerate):
         worst = float(np.min(np.abs(denom[degenerate])))
-        problems.append(
-            f"alpha=beta degeneracy: smallest |alpha^2 - beta^2| is {worst:.3e}"
-        )
+        problems.append(f"alpha=beta degeneracy: smallest |alpha^2 - beta^2| is {worst:.3e}")
     if np.any(bad & ~degenerate):
         ldev = float(np.max(dev[bad & ~degenerate]))
         problems.append(f"lambda mismatch: largest relative deviation {ldev:.3e}")
@@ -165,9 +157,5 @@ def construct_from_generators(gens: GeneratorSet, tol: float = DEFAULT_TOL) -> n
     problems = validate_generators(gens, tol)
     if problems:
         raise ValueError("invalid generator set: " + "; ".join(problems))
-    metric = gens.metric
-    acc = -np.diag(metric.signs).astype(complex)
-    if gens.k:
-        v = gens.vectors
-        acc = acc + v.T @ (gens.lambdas[:, None] * v.conj())
-    return gens.sigma * acc
+    v = gens.vectors
+    return gens.sigma * (v.T @ (gens.lambdas[:, None] * v.conj()) - np.diag(gens.metric.signs))

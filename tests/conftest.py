@@ -593,3 +593,55 @@ def array_rules_invariants(stack: np.ndarray, metric: SignatureMetric, tol: floa
         else:
             out[k] = block_invariant(_array_pieces(ts, excess[k]))
     return out
+
+
+def four_product_validate_generators(gens: GeneratorSet, tol: float = DEFAULT_TOL) -> list:
+    """The generator-set check with four products: the Gram, the J-Gram, the
+    Grams of both parts less their row norms squared, and norms from row norms.
+
+    Kept as the oracle of spectral.validate_generators, which reads the same
+    conditions off the two part-Grams; same message prefixes and order.
+    """
+    problems = []
+    k = gens.k
+    if k == 0:
+        return problems
+    v = gens.vectors
+    lam = gens.lambdas
+    signs = gens.metric.signs
+
+    gram = v.conj() @ v.T
+    dev = float(np.max(np.abs(gram - np.eye(k))))
+    if dev > tol:
+        problems.append(f"orthonormality: largest Gram deviation {dev:.3e}")
+
+    jgram = v.conj() @ (signs[None, :] * v).T
+    cross = 0.0
+    if k > 1:
+        off = jgram - np.diag(np.diagonal(jgram))
+        cross = float(np.max(np.abs(off)))
+        pp = gens.plus_parts
+        mm = gens.minus_parts
+        pgram = pp.conj() @ pp.T - np.diag(np.linalg.norm(pp, axis=1) ** 2)
+        mgram = mm.conj() @ mm.T - np.diag(np.linalg.norm(mm, axis=1) ** 2)
+        cross = max(cross, float(np.max(np.abs(pgram))), float(np.max(np.abs(mgram))))
+    if cross > tol:
+        problems.append(f"J-orthogonality: largest cross term {cross:.3e}")
+
+    al2 = gens.alphas ** 2
+    be2 = gens.betas ** 2
+    ndev = float(np.max(np.abs(al2 + be2 - 1.0)))
+    if ndev > tol:
+        problems.append(f"norm-sum: largest deviation of alpha^2 + beta^2 from 1 is {ndev:.3e}")
+
+    denom = al2 - be2
+    dev = np.abs(lam * denom - 2.0) / np.maximum(np.abs(lam), 2.0)
+    bad = dev > tol
+    degenerate = bad & (np.abs(denom) <= tol)
+    if np.any(degenerate):
+        worst = float(np.min(np.abs(denom[degenerate])))
+        problems.append(f"alpha=beta degeneracy: smallest |alpha^2 - beta^2| is {worst:.3e}")
+    if np.any(bad & ~degenerate):
+        ldev = float(np.max(dev[bad & ~degenerate]))
+        problems.append(f"lambda mismatch: largest relative deviation {ldev:.3e}")
+    return problems

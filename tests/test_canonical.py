@@ -1,6 +1,7 @@
 """Block assembly, decomposition, canonical invariants, and equivalence."""
 
 import io
+import itertools
 import json
 import warnings
 from unittest import mock
@@ -1020,7 +1021,17 @@ BAD_TRIPLES = {
     "none_t": ((HYPERBOLIC, None, 1), "must be a real number"),
     "complex_t": ((HYPERBOLIC, 1j, 1), "must be a real number"),
     "iota_with_t": ((IOTA, 0.3, -1), "iota blocks carry no hyperbolic parameter"),
+    "bool_sign": ((HYPERBOLIC, 1.0, True), "block sign must be"),
+    "numpy_bool_sign": ((IOTA, 0.0, np.True_), "block sign must be"),
+    "bool_t": ((HYPERBOLIC, True, 1), "must be a real number"),
+    "numpy_bool_t": ((IOTA, np.False_, 1), "must be a real number"),
 }
+
+
+def plain_types(pieces) -> bool:
+    """Every piece is exactly (str, float, int): no bool, numpy scalar or 0-d array."""
+    return all(type(kind) is str and type(t) is float and type(sign) is int
+               for kind, t, sign in pieces)
 
 
 def decompose_payload(M, m) -> list:
@@ -1086,6 +1097,30 @@ class TestOnePieceType:
         piece = HyperbolicBlock(HYPERBOLIC, 1.0, 1)._replace(t=2.0)
         assert type(piece) is HyperbolicBlock and piece == (HYPERBOLIC, 2.0, 1)
         assert HyperbolicBlock._make((IOTA, 0.0, -1)) == HyperbolicBlock(IOTA, 0.0, -1)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(kind_mix_specs(), st.sampled_from([1, -1]))
+    def test_every_piece_list_holds_plain_types(self, spec, sign):
+        M, truth = sample_us_pp(spec)
+        M = sign * M
+        dec = block_decompose(M, spec.metric)
+        # the same pieces handed over as numpy strings, floats, 0-d arrays and
+        # float or numpy integer signs
+        casts = itertools.cycle([(np.str_, np.float64, float), (np.str_, np.array, np.int64)])
+        loose = [tuple(cast(x) for cast, x in zip(c, piece)) for c, piece in zip(casts, dec.blocks)]
+        assert plain_types(dec.blocks) and plain_types(truth.blocks)
+        for pieces in (dec.blocks, truth.blocks, loose):
+            assert plain_types(invariant_from_blocks(pieces).triples)
+            assert plain_types(HyperbolicBlock(*x) for x in pieces)
+        assert plain_types(canonical_invariant(M, spec.metric).triples)
+        assert _bitwise(invariant_from_blocks(loose)) == _bitwise(invariant_from_blocks(dec.blocks))
+
+    def test_loose_types_are_stored_plain(self):
+        inv = invariant_from_blocks([(HYPERBOLIC, 1.0, 1.0), (IOTA, 0, np.int64(1))])
+        assert inv.triples == ((HYPERBOLIC, 1.0, 1), (IOTA, 0.0, 1))
+        assert plain_types(inv.triples)
+        piece = HyperbolicBlock(np.str_(HYPERBOLIC), np.array(1.5), np.float64(-1.0))
+        assert piece == (HYPERBOLIC, 1.5, -1) and plain_types([piece])
 
     @pytest.mark.parametrize("piece", [(HYPERBOLIC, 1.0), (HYPERBOLIC, 1.0, 1, 0)],
                              ids=["short", "long"])

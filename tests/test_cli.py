@@ -18,9 +18,11 @@ from pseudounitary import (
     canonical,
     dumps_matrix,
     exp_us,
+    extract_generators,
     loads_matrix,
     make_metric,
     sample_upq,
+    sample_us_lie,
 )
 from pseudounitary.cli import main
 from pseudounitary.matrixfile import KIND_BLOCK, KIND_SQUARE
@@ -162,6 +164,32 @@ class TestGenerators:
         assert result["count"] == 0
         assert result["sigma"] == 1
 
+
+    @pytest.mark.parametrize("source", [("uspp", p, p, seed) for p in (1, 2, 3, 6, 11, 16)
+                                        for seed in (1, 2)]
+                             + [("exp", 3, 5, 7), ("exp", 5, 3, 7)], ids=str)
+    def test_report_is_bitwise_the_extracted_arrays(self, tmp_path, capsys, source):
+        family, p, q, seed = source
+        metric = make_metric(p, q)
+        if family == "uspp":
+            code, text, _ = run_cli(capsys, "sample", "--family", "uspp", "--p", str(p),
+                                    "--q", str(q), "--seed", str(seed))
+            assert code == 0
+            path = tmp_path / "m.json"
+            path.write_text(text)
+            path = str(path)
+        else:
+            path = write_square(tmp_path / "m.json", exp_us(sample_us_lie(metric, seed)), metric)
+        code, out, _ = run_cli(capsys, "generators", path)
+        assert code == 0
+        gens = extract_generators(loads_matrix(Path(path).read_text()).matrix, metric)
+        result = json.loads(out)["result"]
+        assert (result["sigma"], result["count"]) == (gens.sigma, gens.k) and gens.k
+        for field, values in (("lambda", gens.lambdas), ("alpha", gens.alphas),
+                              ("beta", gens.betas)):
+            assert np.array([g[field] for g in result["generators"]]).tobytes() == values.tobytes()
+        vectors = np.array([g["vector"] for g in result["generators"]]).view(complex)
+        assert vectors.reshape(gens.k, metric.n).tobytes() == gens.vectors.tobytes()
 
     def test_sample_past_t_19_reassembles(self, capsys, monkeypatch):
         # a uspp sample with t up to 25: the generators come off the frame, so

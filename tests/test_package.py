@@ -92,3 +92,58 @@ def test_module_constants_are_used():
     assert SOURCES
     assert unread_constants({path.name: path.read_text(encoding="utf-8")
                              for path in SOURCES}) == []
+
+
+# private functions that nothing in the sources calls by name, with the reason
+# each still has to exist
+UNREFERENCED_ALLOWED = {
+    "canonical.py:HyperbolicBlock._make": "the namedtuple's _replace calls it",
+}
+
+
+def unreferenced_private_functions(sources: dict) -> list:
+    """Private functions and methods that no code in the given sources references.
+
+    sources maps a file name to its text. A function counts as referenced
+    where its name is loaded, as a name or as an attribute, anywhere in the
+    sources; its own definition and imports of it do not count. Dunder
+    methods are not private.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    found = []
+    for name, tree in trees.items():
+        scopes = [("", tree)]
+        while scopes:
+            prefix, scope = scopes.pop()
+            for node in scope.body:
+                if isinstance(node, ast.ClassDef):
+                    scopes.append((f"{prefix}{node.name}.", node))
+                elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and node.name.startswith("_") and not node.name.endswith("__")
+                      and node.name not in read):
+                    found.append(f"{name}:{prefix}{node.name}")
+    return sorted(found)
+
+
+def test_private_function_guard_sees_a_left_over_helper():
+    sources = {"a.py": ("def _used(x):\n    return x\n\ndef _left(x):\n    return x\n\n"
+                        "class C:\n    def __init__(self):\n        self.v = _used(1)\n\n"
+                        "    def _method(self):\n        return 0\n\n"
+                        "    def _called(self):\n        return 1\n"),
+               "b.py": ("from .a import _left, C\n\ndef f():\n    return C()._called()\n")}
+    assert unreferenced_private_functions(sources) == ["a.py:C._method", "a.py:_left"]
+
+
+def test_private_functions_are_used():
+    # a helper left behind after its last caller is gone
+    assert SOURCES
+    found = unreferenced_private_functions({path.name: path.read_text(encoding="utf-8")
+                                            for path in SOURCES})
+    assert found == sorted(UNREFERENCED_ALLOWED)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     block_unitary,
     count_calls,
+    four_product_validate_generators,
     hyperbolic,
     nxn_generators,
     per_piece_frame,
@@ -556,3 +557,87 @@ class TestFrameRoute:
         # past t of about 20 the small piece is below the rounding of the large
         # one, and its sign, hence sigma, may read either way within the bound
         assert np.abs(gens.lambdas).max() == pytest.approx(2.0 * np.cosh(t), rel=1e-12)
+
+
+TAMPERINGS = ("none", "perturb", "duplicate", "swap", "shift", "degenerate")
+
+
+@st.composite
+def checked_generator_sets(draw):
+    """A valid generator set, tampered with one way or left alone.
+
+    Valid sets come from random_generator_set, from extract_generators of
+    frame members (p, q <= 6, both orientations), or are the closed-form pair
+    of a hyperbolic piece at t up to 700. Tamperings move one vector by
+    10^-7 .. 10^-1, copy one vector onto another, exchange the leading entries
+    of a vector's two parts, scale one lambda by 1 + 10^-7 .. 1 + 10^-1, or
+    replace a vector by one with alpha = beta.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    source = draw(st.sampled_from(["random", "extracted", "closed form"]))
+    if source == "random":
+        m = make_metric(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+        gens = random_generator_set(m, draw(st.integers(0, min(m.p, m.q))), rng,
+                                    sigma=draw(st.sampled_from([1, -1])))
+    elif source == "extracted":
+        m, M = draw(frame_members())
+        gens = extract_generators(M, m)
+    else:
+        m, t, e = make_metric(1, 1), draw(st.floats(0.0, 700.0)), draw(st.sampled_from([1, -1]))
+        sech = 1.0 / np.cosh(t)
+        z = np.array([[np.sqrt((1.0 + e * sech) / 2.0), np.sqrt((1.0 - e * sech) / 2.0)]])
+        gens = GeneratorSet(metric=m, sigma=1, lambdas=np.array([2.0 * e * np.cosh(t)]),
+                            vectors=z)
+    lam, vec, k, p = gens.lambdas.copy(), gens.vectors.copy(), gens.k, m.p
+    tamper = draw(st.sampled_from(TAMPERINGS)) if k else "none"
+    i = draw(st.integers(0, k - 1)) if k else 0
+    size = 10.0 ** draw(st.sampled_from([-7, -5, -3, -1]))
+    if tamper == "perturb":
+        d = rng.standard_normal(m.n) + 1j * rng.standard_normal(m.n)
+        vec[i] += size * d / np.linalg.norm(d)
+    elif tamper == "duplicate" and k > 1:
+        j = (i + 1) % k
+        vec[j], lam[j] = vec[i], lam[i]
+    elif tamper == "swap":
+        w = min(p, m.q)
+        vec[i, :w], vec[i, p:p + w] = vec[i, p:p + w].copy(), vec[i, :w].copy()
+    elif tamper == "shift":
+        lam[i] *= 1.0 + size
+    elif tamper == "degenerate" and p and m.q:
+        u = rng.standard_normal(m.n) + 1j * rng.standard_normal(m.n)
+        u[:p] /= np.linalg.norm(u[:p])
+        u[p:] /= np.linalg.norm(u[p:])
+        vec[i] = u / np.sqrt(2.0)
+    tol = draw(st.sampled_from([DEFAULT_TOL, 1e-8]))
+    return GeneratorSet(metric=m, sigma=gens.sigma, lambdas=lam, vectors=vec), tol
+
+
+class TestTwoProductValidation:
+    """validate_generators reads every condition off the two part-Grams; the
+    four-product check it replaced is the oracle."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(checked_generator_sets())
+    def test_agrees_with_the_four_product_check(self, case):
+        gens, tol = case
+        got = validate_generators(gens, tol)
+        ref = four_product_validate_generators(gens, tol)
+        assert [msg.split(":")[0] for msg in got] == [msg.split(":")[0] for msg in ref]
+        # each message ends with its value, printed to four digits
+        values = [[float(msg.rsplit(" ", 1)[1]) for msg in msgs] for msgs in (got, ref)]
+        np.testing.assert_allclose(*values, rtol=1e-3, atol=1e-13)
+
+    def test_forms_two_products_and_no_row_norms(self, monkeypatch):
+        gens = random_generator_set(make_metric(3, 4), 3, np.random.default_rng(8))
+        norms = count_calls(monkeypatch, "norm", np.linalg)
+        products = []
+        matmul = np.ndarray.__matmul__
+
+        class Counted(np.ndarray):
+            def __matmul__(self, other):
+                products.append(self.shape)
+                return matmul(np.asarray(self), np.asarray(other))
+        # the vectors as an array whose @ records its left operand's shape
+        object.__setattr__(gens, "vectors", gens.vectors.view(Counted))
+        assert validate_generators(gens) == []
+        assert products == [(3, 3), (3, 4)] and norms == []
