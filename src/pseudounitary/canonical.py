@@ -353,52 +353,55 @@ def invariant_from_blocks(blocks) -> CanonicalInvariant:
     return _normalized([HyperbolicBlock(k, t, s) for k, t, s in blocks])
 
 
-def _unresolvable(s: list, h: list, t: list) -> MembershipError | None:
+def _require_resolvable(s: list, h: list, t: list) -> None:
     """The resolvability rule on pieces with couplings s, h = hypot(1, s) and t = arcsinh(s).
 
     Rounding of size eps * max(s) moves t_j = arccosh(h_j) by eps * max(s) / h_j;
     a piece is refused where that is not within T_COMPARE_TOL * max(1, t_j / 20),
-    a NaN included. Returns the refusal naming the worst piece's measured
-    value, its limit and their ratio, or None.
+    a NaN included. Raises the MembershipError naming the worst piece's
+    measured value, its limit and their ratio.
     """
     # h_j >= 1 and every limit is at least T_COMPARE_TOL, so no piece is
     # refused while eps * sum(s) is within it; a NaN or inf in s fails this test
     if _EPS * sum(s) <= T_COMPARE_TOL:
-        return None
+        return
     c = _EPS * max(s)
     measured = [c / x for x in h]
     limit = [T_COMPARE_TOL * max(1.0, x / 20.0) for x in t]
     if all([m <= x for m, x in zip(measured, limit)]):
-        return None
+        return
     ratio = [m / x for m, x in zip(measured, limit)]
     j = ratio.index(max(ratio))
-    return MembershipError(
+    raise MembershipError(
         f"hyperbolic parameters not resolvable: eps * s_max / h is {measured[j]:.3e} "
         f"against the limit {limit[j]:.3e}, a ratio of {ratio[j]:.3g}")
 
 
-def _invariants(stack: np.ndarray, metric: SignatureMetric, tol: float) -> list:
-    """Canonical invariants of the items of a (B, 2p, 2p) stack of coerced matrices.
+def _invariants(matrices, metric: SignatureMetric, tol: float) -> list:
+    """Canonical invariants of the given members at (p, p), in order, from one stacked pass.
 
-    Returns, in item order, a CanonicalInvariant or the MembershipError that
-    refuses the item, up to the first item validation refuses; the items
-    after it are not computed and hold None, since every caller stops at the
-    first refusal. The items are validated one by one, as require_member
-    validates a matrix; one eigh of the M11 stack, one eigvalsh of the M22
-    stack and one SVD then serve the items validation accepted. The rules of
-    canonical_invariant run item by item on Python floats, and _normalized
-    reads each invariant off plain triples.
+    Raises the MembershipError of the first refused matrix, in order, so a
+    pair is refused with the message its first refused member gets alone.
+    Every matrix is coerced before any is validated; validation, one matrix
+    at a time as require_member validates it, stops at the first refusal.
+    One eigh of the M11 stack, one eigvalsh of the M22 stack and one SVD
+    serve the matrices accepted before it. The rules of canonical_invariant run item
+    by item on Python floats and raise at their first refusal; the
+    validation refusal is raised after them. _normalized reads each
+    invariant off plain triples.
     """
+    if metric.p != metric.q:
+        raise ValueError("the canonical invariant is defined for signature (p, p)")
     p = metric.p
-    out, norms = [None] * len(stack), []
+    stack = np.array([as_matrix(m, (metric.n, metric.n)) for m in matrices])
+    refusal, norms = None, []
     for a in stack:
         refusal, norm = _refusals(a, metric, tol)
         if refusal:
-            out[len(norms)] = MembershipError(refusal)
             break
         norms.append(norm)
     if not norms:
-        return out
+        raise MembershipError(refusal)
     stack = stack[:len(norms)]
     lam11, x = np.linalg.eigh(stack[:, :p, :p])
     lam22 = np.linalg.eigvalsh(stack[:, p:, p:])
@@ -412,6 +415,7 @@ def _invariants(stack: np.ndarray, metric: SignatureMetric, tol: float) -> list:
     s_all, t_all, h_all = s.tolist(), np.arcsinh(s).tolist(), np.hypot(1.0, s).tolist()
     # a float, so that a numpy scalar tol does not set the precision of the bounds
     bound = float(1000.0 * tol)
+    out = []
     for k, (lam, lam2, norm) in enumerate(zip(lam11.tolist(), lam22.tolist(), norms)):
         # eigh sorts ascending, so |lambda| descends over the n negative
         # eigenvalues and over the reversed positive ones, as s does: the
@@ -419,18 +423,14 @@ def _invariants(stack: np.ndarray, metric: SignatureMetric, tol: float) -> list:
         n = bisect_left(lam, 0.0)
         t0, t1 = t_all[0][k][:n], t_all[1][k][:p - n]
         h = h_all[0][k][:n] + h_all[1][k][:p - n]
-        refusal = _unresolvable(s_all[0][k][:n] + s_all[1][k][:p - n], h, t0 + t1)
-        if refusal is None:
-            # |eig(M11)| side by side, then the p values of |eig(M22)|,
-            # descending, against h = sqrt(1 + s^2)
-            mag = list(map(abs, lam))
-            err = max(map(abs, map(sub, mag[:n] + mag[n:][::-1] + sorted(map(abs, lam2), reverse=True),
-                                   h + sorted(h, reverse=True))))
-            if err > bound * max(1.0, norm):
-                refusal = MembershipError(f"block spectra inconsistent: residual {err:.3e}")
-        if refusal is not None:
-            out[k] = refusal
-            continue
+        _require_resolvable(s_all[0][k][:n] + s_all[1][k][:p - n], h, t0 + t1)
+        # |eig(M11)| side by side, then the p values of |eig(M22)|,
+        # descending, against h = sqrt(1 + s^2)
+        mag = list(map(abs, lam))
+        err = max(map(abs, map(sub, mag[:n] + mag[n:][::-1] + sorted(map(abs, lam2), reverse=True),
+                               h + sorted(h, reverse=True))))
+        if err > bound * max(1.0, norm):
+            raise MembershipError(f"block spectra inconsistent: residual {err:.3e}")
         # hyperbolic pieces put the same sign into M11 and M22, iota pieces
         # opposite signs, so (after iota-pair merging) the iota count is the
         # excess of positive eigenvalues of M11 over M22, and its sign is the
@@ -441,24 +441,10 @@ def _invariants(stack: np.ndarray, metric: SignatureMetric, tol: float) -> list:
             t1 = t1[:len(t1) - excess]
         elif excess < 0:
             t0 = t0[:n + excess]
-        out[k] = _normalized([(HYPERBOLIC, x, -1) for x in t0] + [(HYPERBOLIC, x, 1) for x in t1]
-                             + [(IOTA, 0.0, 1 if excess > 0 else -1)] * abs(excess))
-    return out
-
-
-def _checked_invariants(matrices, metric: SignatureMetric, tol: float) -> list:
-    """Invariants of the given members from one stacked pass.
-
-    Raises the MembershipError of the first refused matrix, in order, so a
-    pair is refused with the message its first refused member gets alone.
-    """
-    if metric.p != metric.q:
-        raise ValueError("the canonical invariant is defined for signature (p, p)")
-    shape = (metric.n, metric.n)
-    out = _invariants(np.array([as_matrix(m, shape) for m in matrices]), metric, tol)
-    for inv in out:
-        if isinstance(inv, MembershipError):
-            raise inv
+        out.append(_normalized([(HYPERBOLIC, x, -1) for x in t0] + [(HYPERBOLIC, x, 1) for x in t1]
+                               + [(IOTA, 0.0, 1 if excess > 0 else -1)] * abs(excess)))
+    if refusal:
+        raise MembershipError(refusal)
     return out
 
 
@@ -486,7 +472,7 @@ def canonical_invariant(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) ->
     far from their gap), or when the paired spectra violate
     |lambda|^2 - s^2 = 1 beyond the reassembly bound of block_decompose.
     """
-    return _checked_invariants([M], metric, tol)[0]
+    return _invariants([M], metric, tol)[0]
 
 
 def are_equivalent(M1, M2, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> bool:
@@ -495,5 +481,5 @@ def are_equivalent(M1, M2, metric: SignatureMetric, tol: float = DEFAULT_TOL) ->
     Both invariants come from one stacked pass: one validation per matrix,
     then one eigh, one eigvalsh and one SVD call for the pair.
     """
-    inv1, inv2 = _checked_invariants([M1, M2], metric, tol)
+    inv1, inv2 = _invariants([M1, M2], metric, tol)
     return inv1.matches(inv2)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .canonical import (
     T_COMPARE_TOL,
-    _checked_invariants,
+    _invariants,
     block_decompose,
     canonical_invariant,
     invariant_from_blocks,
@@ -158,7 +158,7 @@ def _cmd_equiv(args) -> int:
             f"signature mismatch: ({doc1.metric.p}, {doc1.metric.q}) vs "
             f"({doc2.metric.p}, {doc2.metric.q})"
         )
-    inv1, inv2 = _checked_invariants([doc1.matrix, doc2.matrix], doc1.metric, args.tol)
+    inv1, inv2 = _invariants([doc1.matrix, doc2.matrix], doc1.metric, args.tol)
     equivalent = inv1.matches(inv2)
     tolerances = {"membership": args.tol, "t_compare": T_COMPARE_TOL}
     _print_report("equiv", [source1, source2], tolerances, None, {

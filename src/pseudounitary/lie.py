@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import _T_MAX, _unresolvable
+from .canonical import _T_MAX, _require_resolvable
 from .metric import (
     DEFAULT_TOL,
     MembershipError,
@@ -101,9 +101,7 @@ def _trace_deficit(a: np.ndarray, s: np.ndarray, metric: SignatureMetric) -> flo
     # svd sorts s descending, and the padding zeros go last: h[0] is h_max, h[-1] h_min
     sp = _padded(s, max(p, q))
     h = np.hypot(1.0, sp)
-    refusal = _unresolvable(sp.tolist(), h.tolist(), np.arcsinh(sp).tolist())
-    if refusal is not None:
-        raise refusal
+    _require_resolvable(sp.tolist(), h.tolist(), np.arcsinh(sp).tolist())
     # a power of two at most 1 / h_max keeps the sums finite for any member
     c = math.ldexp(1.0, -math.frexp(h[0])[1])
     bound = 2.0 * (c * h[:s.size]).sum() + c * abs(p - q)

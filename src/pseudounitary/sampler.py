@@ -57,7 +57,7 @@ class SampleSpec:
         if self.metric.p != self.metric.q:
             raise ValueError("block sampling needs a (p, p) signature")
         w = tuple(float(x) for x in self.block_kind_weights)
-        if len(w) != 4 or any(x < 0 for x in w) or abs(sum(w) - 1.0) > 1e-9:
+        if len(w) != 4 or not (all(x >= 0 for x in w) and abs(sum(w) - 1.0) <= 1e-9):
             raise ValueError("block_kind_weights must be four nonnegative numbers summing to 1")
         object.__setattr__(self, "block_kind_weights", w)
         if not (0 < self.t_max < np.inf):

@@ -32,8 +32,10 @@ class GeneratorSet:
     vectors: np.ndarray
 
     def __post_init__(self):
-        if self.sigma not in (1, -1):
+        # bool is a subclass of int, but True is not a sign
+        if isinstance(self.sigma, (bool, np.bool_)) or self.sigma not in (1, -1):
             raise ValueError("sigma must be +1 or -1")
+        object.__setattr__(self, "sigma", 1 if self.sigma == 1 else -1)
         lam = np.asarray(self.lambdas, dtype=float).reshape(-1)
         vec = as_matrix(self.vectors, (lam.size, self.metric.n), "vectors")
         as_matrix(lam, lam.shape, "lambdas")
@@ -120,7 +122,7 @@ def validate_generators(gens: GeneratorSet, tol: float = DEFAULT_TOL) -> list[st
     al2, be2 = pg.diagonal().real.copy(), mg.diagonal().real.copy()
 
     dev = float(np.max(np.abs(pg + mg - np.eye(gens.k))))
-    if dev > tol:
+    if not dev <= tol:
         problems.append(f"orthonormality: largest Gram deviation {dev:.3e}")
 
     # off the diagonal: the J-Gram, and the derived split conditions that the
@@ -129,11 +131,11 @@ def validate_generators(gens: GeneratorSet, tol: float = DEFAULT_TOL) -> list[st
     for g in (jgram, pg, mg):
         np.fill_diagonal(g, 0.0)
     cross = float(max(np.max(np.abs(g)) for g in (jgram, pg, mg)))
-    if cross > tol:
+    if not cross <= tol:
         problems.append(f"J-orthogonality: largest cross term {cross:.3e}")
 
     ndev = float(np.max(np.abs(al2 + be2 - 1.0)))
-    if ndev > tol:
+    if not ndev <= tol:
         problems.append(f"norm-sum: largest deviation of alpha^2 + beta^2 from 1 is {ndev:.3e}")
 
     # lambda (alpha^2 - beta^2) = 2 within tol |lambda|, for |lambda| >= 2: the
@@ -141,7 +143,7 @@ def validate_generators(gens: GeneratorSet, tol: float = DEFAULT_TOL) -> list[st
     # carries an absolute rounding error of about eps
     denom = al2 - be2
     dev = np.abs(lam * denom - 2.0) / np.maximum(np.abs(lam), 2.0)
-    bad = dev > tol
+    bad = ~(dev <= tol)
     degenerate = bad & (np.abs(denom) <= tol)
     if np.any(degenerate):
         worst = float(np.min(np.abs(denom[degenerate])))

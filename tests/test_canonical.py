@@ -726,10 +726,35 @@ def _refusal(call):
     return None
 
 
-def _same_result(a, b) -> bool:
-    if isinstance(a, MembershipError) or isinstance(b, MembershipError):
-        return type(a) is type(b) and str(a) == str(b)
-    return a is b is None or a.triples == b.triples
+def _invariant_or_refusal(call):
+    """The CanonicalInvariant call() returns, or the MembershipError it raises."""
+    try:
+        return call()
+    except MembershipError as e:
+        return e
+
+
+def _outcome(call):
+    """The invariants call() returns with their floats as bit patterns, or the
+    type and message of the MembershipError it raises."""
+    try:
+        return [_bitwise(r) for r in call()]
+    except MembershipError as e:
+        return _bitwise(e)
+
+
+def _first_refusal_or_all(results):
+    """The outcome of the pass over matrices with these results one by one:
+    the first refusal, in order, or every invariant."""
+    refused = [r for r in results if isinstance(r, MembershipError)]
+    return _bitwise(refused[0]) if refused else [_bitwise(r) for r in results]
+
+
+def _batches(alone) -> list:
+    """Index lists of the stacks to pass: each matrix after the matrices before
+    it whose result alone is an invariant, then the whole stack."""
+    accepted = [k for k, r in enumerate(alone) if isinstance(r, CanonicalInvariant)]
+    return [[j for j in accepted if j < k] + [k] for k in range(len(alone))] + [list(range(len(alone)))]
 
 
 class TestStackedInvariants:
@@ -738,18 +763,13 @@ class TestStackedInvariants:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(mixed_stacks())
     def test_stack_is_bitwise_the_single_calls(self, case):
+        # each matrix, last in a stack or alone, bitwise its single call; the
+        # whole stack returns every invariant or raises the first refusal
         m, stack = case
-        got = canonical._invariants(stack, m, DEFAULT_TOL)
-        assert len(got) == len(stack)
-        validated = True
-        for item, result in zip(stack, got):
-            if not validated:
-                # the items after the first one validation refuses are skipped
-                assert result is None
-                continue
-            single = canonical._invariants(item[None], m, DEFAULT_TOL)
-            assert _same_result(result, single[0])
-            validated = metric_module._refusals(item, m, DEFAULT_TOL)[0] is None
+        alone = [_invariant_or_refusal(lambda: canonical_invariant(a, m)) for a in stack]
+        for idx in _batches(alone):
+            got = _outcome(lambda: canonical._invariants(stack[idx], m, DEFAULT_TOL))
+            assert got == _first_refusal_or_all([alone[k] for k in idx])
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(block_form_specs(), st.sampled_from([1.0, -1.0]), st.floats(0.05, 0.5),
@@ -930,10 +950,12 @@ class TestArrayRulesOracle:
     @settings(max_examples=250, deadline=None, derandomize=True, database=None)
     @given(oracle_stacks())
     def test_pass_is_bitwise_the_array_rules(self, case):
+        # each matrix, last in a stack or alone, and the whole stack
         m, stack, tol = case
-        got = canonical._invariants(stack, m, tol)
-        expected = array_rules_invariants(stack, m, tol)
-        assert [_bitwise(r) for r in got] == [_bitwise(r) for r in expected]
+        alone = [array_rules_invariants(a[None], m, tol)[0] for a in stack]
+        for idx in _batches(alone):
+            got = _outcome(lambda: canonical._invariants(stack[idx], m, tol))
+            assert got == _first_refusal_or_all(array_rules_invariants(stack[idx], m, tol))
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(oracle_stacks())

@@ -16,6 +16,7 @@ import pseudounitary
 from pseudounitary import (
     LieElement,
     canonical,
+    cli,
     dumps_matrix,
     exp_us,
     extract_generators,
@@ -286,9 +287,9 @@ class TestEquiv:
         metric = make_metric(1, 1)
         a = write_square(tmp_path / "a.json", hyperbolic(LN2), metric)
         b = write_square(tmp_path / "b.json", -hyperbolic(LN2), metric)
-        passes = count_calls(monkeypatch, "_invariants", canonical)
+        passes = count_calls(monkeypatch, "_invariants", canonical, cli)
         code, out, _ = run_cli(capsys, "equiv", a, b)
-        assert code == 0 and len(passes) == 1 and passes[0].shape == (2, 2, 2)
+        assert code == 0 and len(passes) == 1 and len(passes[0]) == 2
         result = json.loads(out)["result"]
         assert result["invariant_1"] == result["invariant_2"] == [
             {"kind": "hyperbolic", "t": pytest.approx(LN2, abs=1e-14), "sign": 1}]

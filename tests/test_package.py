@@ -1,8 +1,15 @@
 """Source-level properties of the package."""
 
 import ast
+import builtins
+import inspect
+import math
 import re
 from pathlib import Path
+
+import numpy as np
+
+import pseudounitary as pu
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "pseudounitary").glob("*.py"))
 
@@ -147,3 +154,106 @@ def test_private_functions_are_used():
     found = unreferenced_private_functions({path.name: path.read_text(encoding="utf-8")
                                             for path in SOURCES})
     assert found == sorted(UNREFERENCED_ALLOWED)
+
+
+def exception_names(trees: dict) -> set:
+    """Names of the builtin exception classes and of the classes the given
+    module trees derive from them, directly or through each other."""
+    names = {name for name, value in vars(builtins).items()
+             if isinstance(value, type) and issubclass(value, BaseException)}
+    classes = [node for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    grown = True
+    while grown:
+        new = {c.name for c in classes if c.name not in names
+               and any(getattr(b, "id", getattr(b, "attr", None)) in names for b in c.bases)}
+        names |= new
+        grown = bool(new)
+    return names
+
+
+def exceptions_built_outside_raise(sources: dict) -> list:
+    """Calls that build an exception object anywhere but inside a raise statement.
+
+    sources maps a file name to its text. A call builds an exception where it
+    calls one of exception_names, by name or as an attribute.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    names = exception_names(trees)
+    found = []
+    for name, tree in trees.items():
+        raised = {id(node) for r in ast.walk(tree) if isinstance(r, ast.Raise)
+                  for node in ast.walk(r)}
+        found.extend(f"{name}:{node.lineno}" for node in ast.walk(tree)
+                     if isinstance(node, ast.Call) and id(node) not in raised
+                     and getattr(node.func, "id", getattr(node.func, "attr", None)) in names)
+    return sorted(found, key=lambda x: (x.split(":")[0], int(x.split(":")[1])))
+
+
+def test_exception_guard_sees_a_returned_error():
+    sources = {"a.py": ("class BadInput(ValueError):\n    pass\n\n\n"
+                        "class WorseInput(BadInput):\n    pass\n\n\n"
+                        "def f(x):\n    if x:\n        raise BadInput('x')\n"
+                        "    raise ValueError('y') from KeyError('z')\n\n\n"
+                        "def g(x):\n    return WorseInput('w') if x else None\n"),
+               "b.py": ("from . import a\n\n\ndef h(out):\n"
+                        "    out.append(a.BadInput('v'))\n    err = TypeError('u')\n"
+                        "    raise err\n")}
+    assert exceptions_built_outside_raise(sources) == ["a.py:16", "b.py:5", "b.py:6"]
+
+
+def test_exceptions_are_built_where_they_are_raised():
+    # a refusal is raised where it is decided, not returned for a caller to raise
+    assert SOURCES
+    assert exceptions_built_outside_raise({path.name: path.read_text(encoding="utf-8")
+                                           for path in SOURCES}) == []
+
+
+def _tol_calls() -> dict:
+    """One call per public function with a tol parameter, on a valid (1, 1)
+    input, taking the tolerance."""
+    m = pu.make_metric(1, 1)
+    c, s = math.cosh(0.5), math.sinh(0.5)
+    M = np.array([[c, s], [s, c]], dtype=complex)
+    gens = pu.extract_generators(M, m)
+    tangent = pu.LieElement(m, [[0.5]]).matrix()
+    return {
+        "are_equivalent": lambda tol: pu.are_equivalent(M, M, m, tol),
+        "block_decompose": lambda tol: pu.block_decompose(M, m, tol),
+        "canonical_invariant": lambda tol: pu.canonical_invariant(M, m, tol),
+        "check_compact_intersection": lambda tol: pu.check_compact_intersection(np.eye(2), m, tol),
+        "construct_from_generators": lambda tol: pu.construct_from_generators(gens, tol),
+        "extract_generators": lambda tol: pu.extract_generators(M, m, tol),
+        "fast_inverse": lambda tol: pu.fast_inverse(M, m, tol),
+        "is_hermitian": lambda tol: pu.is_hermitian(M, tol),
+        "is_in_exp_image": lambda tol: pu.is_in_exp_image(M, m, tol),
+        "is_pseudo_unitary": lambda tol: pu.is_pseudo_unitary(M, m, tol),
+        "log_us": lambda tol: pu.log_us(M, m, tol),
+        "require_member": lambda tol: pu.require_member(M, m, tol),
+        "validate_generators": lambda tol: pu.validate_generators(gens, tol),
+        "validate_lie_algebra": lambda tol: pu.validate_lie_algebra(tangent, m, tol),
+    }
+
+
+def _refuses(result) -> bool:
+    return result is False or (isinstance(result, list) and result != [])
+
+
+def test_nan_tolerance_always_refuses():
+    # every comparison with tol is written so that a NaN fails it
+    public = sorted(name for name, value in vars(pu).items() if not name.startswith("_")
+                    and inspect.isfunction(value) and "tol" in inspect.signature(value).parameters)
+    calls = _tol_calls()
+    assert public == sorted(calls)
+    accepted, refused = [], []
+    for name in public:
+        if not _refuses(calls[name](pu.DEFAULT_TOL)):
+            accepted.append(name)
+        try:
+            result = calls[name](math.nan)
+        except ValueError:
+            refused.append(name)
+            continue
+        if _refuses(result):
+            refused.append(name)
+    assert accepted == refused == public

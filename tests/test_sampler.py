@@ -58,6 +58,13 @@ class TestSampleSpec:
         with pytest.raises(ValueError):
             SampleSpec(metric=m, seed=0, block_kind_weights=(0.3, 0.3, 0.3, 0.3))
 
+    @pytest.mark.parametrize("weights", [(np.nan, 0.0, 0.0, 1.0), (0.5, 0.5, np.nan, 0.0),
+                                         (np.inf, 0.0, 0.0, 1.0)])
+    def test_non_finite_weights_refused(self, weights):
+        # a NaN fails both checks, so rng.choice never sees it
+        with pytest.raises(ValueError, match="block_kind_weights must be four nonnegative"):
+            SampleSpec(metric=make_metric(1, 1), seed=0, block_kind_weights=weights)
+
     def test_t_values_validated(self):
         m = make_metric(2, 2)
         with pytest.raises(ValueError):

@@ -411,6 +411,43 @@ class TestValidateGenerators:
                             vectors=np.zeros((0, 2), dtype=complex))
         assert validate_generators(gens) == []
 
+    def test_nan_tolerance_fails_every_check(self):
+        # diag(6, 1) is no member; at the default tolerance only its lambda is wrong
+        gens = GeneratorSet(metric=make_metric(1, 1), sigma=1, lambdas=[7.0], vectors=[[1.0, 0.0]])
+        assert [msg.split(":")[0] for msg in validate_generators(gens)] == ["lambda mismatch"]
+        assert [msg.split(":")[0] for msg in validate_generators(gens, float("nan"))] == [
+            "orthonormality", "J-orthogonality", "norm-sum", "lambda mismatch"]
+        with pytest.raises(ValueError, match="^invalid generator set: orthonormality"):
+            construct_from_generators(gens, float("nan"))
+
+
+class TestGeneratorSetSign:
+    @pytest.mark.parametrize("sigma", [1, -1, 1.0, -1.0, np.int64(-1), np.float64(1.0),
+                                       1 + 0j, np.array([1])])
+    def test_sign_stored_as_int(self, sigma):
+        gens = GeneratorSet(metric=make_metric(1, 1), sigma=sigma, lambdas=[2.0],
+                            vectors=[[1.0, 0.0]])
+        assert type(gens.sigma) is int and gens.sigma == (1 if sigma == 1 else -1)
+
+    @pytest.mark.parametrize("sigma", [True, False, np.True_, 0, 2, -1.5])
+    def test_other_signs_refused(self, sigma):
+        # bool is a subclass of int, but True is not a sign
+        with pytest.raises(ValueError, match="sigma must be"):
+            GeneratorSet(metric=make_metric(1, 1), sigma=sigma, lambdas=[2.0],
+                         vectors=[[1.0, 0.0]])
+
+    def test_extracted_sign_is_int(self):
+        cases = [(np.diag([1.0, -1.0]), make_metric(1, 1)), (np.diag([-1.0, 1.0]), make_metric(1, 1)),
+                 (frozen_example_12(), make_metric(1, 2))]
+        for p, seed in [(2, 1), (3, 2), (4, 3)]:
+            m = make_metric(p, p)
+            cases += [(sample_us_pp(SampleSpec(metric=m, seed=seed))[0], m)]
+            cases += [(-sample_us_pp(SampleSpec(metric=m, seed=seed))[0], m)]
+        m = make_metric(3, 5)
+        cases += [(exp_us(sample_us_lie(m, seed=4)), m)]
+        sigmas = [extract_generators(M, m).sigma for M, m in cases]
+        assert {type(s) for s in sigmas} == {int} and set(sigmas) == {1, -1}
+
 
 class TestConstructFromGenerators:
     def test_empty_set_gives_negated_metric(self):
