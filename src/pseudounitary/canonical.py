@@ -30,10 +30,10 @@ from .metric import (
     SignatureMetric,
     _blocks,
     _fro,
+    _gram_residual,
     _phase_fixed_qr,
     _refusals,
     _scaled,
-    _unitary_residual,
     as_matrix,
     make_metric,
     require_member,
@@ -140,11 +140,12 @@ def _t_close(t1: float, t2: float) -> bool:
 
 
 def _require_block_unitary(Q: np.ndarray, metric: SignatureMetric) -> None:
-    res = _unitary_residual(Q)
+    b, s, fro, norm = _scaled(Q)
+    res = _gram_residual(b, s, fro, np.ones(metric.n))
     if not res <= DEFAULT_TOL:
         raise ValueError(f"conjugating matrix is not unitary: residual {res:.3e}")
     _, q12, q21, _ = _blocks(Q, metric.p)
-    scale = max(1.0, float(np.linalg.norm(Q)))
+    scale = max(1.0, float(norm))
     bound = DEFAULT_TOL * scale
     if np.linalg.norm(q12) > bound or np.linalg.norm(q21) > bound:
         raise ValueError("conjugating matrix must be block diagonal for the signature")

@@ -165,12 +165,17 @@ def _scaled(a: np.ndarray) -> tuple:
         return b, s, fro, fro / s
 
 
-def _gram_residual(b: np.ndarray, s, fro, j: np.ndarray):
-    """||A* diag(j) A - diag(j)|| / (1 + ||A||^2), from _scaled(A)."""
+def _gram_defect(b: np.ndarray, s, j: np.ndarray) -> np.ndarray:
+    """s^2 (A* diag(j) A - diag(j)), from _scaled(A)."""
     defect = (b.conj().T * j) @ b
     # s is the float 1 while nothing was scaled
     defect.reshape(-1)[:: j.size + 1] -= j if type(s) is float else np.square(s) * j
-    return _fro(defect) / (s * s + fro ** 2)
+    return defect
+
+
+def _gram_residual(b: np.ndarray, s, fro, j: np.ndarray):
+    """||A* diag(j) A - diag(j)|| / (1 + ||A||^2), from _scaled(A)."""
+    return _fro(_gram_defect(b, s, j)) / (s * s + fro ** 2)
 
 
 def _skew_residual(b: np.ndarray, s, fro):
@@ -178,19 +183,9 @@ def _skew_residual(b: np.ndarray, s, fro):
     return _fro(b - b.conj().T) / (s + fro)
 
 
-def _membership_residual(a: np.ndarray, metric: SignatureMetric):
-    b, s, fro, _ = _scaled(a)
-    return _gram_residual(b, s, fro, metric.signs)
-
-
 def _hermitian_residual(a: np.ndarray):
     b, s, fro, _ = _scaled(a)
     return _skew_residual(b, s, fro)
-
-
-def _unitary_residual(a: np.ndarray):
-    b, s, fro, _ = _scaled(a)
-    return _gram_residual(b, s, fro, np.ones(a.shape[-1]))
 
 
 def _refusals(a: np.ndarray, metric: SignatureMetric, tol: float,
@@ -212,7 +207,8 @@ def _refusals(a: np.ndarray, metric: SignatureMetric, tol: float,
 
 def membership_residual(M, metric: SignatureMetric) -> float:
     """Relative Frobenius size of M* J M - J; zero exactly on members of U(p, q)."""
-    return float(_membership_residual(as_matrix(M, (metric.n, metric.n)), metric))
+    b, s, fro, _ = _scaled(as_matrix(M, (metric.n, metric.n)))
+    return float(_gram_residual(b, s, fro, metric.signs))
 
 
 def is_pseudo_unitary(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> bool:
@@ -232,7 +228,8 @@ def is_hermitian(M, tol: float = DEFAULT_TOL) -> bool:
 
 def unitary_residual(M) -> float:
     """Relative Frobenius size of M* M - I."""
-    return float(_unitary_residual(as_matrix(M)))
+    b, s, fro, _ = _scaled(as_matrix(M))
+    return float(_gram_residual(b, s, fro, np.ones(len(b))))
 
 
 def block_identities_residual(M, metric: SignatureMetric) -> float:
@@ -242,16 +239,12 @@ def block_identities_residual(M, metric: SignatureMetric) -> float:
         M11* M11 - M21* M21 = I_p
         M12* M12 - M22* M22 = -I_q
         M11* M12 - M21* M22 = 0
-    These are the blocks of M* J M - J, so this residual never exceeds
-    membership_residual (same normalization).
+    These are blocks of the M* J M - J that membership_residual measures, over
+    its normalization: this residual exceeds it by no more than norm rounding.
     """
     b, s, fro, _ = _scaled(as_matrix(M, (metric.n, metric.n)))
-    s2 = float(s * s)
-    m11, m12, m21, m22 = _blocks(b, metric.p)
-    r1 = np.linalg.norm(m11.conj().T @ m11 - m21.conj().T @ m21 - s2 * np.eye(metric.p))
-    r2 = np.linalg.norm(m12.conj().T @ m12 - m22.conj().T @ m22 + s2 * np.eye(metric.q))
-    r3 = np.linalg.norm(m11.conj().T @ m12 - m21.conj().T @ m22)
-    return float(max(r1, r2, r3) / (s2 + fro ** 2))
+    d11, d12, _, d22 = _blocks(_gram_defect(b, s, metric.signs), metric.p)
+    return float(max(_fro(d11), _fro(d22), _fro(d12)) / (s * s + fro ** 2))
 
 
 def fast_inverse(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -283,5 +276,6 @@ def check_compact_intersection(M, metric: SignatureMetric, tol: float = DEFAULT_
     Such matrices commute with the metric, hence are block diagonal: a unitary
     from the p block plus a unitary from the q block.
     """
-    a = as_matrix(M, (metric.n, metric.n))
-    return bool(_membership_residual(a, metric) <= tol and _unitary_residual(a) <= tol)
+    b, s, fro, _ = _scaled(as_matrix(M, (metric.n, metric.n)))
+    return bool(_gram_residual(b, s, fro, metric.signs) <= tol
+                and _gram_residual(b, s, fro, np.ones(metric.n)) <= tol)

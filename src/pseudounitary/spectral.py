@@ -115,13 +115,11 @@ def validate_generators(gens: GeneratorSet, tol: float = DEFAULT_TOL) -> list[st
     and the diagonals are alpha^2 and beta^2.
     """
     problems: list[str] = []
-    if gens.k == 0:
-        return problems
     pp, mm, lam = gens.plus_parts, gens.minus_parts, gens.lambdas
     pg, mg = pp.conj() @ pp.T, mm.conj() @ mm.T
     al2, be2 = pg.diagonal().real.copy(), mg.diagonal().real.copy()
 
-    dev = float(np.max(np.abs(pg + mg - np.eye(gens.k))))
+    dev = float(np.max(np.abs(pg + mg - np.eye(gens.k)), initial=0.0))
     if not dev <= tol:
         problems.append(f"orthonormality: largest Gram deviation {dev:.3e}")
 
@@ -130,11 +128,11 @@ def validate_generators(gens: GeneratorSet, tol: float = DEFAULT_TOL) -> list[st
     jgram = pg - mg
     for g in (jgram, pg, mg):
         np.fill_diagonal(g, 0.0)
-    cross = float(max(np.max(np.abs(g)) for g in (jgram, pg, mg)))
+    cross = float(max(np.max(np.abs(g), initial=0.0) for g in (jgram, pg, mg)))
     if not cross <= tol:
         problems.append(f"J-orthogonality: largest cross term {cross:.3e}")
 
-    ndev = float(np.max(np.abs(al2 + be2 - 1.0)))
+    ndev = float(np.max(np.abs(al2 + be2 - 1.0), initial=0.0))
     if not ndev <= tol:
         problems.append(f"norm-sum: largest deviation of alpha^2 + beta^2 from 1 is {ndev:.3e}")
 

@@ -8,6 +8,7 @@ library code paths they are used to check.
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 
 from pseudounitary import (
@@ -20,6 +21,7 @@ from pseudounitary import (
     HyperbolicBlock,
     MembershipError,
     SignatureMetric,
+    invariant_from_blocks,
     require_member,
 )
 from pseudounitary.matrixfile import FORMAT_VERSION, KIND_SQUARE
@@ -227,24 +229,58 @@ def unscaled_residuals(a: np.ndarray, metric: SignatureMetric) -> tuple:
     """(membership, Hermitian, unitary, block identities) residuals of a matrix, unscaled.
 
     The np.linalg.norm formulas the library used before it scaled its
-    residuals, written out as they stood, so they overflow where the
-    library's residuals do not and agree with them bitwise elsewhere.
+    residuals, written out as they stood, with the block identities read off
+    the unscaled membership defect. So they overflow where the library's
+    residuals do not and agree with them bitwise elsewhere.
     """
     a = np.asarray(a, complex)
     j = metric.signs
     defect = (a.conj().T * j) @ a
     defect[np.diag_indices(metric.n)] -= j
     membership = np.linalg.norm(defect) / (1.0 + np.linalg.norm(a) ** 2)
+    # the blockwise identities (1,1), (2,2) and (1,2) are blocks of that defect
+    p = metric.p
+    r1 = np.linalg.norm(defect[:p, :p])
+    r2 = np.linalg.norm(defect[p:, p:])
+    r3 = np.linalg.norm(defect[:p, p:])
+    blocks = max(r1, r2, r3) / (1.0 + np.linalg.norm(a) ** 2)
     hermitian = np.linalg.norm(a - a.conj().T) / (1.0 + np.linalg.norm(a))
     defect = a.conj().T @ a - np.eye(a.shape[0])
     unitary = np.linalg.norm(defect) / (1.0 + np.linalg.norm(a) ** 2)
-    p = metric.p
-    m11, m12, m21, m22 = a[:p, :p], a[:p, p:], a[p:, :p], a[p:, p:]
-    r1 = np.linalg.norm(m11.conj().T @ m11 - m21.conj().T @ m21 - np.eye(metric.p))
-    r2 = np.linalg.norm(m12.conj().T @ m12 - m22.conj().T @ m22 + np.eye(metric.q))
-    r3 = np.linalg.norm(m11.conj().T @ m12 - m21.conj().T @ m22)
-    blocks = max(r1, r2, r3) / (1.0 + np.linalg.norm(a) ** 2)
     return membership, hermitian, unitary, blocks
+
+
+def mp_invariant(M, metric: SignatureMetric, dps: int = 50) -> CanonicalInvariant:
+    """Canonical invariant of the float member M of U(p, p), computed in mpmath at dps digits.
+
+    Shares no kernel with the library: the eigh of the symmetrized M11
+    (mp.eighe), Y = X* M12, one mp.svd_c of the rows of Y on each sign
+    eigenspace of M11, t = arcsinh(s), and the sign counts of M11 and of the
+    symmetrized M22 for the iota pieces, which take the smallest couplings
+    of their sign, as canonical_invariant states the rule. Rounding in M is
+    part of the input, not an error of the route.
+    """
+    p = metric.p
+    with mp.workdps(dps):
+        a = mp.matrix(np.asarray(M, complex).tolist())
+        m11, m22 = a[:p, :p], a[p:, p:]
+        lam, x = mp.eighe((m11 + m11.H) / 2)
+        lam22 = mp.eighe((m22 + m22.H) / 2, eigvals_only=True)
+        y = x.H * a[:p, p:]
+        t = []
+        for negative in (True, False):
+            rows = [list(y[i, :]) for i in range(p) if (lam[i] < 0) == negative]
+            s = mp.svd_c(mp.matrix(rows), compute_uv=False) if rows else []
+            t.append(sorted((float(mp.asinh(v)) for v in s), reverse=True))
+        excess = sum(1 for v in lam22 if v <= 0) - len(t[0])
+    t_minus, t_plus = t
+    if excess > 0:
+        t_plus = t_plus[:len(t_plus) - excess]
+    elif excess < 0:
+        t_minus = t_minus[:len(t_minus) + excess]
+    return invariant_from_blocks([(HYPERBOLIC, x, -1) for x in t_minus]
+                                 + [(HYPERBOLIC, x, 1) for x in t_plus]
+                                 + [(IOTA, 0.0, 1 if excess > 0 else -1)] * abs(excess))
 
 
 def pd_floor_log(M, metric: SignatureMetric):

@@ -1,5 +1,6 @@
 """Block assembly, decomposition, canonical invariants, and equivalence."""
 
+import functools
 import io
 import itertools
 import json
@@ -20,6 +21,7 @@ from conftest import (
     classify_pieces,
     count_calls,
     hyperbolic,
+    mp_invariant,
     per_generator_block_decompose,
     per_piece_assemble,
     per_piece_matrix,
@@ -341,6 +343,22 @@ SWEEP_WEIGHTS = (0.3, 0.3, 0.2, 0.2)
 SWEEP_T_MAX = (3.0, 8.0, 14.0, 20.0, 30.0)
 
 
+FAMILY_METRIC = make_metric(5, 5)
+T18_FAMILY = [iota(-1), iota(-1), hyp(18.0), hyp(0.0, -1), hyp(18.0, -1)]
+
+
+@functools.cache
+def _t18_family() -> tuple:
+    """(seed, member, mpmath invariant) of the t = 0 piece beside two t = 18
+    pieces, conjugated by block_unitary at seeds 0-39."""
+    out = []
+    for seed in range(40):
+        Q = block_unitary(FAMILY_METRIC, np.random.default_rng(seed))
+        M = assemble_blocks(T18_FAMILY, Q, FAMILY_METRIC)
+        out.append((seed, M, mp_invariant(M, FAMILY_METRIC)))
+    return tuple(out)
+
+
 class TestSpectralInvariant:
     """canonical_invariant reads the pieces off block spectra; block_decompose is the oracle."""
 
@@ -416,6 +434,20 @@ class TestSpectralInvariant:
         M, truth = sample_us_pp(SampleSpec(metric=m, seed=979, t_max=30.0,
                                            block_kind_weights=SWEEP_WEIGHTS))
         assert canonical_invariant(M, m).matches(invariant_from_blocks(truth.blocks))
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the FOUND in CHANGES.md on canonical_invariant's resolvability rule: the "
+        "eigenvectors of M11 lose the t = 0 coupling beside t = 18, and the rule lets "
+        "the reading through"))
+    def test_small_coupling_beside_t18_matches_the_mpmath_oracle(self):
+        wrong = [seed for seed, M, oracle in _t18_family()
+                 if not canonical_invariant(M, FAMILY_METRIC).matches(oracle)]
+        assert wrong == []
+
+    def test_mpmath_oracle_reads_the_t18_family(self):
+        # the oracle itself gives the invariant the family was built from
+        truth = invariant_from_blocks(T18_FAMILY)
+        assert [seed for seed, _, oracle in _t18_family() if not oracle.matches(truth)] == []
 
     def test_large_parameters_resolved(self):
         m = make_metric(2, 2)

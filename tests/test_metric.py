@@ -8,12 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import block_unitary, count_calls, hyperbolic, unscaled_residuals
+from pseudounitary import canonical as canonical_module
 from pseudounitary import metric as metric_module
 from pseudounitary import (
     DEFAULT_TOL,
     LieElement,
     MembershipError,
     SignatureMetric,
+    assemble_blocks,
     block_identities_residual,
     canonical_invariant,
     check_compact_intersection,
@@ -215,6 +217,25 @@ class TestBlockIdentities:
             mem = membership_residual(M, m)
             assert blk <= mem * (1.0 + 1e-12) + 1e-15
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 2**31 - 1),
+           st.sampled_from(["member", "perturbed", "block_diagonal"]))
+    def test_bounded_up_to_rounding(self, p, q, seed, kind):
+        # the blocks come from the defect membership_residual measures, so the
+        # bound holds to the rounding of the two norms, exact members included
+        assume(p + q > 0)
+        m = make_metric(p, q)
+        rng = np.random.default_rng(seed)
+        if kind == "block_diagonal":
+            z = rng.standard_normal((m.n, m.n, 2)).view(complex)[..., 0]
+            M = np.where(np.equal.outer(m.signs, m.signs), z, 0.0)
+        else:
+            M = sample_upq(m, seed)
+            if kind == "perturbed":
+                M = M + 1e-9 * rng.standard_normal((m.n, m.n))
+        bound = membership_residual(M, m) * (1.0 + 4.0 * np.finfo(float).eps)
+        assert block_identities_residual(M, m) <= bound
+
 
 class TestFastInverse:
     def test_metric_is_its_own_inverse(self):
@@ -264,6 +285,18 @@ class TestCompactIntersection:
     def test_unitary_residual(self):
         assert unitary_residual(np.eye(3)) == 0.0
         assert unitary_residual(2 * np.eye(2)) > 0.1
+
+    def test_one_measurement_per_check(self, monkeypatch):
+        # both residuals, and the norm of the block test, read one _scaled(M)
+        m = make_metric(2, 2)
+        Q = block_unitary(m, np.random.default_rng(2))
+        measured = count_calls(monkeypatch, "_scaled", metric_module, canonical_module)
+        assert check_compact_intersection(Q, m)
+        assert len(measured) == 1
+        norms = count_calls(monkeypatch, "norm", np.linalg)
+        assemble_blocks([("hyperbolic", 0.5, 1), ("iota", 0.0, -1)], Q, m)
+        assert len(measured) == 2
+        assert all(x.shape != Q.shape for x in norms)
 
 
 class TestBlockView:

@@ -210,28 +210,32 @@ def test_exceptions_are_built_where_they_are_raised():
 
 
 def _tol_calls() -> dict:
-    """One call per public function with a tol parameter, on a valid (1, 1)
-    input, taking the tolerance."""
+    """Calls per public function with a tol parameter, each on a valid (1, 1)
+    input and taking the tolerance."""
     m = pu.make_metric(1, 1)
     c, s = math.cosh(0.5), math.sinh(0.5)
     M = np.array([[c, s], [s, c]], dtype=complex)
     gens = pu.extract_generators(M, m)
+    empty = pu.GeneratorSet(m, 1, [], np.zeros((0, 2)))
     tangent = pu.LieElement(m, [[0.5]]).matrix()
     return {
-        "are_equivalent": lambda tol: pu.are_equivalent(M, M, m, tol),
-        "block_decompose": lambda tol: pu.block_decompose(M, m, tol),
-        "canonical_invariant": lambda tol: pu.canonical_invariant(M, m, tol),
-        "check_compact_intersection": lambda tol: pu.check_compact_intersection(np.eye(2), m, tol),
-        "construct_from_generators": lambda tol: pu.construct_from_generators(gens, tol),
-        "extract_generators": lambda tol: pu.extract_generators(M, m, tol),
-        "fast_inverse": lambda tol: pu.fast_inverse(M, m, tol),
-        "is_hermitian": lambda tol: pu.is_hermitian(M, tol),
-        "is_in_exp_image": lambda tol: pu.is_in_exp_image(M, m, tol),
-        "is_pseudo_unitary": lambda tol: pu.is_pseudo_unitary(M, m, tol),
-        "log_us": lambda tol: pu.log_us(M, m, tol),
-        "require_member": lambda tol: pu.require_member(M, m, tol),
-        "validate_generators": lambda tol: pu.validate_generators(gens, tol),
-        "validate_lie_algebra": lambda tol: pu.validate_lie_algebra(tangent, m, tol),
+        "are_equivalent": [lambda tol: pu.are_equivalent(M, M, m, tol)],
+        "block_decompose": [lambda tol: pu.block_decompose(M, m, tol)],
+        "canonical_invariant": [lambda tol: pu.canonical_invariant(M, m, tol)],
+        "check_compact_intersection": [
+            lambda tol: pu.check_compact_intersection(np.eye(2), m, tol)],
+        "construct_from_generators": [lambda tol: pu.construct_from_generators(gens, tol),
+                                      lambda tol: pu.construct_from_generators(empty, tol)],
+        "extract_generators": [lambda tol: pu.extract_generators(M, m, tol)],
+        "fast_inverse": [lambda tol: pu.fast_inverse(M, m, tol)],
+        "is_hermitian": [lambda tol: pu.is_hermitian(M, tol)],
+        "is_in_exp_image": [lambda tol: pu.is_in_exp_image(M, m, tol)],
+        "is_pseudo_unitary": [lambda tol: pu.is_pseudo_unitary(M, m, tol)],
+        "log_us": [lambda tol: pu.log_us(M, m, tol)],
+        "require_member": [lambda tol: pu.require_member(M, m, tol)],
+        "validate_generators": [lambda tol: pu.validate_generators(gens, tol),
+                                lambda tol: pu.validate_generators(empty, tol)],
+        "validate_lie_algebra": [lambda tol: pu.validate_lie_algebra(tangent, m, tol)],
     }
 
 
@@ -245,15 +249,17 @@ def test_nan_tolerance_always_refuses():
                     and inspect.isfunction(value) and "tol" in inspect.signature(value).parameters)
     calls = _tol_calls()
     assert public == sorted(calls)
+    inputs = [(name, i) for name in public for i in range(len(calls[name]))]
     accepted, refused = [], []
-    for name in public:
-        if not _refuses(calls[name](pu.DEFAULT_TOL)):
-            accepted.append(name)
+    for name, i in inputs:
+        call = calls[name][i]
+        if not _refuses(call(pu.DEFAULT_TOL)):
+            accepted.append((name, i))
         try:
-            result = calls[name](math.nan)
+            result = call(math.nan)
         except ValueError:
-            refused.append(name)
+            refused.append((name, i))
             continue
         if _refuses(result):
-            refused.append(name)
-    assert accepted == refused == public
+            refused.append((name, i))
+    assert accepted == refused == inputs
