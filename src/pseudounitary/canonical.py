@@ -151,16 +151,17 @@ def _require_block_unitary(Q: np.ndarray, metric: SignatureMetric) -> None:
         raise ValueError("conjugating matrix must be block diagonal for the signature")
 
 
-def _check_range(t: np.ndarray) -> None:
-    if t.size and not t.max() <= _T_MAX:
-        raise ValueError(f"hyperbolic parameter t = {float(t.max())!r} is past the limit "
+def _check_range(top: float) -> None:
+    """The range rule of every route, on the largest hyperbolic parameter (a NaN fails it)."""
+    if not top <= _T_MAX:
+        raise ValueError(f"hyperbolic parameter t = {float(top)!r} is past the limit "
                          f"{_T_MAX!r} = arccosh(float max / 2) of finite entries")
 
 
 def _block_form(hyp: np.ndarray, t: np.ndarray, sign: np.ndarray) -> np.ndarray:
     """The matrix with piece j at rows and columns (j, p + j), from the pieces'
     hyperbolic mask, parameters (0 for iota pieces) and signs."""
-    _check_range(t)
+    _check_range(t.max(initial=0.0))
     p = t.size
     c = np.cosh(t)
     # entries (j, j), (j, p + j) = (p + j, j), (p + j, p + j), signed as sign * piece signs them
@@ -275,7 +276,7 @@ def _frame(a: np.ndarray, p: int, tol: float) -> tuple:
         hyp[k:] = (mu[:p - k] > 0) == (sign[k:] > 0)
         unpaired = np.where(mu[p - k:] > 0, 1, -1)
     t = np.where(hyp & (s > 0), np.arcsinh(s), 0.0)
-    _check_range(t)
+    _check_range(t.max(initial=0.0))
     # the largest entry of each U row real and positive, each hyperbolic V row
     # turned so that its coupling has the piece's sign, the other V rows by
     # the rule of U rows; row j of U M12 is s_j times SVD row j, which gives z
@@ -386,10 +387,10 @@ def _invariants(matrices, metric: SignatureMetric, tol: float) -> list:
     Every matrix is coerced before any is validated; validation, one matrix
     at a time as require_member validates it, stops at the first refusal.
     One eigh of the M11 stack, one eigvalsh of the M22 stack and one SVD
-    serve the matrices accepted before it. The rules of canonical_invariant run item
-    by item on Python floats and raise at their first refusal; the
-    validation refusal is raised after them. _normalized reads each
-    invariant off plain triples.
+    serve the matrices accepted before it. The range rule of _check_range and
+    the rules of canonical_invariant run item by item on Python floats and
+    raise at their first refusal; the validation refusal is raised after
+    them. _normalized reads each invariant off plain triples.
     """
     if metric.p != metric.q:
         raise ValueError("the canonical invariant is defined for signature (p, p)")
@@ -423,8 +424,10 @@ def _invariants(matrices, metric: SignatureMetric, tol: float) -> list:
         # couplings of a side are its leading positions, the rest padding
         n = bisect_left(lam, 0.0)
         t0, t1 = t_all[0][k][:n], t_all[1][k][:p - n]
+        t = t0 + t1
+        _check_range(max(t))
         h = h_all[0][k][:n] + h_all[1][k][:p - n]
-        _require_resolvable(s_all[0][k][:n] + s_all[1][k][:p - n], h, t0 + t1)
+        _require_resolvable(s_all[0][k][:n] + s_all[1][k][:p - n], h, t)
         # |eig(M11)| side by side, then the p values of |eig(M22)|,
         # descending, against h = sqrt(1 + s^2)
         mag = list(map(abs, lam))
@@ -472,6 +475,8 @@ def canonical_invariant(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) ->
     zero couplings of iota pieces included, which also keeps the sign counts
     far from their gap), or when the paired spectra violate
     |lambda|^2 - s^2 = 1 beyond the reassembly bound of block_decompose.
+    Raises ValueError, as block_decompose does, for a parameter past
+    arccosh(float max / 2).
     """
     return _invariants([M], metric, tol)[0]
 

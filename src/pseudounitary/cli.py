@@ -36,6 +36,7 @@ from .matrixfile import (
 from .metric import (
     DEFAULT_TOL,
     MembershipError,
+    _checked_tol,
     block_identities_residual,
     hermitian_residual,
     make_metric,
@@ -44,12 +45,6 @@ from .metric import (
 )
 from .sampler import SampleSpec, haar_unitary, sample_upq, sample_us_lie, sample_us_pp
 from .spectral import extract_generators
-
-
-def _checked_tol(tol: float, source: str) -> float:
-    if not (np.isfinite(tol) and tol >= 0):
-        raise ValueError(f"{source} must be a finite nonnegative number, got {tol!r}")
-    return tol
 
 
 def _default_tol() -> float:

@@ -19,11 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import _T_MAX, _require_resolvable
+from .canonical import _T_MAX, _check_range, _require_resolvable
 from .metric import (
     DEFAULT_TOL,
     MembershipError,
     SignatureMetric,
+    _checked_tol,
     _hermitian_residual,
     as_matrix,
     require_member,
@@ -57,7 +58,7 @@ def validate_lie_algebra(T, metric: SignatureMetric, tol: float = DEFAULT_TOL) -
     this is the Hermitian residual of X, finite over the whole float range.
     """
     a = as_matrix(T, (metric.n, metric.n), "T")
-    return bool(_hermitian_residual(1j * metric.signs[:, None] * a) <= tol)
+    return bool(_hermitian_residual(1j * metric.signs[:, None] * a) <= _checked_tol(tol))
 
 
 def _padded(values: np.ndarray, size: int) -> np.ndarray:
@@ -76,7 +77,7 @@ def exp_us(element: LieElement) -> np.ndarray:
     b = element.block
     w, s, xh = np.linalg.svd(b)
     if s.size and s[0] > _T_MAX:
-        raise ValueError(f"tangent too large: singular value {s[0]!r} exceeds {_T_MAX!r}")
+        raise ValueError(f"tangent too large: singular value {float(s[0])!r} exceeds {_T_MAX!r}")
     r = s.size
     cp = (w * np.cosh(_padded(s, p))[None, :]) @ w.conj().T
     cq = (xh.conj().T * np.cosh(_padded(s, q))[None, :]) @ xh
@@ -94,14 +95,16 @@ def _trace_deficit(a: np.ndarray, s: np.ndarray, metric: SignatureMetric) -> flo
 
     The eigenvalues of M11 and M22 are +-h_j = +-hypot(1, s_j), s padded with
     zeros to p and to q, so M is positive definite iff this is below 1.
-    Raises MembershipError where the resolvability rule of canonical_invariant
-    refuses; padding pieces count with t = 0.
+    Raises ValueError for a parameter past the range of canonical_invariant,
+    and MembershipError where its resolvability rule refuses; padding pieces
+    count with t = 0.
     """
     p, q = metric.p, metric.q
     # svd sorts s descending, and the padding zeros go last: h[0] is h_max, h[-1] h_min
     sp = _padded(s, max(p, q))
-    h = np.hypot(1.0, sp)
-    _require_resolvable(sp.tolist(), h.tolist(), np.arcsinh(sp).tolist())
+    h, t = np.hypot(1.0, sp), np.arcsinh(sp)
+    _check_range(t[0])
+    _require_resolvable(sp.tolist(), h.tolist(), t.tolist())
     # a power of two at most 1 / h_max keeps the sums finite for any member
     c = math.ldexp(1.0, -math.frexp(h[0])[1])
     bound = 2.0 * (c * h[:s.size]).sum() + c * abs(p - q)
@@ -114,6 +117,8 @@ def log_us(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> LieElement:
     Refuses with MembershipError members outside the exponential image and
     members whose parameters the resolvability rule of canonical_invariant
     cannot resolve, so each returned t_j is within T_COMPARE_TOL * max(1, t_j / 20).
+    Raises ValueError for a parameter past arccosh(float max / 2), which
+    exp_us could not map back.
     """
     a = require_member(M, metric, tol)
     u2, s2, v2h = np.linalg.svd(a[: metric.p, metric.p:])

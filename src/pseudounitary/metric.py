@@ -8,17 +8,26 @@ predicates and residuals defined here.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from operator import index
 
 import numpy as np
 
 # Default relative tolerance for membership-style predicates (dimensions <= 64).
+# Every tolerance a function takes must be a finite nonnegative number.
 DEFAULT_TOL = 1e-10
 
 
 class MembershipError(ValueError):
     """The input is not (numerically) in the set an operation requires."""
+
+
+def _checked_tol(tol: float, source: str = "tol") -> float:
+    """The tolerance, refused with ValueError unless it is a finite nonnegative number."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"{source} must be a finite nonnegative number, got {tol!r}")
+    return tol
 
 
 @dataclass(frozen=True)
@@ -90,11 +99,11 @@ def as_matrix(m, shape: tuple | None = None, name: str = "matrix") -> np.ndarray
 
 
 def _phase_fixed_qr(z: np.ndarray, mode: str = "reduced") -> np.ndarray:
-    """Q of the QR decomposition of z, with the columns paired with diag(R) turned by its phases."""
+    """Q of the QR of each matrix of z, the columns paired with diag(R) turned by its phases."""
     q, r = np.linalg.qr(z, mode=mode)
-    d = np.diagonal(r).copy()
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[d == 0] = 1.0
-    q[:, :d.size] *= (d / np.abs(d))[None, :]
+    q[..., :d.shape[-1]] *= (d / np.abs(d))[..., None, :]
     return q
 
 
@@ -193,6 +202,7 @@ def _refusals(a: np.ndarray, metric: SignatureMetric, tol: float,
     """Validate a matrix as require_member does: (the MembershipError message,
     or None where it is accepted, and its Frobenius norm). A NaN residual is
     refused; membership is not computed for a matrix that is not Hermitian."""
+    _checked_tol(tol)
     b, s, fro, norm = _scaled(a)
     if hermitian:
         hr = _skew_residual(b, s, fro)
@@ -213,7 +223,7 @@ def membership_residual(M, metric: SignatureMetric) -> float:
 
 def is_pseudo_unitary(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> bool:
     """True when the membership residual is at most tol."""
-    return membership_residual(M, metric) <= tol
+    return membership_residual(M, metric) <= _checked_tol(tol)
 
 
 def hermitian_residual(M) -> float:
@@ -223,7 +233,7 @@ def hermitian_residual(M) -> float:
 
 def is_hermitian(M, tol: float = DEFAULT_TOL) -> bool:
     """True when ||M - M*|| <= tol * (1 + ||M||) in the Frobenius norm."""
-    return hermitian_residual(M) <= tol
+    return hermitian_residual(M) <= _checked_tol(tol)
 
 
 def unitary_residual(M) -> float:
@@ -276,6 +286,7 @@ def check_compact_intersection(M, metric: SignatureMetric, tol: float = DEFAULT_
     Such matrices commute with the metric, hence are block diagonal: a unitary
     from the p block plus a unitary from the q block.
     """
+    _checked_tol(tol)
     b, s, fro, _ = _scaled(as_matrix(M, (metric.n, metric.n)))
     return bool(_gram_residual(b, s, fro, metric.signs) <= tol
                 and _gram_residual(b, s, fro, np.ones(metric.n)) <= tol)

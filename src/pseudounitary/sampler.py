@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import HYPERBOLIC, IOTA, BlockDecomposition, HyperbolicBlock, assemble_blocks
+from .canonical import HYPERBOLIC, IOTA, BlockDecomposition, HyperbolicBlock, _block_form
 from .lie import LieElement, exp_us
 from .metric import SignatureMetric, _phase_fixed_qr
 
@@ -23,19 +23,18 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _haar(rng: np.random.Generator, n: int) -> np.ndarray:
-    """QR of a complex Gaussian with the R-diagonal phase correction."""
-    if n == 0:
-        return np.zeros((0, 0), dtype=complex)
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    return _phase_fixed_qr(z)
+def _haar(rng: np.random.Generator, n: int, count: int = 1) -> np.ndarray:
+    """A stack of count n x n Haar unitaries, drawn one after the other: QR of
+    complex Gaussians with the R-diagonal phase correction."""
+    g = rng.standard_normal((count, 2, n, n))
+    return _phase_fixed_qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0))
 
 
 def haar_unitary(n: int, seed: int) -> np.ndarray:
     """Haar-distributed n x n unitary; same seed gives the same matrix."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return _haar(_rng(seed), n)
+    return _haar(_rng(seed), n)[0]
 
 
 @dataclass(frozen=True)
@@ -87,14 +86,12 @@ def sample_us_pp(spec: SampleSpec) -> tuple[np.ndarray, BlockDecomposition]:
     blocks = []
     for j in range(p):
         kind, sign = _KINDS[kind_idx[j]]
-        t = float(ts[j]) if kind == HYPERBOLIC else 0.0
-        blocks.append(HyperbolicBlock(kind, t, sign))
-    u = _haar(rng, p)
-    v = _haar(rng, p)
+        blocks.append(HyperbolicBlock(kind, float(ts[j]) if kind == HYPERBOLIC else 0.0, sign))
     q = np.zeros((2 * p, 2 * p), dtype=complex)
-    q[:p, :p] = u
-    q[p:, p:] = v
-    m = assemble_blocks(blocks, q, metric)
+    q[:p, :p], q[p:, p:] = _haar(rng, p, 2)
+    # the product assemble_blocks forms, without a second check of what was built here
+    kind, t, sign = zip(*blocks)
+    m = q.conj().T @ _block_form(np.array(kind) == HYPERBOLIC, np.array(t), np.array(sign)) @ q
     return m, BlockDecomposition(metric=metric, q=q, blocks=tuple(blocks))
 
 
@@ -117,8 +114,8 @@ def sample_upq(metric: SignatureMetric, seed: int) -> np.ndarray:
     rng = _rng(seed)
     p, q = metric.p, metric.q
     scale = 1.0 / np.sqrt(metric.n)
-    u = _haar(rng, p)
-    v = _haar(rng, q)
+    u = _haar(rng, p)[0]
+    v = _haar(rng, q)[0]
     shape = (p, q)
     b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * (scale / np.sqrt(2.0))
     factor = np.zeros((metric.n, metric.n), dtype=complex)

@@ -20,7 +20,9 @@ from pseudounitary import (
     GeneratorSet,
     HyperbolicBlock,
     MembershipError,
+    SampleSpec,
     SignatureMetric,
+    assemble_blocks,
     invariant_from_blocks,
     require_member,
 )
@@ -57,6 +59,26 @@ def block_unitary(metric: SignatureMetric, rng: np.random.Generator) -> np.ndarr
     out[: metric.p, : metric.p] = local_haar(rng, metric.p)
     out[metric.p:, metric.p:] = local_haar(rng, metric.q)
     return out
+
+
+def reference_sample_us_pp(spec: SampleSpec) -> tuple:
+    """(M, Q, pieces) of sample_us_pp by its draws one at a time: the kinds,
+    the parameters, one Haar factor after the other, then assemble_blocks,
+    which checks the pieces and the unitary again."""
+    p = spec.metric.p
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    kinds = ((HYPERBOLIC, 1), (HYPERBOLIC, -1), (IOTA, 1), (IOTA, -1))
+    kind_idx = rng.choice(len(kinds), size=p, p=spec.block_kind_weights)
+    ts = np.asarray(spec.t_values) if spec.t_values is not None else rng.uniform(
+        0.0, spec.t_max, size=p)
+    blocks = []
+    for j in range(p):
+        kind, sign = kinds[kind_idx[j]]
+        blocks.append(HyperbolicBlock(kind, float(ts[j]) if kind == HYPERBOLIC else 0.0, sign))
+    q = np.zeros((2 * p, 2 * p), dtype=complex)
+    q[:p, :p] = local_haar(rng, p)
+    q[p:, p:] = local_haar(rng, p)
+    return assemble_blocks(blocks, q, spec.metric), q, tuple(blocks)
 
 
 def random_generator_set(metric: SignatureMetric, k: int, rng: np.random.Generator,

@@ -42,8 +42,11 @@ from pseudounitary import (
     canonical,
     canonical_invariant,
     exp_us,
+    extract_generators,
     hermitian_residual,
     invariant_from_blocks,
+    is_in_exp_image,
+    log_us,
     make_metric,
     membership_residual,
     require_member,
@@ -676,6 +679,34 @@ class TestArrayAssembly:
             with pytest.raises(ValueError, match=r"t = 709\.9 is past the limit 709\.78"):
                 assemble_blocks([iota(1), hyp(709.9, -1)], Q, m)
             assert np.isfinite(assemble_blocks([iota(1), hyp(709.0, -1)], Q, m)).all()
+
+    @staticmethod
+    def _analyses(M, m) -> list:
+        return [lambda: canonical_invariant(M, m), lambda: are_equivalent(M, M, m),
+                lambda: is_in_exp_image(M, m), lambda: log_us(M, m),
+                lambda: block_decompose(M, m), lambda: extract_generators(M, m)]
+
+    @pytest.mark.parametrize("t", [709.9, 710.3])
+    def test_every_route_refuses_a_parameter_past_the_range(self, t):
+        # the entries of this member are still finite, but exp_us could not
+        # map its logarithm back: every analysis applies the one range rule
+        m = make_metric(1, 1)
+        M = hyperbolic(t)
+        assert np.isfinite(M).all()
+        for analysis in self._analyses(M, m):
+            with pytest.raises(ValueError, match=rf"t = {t} is past the limit 709\.78"):
+                analysis()
+
+    def test_every_route_returns_just_inside_the_range(self):
+        m = make_metric(1, 1)
+        M = hyperbolic(709.5)
+        for analysis in self._analyses(M, m):
+            analysis()
+        assert canonical_invariant(M, m).triples == ((HYPERBOLIC, 709.5, 1),)
+        # C07's group-side tolerance, relative to the largest entry, since
+        # the Frobenius norm of M overflows here
+        again = exp_us(log_us(M, m))
+        assert np.abs(again - M).max() <= 1e-9 * np.abs(M).max()
 
 
 class TestEquivalence:

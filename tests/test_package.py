@@ -244,22 +244,23 @@ def _refuses(result) -> bool:
 
 
 def test_nan_tolerance_always_refuses():
-    # every comparison with tol is written so that a NaN fails it
+    # a tolerance must be a finite nonnegative number: NaN, an infinity or a
+    # negative number is refused by every function that takes one
     public = sorted(name for name, value in vars(pu).items() if not name.startswith("_")
                     and inspect.isfunction(value) and "tol" in inspect.signature(value).parameters)
     calls = _tol_calls()
     assert public == sorted(calls)
     inputs = [(name, i) for name in public for i in range(len(calls[name]))]
-    accepted, refused = [], []
-    for name, i in inputs:
-        call = calls[name][i]
-        if not _refuses(call(pu.DEFAULT_TOL)):
-            accepted.append((name, i))
-        try:
-            result = call(math.nan)
-        except ValueError:
-            refused.append((name, i))
-            continue
-        if _refuses(result):
-            refused.append((name, i))
-    assert accepted == refused == inputs
+    accepted = [(name, i) for name, i in inputs if not _refuses(calls[name][i](pu.DEFAULT_TOL))]
+    assert accepted == inputs
+    for bad in (math.nan, math.inf, -math.inf, -1e-12):
+        refused = []
+        for name, i in inputs:
+            try:
+                result = calls[name][i](bad)
+            except ValueError:
+                refused.append((name, i))
+                continue
+            if _refuses(result):
+                refused.append((name, i))
+        assert refused == inputs, bad

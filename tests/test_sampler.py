@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import count_calls, reference_sample_us_pp
 from pseudounitary import (
     HYPERBOLIC,
     IOTA,
     SampleSpec,
+    canonical,
     check_compact_intersection,
     exp_us,
     haar_unitary,
@@ -22,6 +26,27 @@ from pseudounitary import (
     unitary_residual,
     validate_lie_algebra,
 )
+from pseudounitary import sampler as sampler_module
+from pseudounitary.sampler import DEFAULT_KIND_WEIGHTS
+
+
+@st.composite
+def sample_specs(draw):
+    """Specs at p <= 6 with zero kind weights, t_max up to 700 and, when
+    t_values are given, ties among them."""
+    p = draw(st.integers(1, 6))
+    weights = draw(st.sampled_from([
+        DEFAULT_KIND_WEIGHTS, (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.5, 0.5), (0.5, 0.5, 0.0, 0.0),
+        (0.0, 0.3, 0.7, 0.0), (0.25, 0.25, 0.25, 0.25),
+    ]))
+    t_max = draw(st.floats(1e-3, 700.0))
+    t_values = None
+    if draw(st.booleans()):
+        # a pool of at most three values, one of them 0, makes ties common
+        pool = draw(st.lists(st.floats(0.0, t_max), min_size=1, max_size=2)) + [0.0]
+        t_values = tuple(draw(st.lists(st.sampled_from(pool), min_size=p, max_size=p)))
+    return SampleSpec(metric=make_metric(p, p), seed=draw(st.integers(0, 2**32 - 1)),
+                      t_max=t_max, block_kind_weights=weights, t_values=t_values)
 
 
 class TestHaar:
@@ -130,6 +155,28 @@ class TestSampleBlockForm:
         assert np.array_equal(a, b)
         assert da.blocks == db.blocks
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(sample_specs())
+    def test_bitwise_the_draws_taken_one_at_a_time(self, spec):
+        # one stacked Haar QR and the product formed in place give the bits
+        # of two Haar draws and assemble_blocks
+        M, truth = sample_us_pp(spec)
+        ref_m, ref_q, ref_blocks = reference_sample_us_pp(spec)
+        assert M.tobytes() == ref_m.tobytes()
+        assert truth.q.tobytes() == ref_q.tobytes()
+        assert truth.blocks == ref_blocks
+
+    @pytest.mark.parametrize("p", [1, 4])
+    def test_does_not_check_what_it_built(self, monkeypatch, p):
+        # the pieces and the unitary are built here: one QR for both Haar
+        # factors, and no second check of either through assemble_blocks
+        qr = count_calls(monkeypatch, "qr", np.linalg)
+        assembled = count_calls(monkeypatch, "assemble_blocks", *[
+            module for module in (canonical, sampler_module) if hasattr(module, "assemble_blocks")])
+        checked = count_calls(monkeypatch, "_require_block_unitary", canonical)
+        sample_us_pp(SampleSpec(metric=make_metric(p, p), seed=3))
+        assert (len(qr), len(assembled), len(checked)) == (1, 0, 0)
+
     def test_ground_truth_unitary_is_block_diagonal(self):
         m = make_metric(3, 3)
         _, dec = sample_us_pp(SampleSpec(metric=m, seed=2))
@@ -167,7 +214,8 @@ class TestSampleTangent:
 
 
 class TestSampleGeneric:
-    @pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 2), (3, 2)])
+    # at (0, q) and (p, 0) one Haar factor is the empty one
+    @pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 2), (3, 2), (0, 3), (3, 0)])
     def test_membership(self, p, q):
         m = make_metric(p, q)
         for seed in range(25):

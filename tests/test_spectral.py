@@ -412,12 +412,13 @@ class TestValidateGenerators:
         assert validate_generators(gens) == []
 
     def test_nan_tolerance_fails_every_check(self):
-        # diag(6, 1) is no member; at the default tolerance only its lambda is wrong
+        # diag(6, 1) is no member; at the default tolerance only its lambda is
+        # wrong, and a NaN tolerance is refused before any check is made
         gens = GeneratorSet(metric=make_metric(1, 1), sigma=1, lambdas=[7.0], vectors=[[1.0, 0.0]])
         assert [msg.split(":")[0] for msg in validate_generators(gens)] == ["lambda mismatch"]
-        assert [msg.split(":")[0] for msg in validate_generators(gens, float("nan"))] == [
-            "orthonormality", "J-orthogonality", "norm-sum", "lambda mismatch"]
-        with pytest.raises(ValueError, match="^invalid generator set: orthonormality"):
+        with pytest.raises(ValueError, match="^tol must be a finite nonnegative number, got nan"):
+            validate_generators(gens, float("nan"))
+        with pytest.raises(ValueError, match="^tol must be a finite nonnegative number, got nan"):
             construct_from_generators(gens, float("nan"))
 
 
