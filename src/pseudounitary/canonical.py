@@ -337,10 +337,9 @@ def _normalized(triples: list) -> CanonicalInvariant:
 def _flip_is_smaller(base_key, flip_key) -> bool:
     # lexicographic walk, but parameter ties within T_COMPARE_TOL must not
     # decide the sign: rounding noise in t would otherwise flip it
-    # nondeterministically
-    for (k1, s1, t1), (k2, s2, t2) in zip(base_key, flip_key):
-        if k1 != k2:
-            return k2 < k1
+    # nondeterministically. Both keys sort the same triples kind first, so
+    # their kinds agree at every position.
+    for (_, s1, t1), (_, s2, t2) in zip(base_key, flip_key):
         if s1 != s2:
             return s2 < s1
         if not _t_close(t1, t2):

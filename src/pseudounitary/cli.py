@@ -16,8 +16,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .canonical import (
     T_COMPARE_TOL,
     _invariants,
@@ -30,6 +28,7 @@ from .matrixfile import (
     KIND_BLOCK,
     KIND_SQUARE,
     MatrixDocument,
+    _pairs,
     dumps_matrix,
     loads_matrix,
 )
@@ -56,10 +55,6 @@ def _default_tol() -> float:
     except ValueError:
         raise ValueError(f"UPQ_TOL must be a number, got {raw!r}") from None
     return _checked_tol(tol, "UPQ_TOL")
-
-
-def _entries(m: np.ndarray) -> list:
-    return np.ascontiguousarray(m, complex).reshape(-1).view(float).reshape(-1, 2).tolist()
 
 
 def _read_document(path: str, kind: str = KIND_SQUARE) -> tuple[MatrixDocument, dict]:
@@ -113,7 +108,7 @@ def _cmd_generators(args) -> int:
         "sigma": gens.sigma,
         "count": gens.k,
         "generators": [
-            {"lambda": lam, "alpha": alpha, "beta": beta, "vector": _entries(z)}
+            {"lambda": lam, "alpha": alpha, "beta": beta, "vector": _pairs(z)}
             for lam, alpha, beta, z in zip(gens.lambdas.tolist(), gens.alphas.tolist(),
                                            gens.betas.tolist(), gens.vectors)
         ],
@@ -131,7 +126,7 @@ def _cmd_decompose(args) -> int:
     dec = block_decompose(doc.matrix, doc.metric, args.tol)
     _print_report("decompose", source, {"membership": args.tol}, doc.metric, {
         "blocks": _pieces_payload(dec.blocks),
-        "unitary": _entries(dec.q),
+        "unitary": _pairs(dec.q),
         "reconstruction_residual": dec.residual,
     })
     return 0

@@ -60,39 +60,27 @@ def _entries_text(a: np.ndarray) -> str:
     return template % tuple(x.tolist())
 
 
-def _json_pairs(m) -> str:
-    """The JSON list of [re, im] pairs of m's entries, as json.dumps prints it.
+def _pairs(a) -> list:
+    """The entries of an ndarray as a row-major list of [re, im] pairs.
 
-    json.dumps prints a float with float.__repr__, so one %r template call
-    writes the same text.
+    json.dumps calls this for each object it cannot write itself, so
+    anything but an ndarray, a numpy integer for one, stays a TypeError.
     """
-    x = np.ascontiguousarray(m, complex).reshape(-1).view(float)
+    if not isinstance(a, np.ndarray):
+        raise TypeError(f"Object of type {type(a).__name__} is not JSON serializable")
+    x = np.ascontiguousarray(a, complex).reshape(-1).view(float)
     if not np.isfinite(x).all():
         raise ValueError("matrix files cannot hold non-finite entries")
-    return "[" + ", ".join(["[%r, %r]"] * (x.size // 2)) % tuple(x.tolist()) + "]"
-
-
-def _extra_json(value) -> str:
-    """json.dumps(value), with each ndarray in it, also in nested dicts, as _json_pairs.
-
-    A dict is written as json.dumps writes one with string keys: its items
-    in order, ", " between them and ": " after each key.
-    """
-    if isinstance(value, np.ndarray):
-        return _json_pairs(value)
-    if isinstance(value, dict):
-        return "{%s}" % ", ".join(f"{json.dumps(str(k))}: {_extra_json(v)}"
-                                  for k, v in value.items())
-    return json.dumps(value)
+    return x.reshape(-1, 2).tolist()
 
 
 def dumps_matrix(m, metric: SignatureMetric, kind: str = KIND_SQUARE,
                  extra: dict | None = None) -> str:
     """Serialize a matrix to the JSON file format.
 
-    The items of extra go between the header and the entries; an ndarray
-    among them, also in a nested dict, is written as its list of [re, im]
-    pairs.
+    The items of extra go between the header and the entries, each written
+    by json.dumps; an ndarray anywhere among them is written as its list of
+    [re, im] pairs.
     """
     shape = _expected_shape(metric, kind)
     a = np.asarray(m, dtype=complex)
@@ -105,7 +93,7 @@ def dumps_matrix(m, metric: SignatureMetric, kind: str = KIND_SQUARE,
     lines.append(f'  "p": {metric.p},')
     lines.append(f'  "q": {metric.q},')
     for key, value in (extra or {}).items():
-        lines.append(f'  {json.dumps(str(key))}: {_extra_json(value)},')
+        lines.append(f'  {json.dumps(str(key))}: {json.dumps(value, default=_pairs)},')
     lines.append('  "entries": [')
     lines.append(_entries_text(a))
     lines.append("  ]")

@@ -120,6 +120,14 @@ class TestAssemble:
         with pytest.raises(ValueError):
             assemble_blocks([hyp(1.0)], metric=make_metric(1, 2))
 
+    def test_no_blocks_need_a_metric(self):
+        with pytest.raises(ValueError, match="^need at least one block or an explicit metric$"):
+            assemble_blocks([])
+
+    def test_non_unitary_rejected(self):
+        with pytest.raises(ValueError, match="^conjugating matrix is not unitary: residual"):
+            assemble_blocks([(HYPERBOLIC, 1.0, 1)], 2 * np.eye(2))
+
     def test_non_block_unitary_rejected(self):
         rng = np.random.default_rng(0)
         full = rng.standard_normal((2, 2))
@@ -563,6 +571,29 @@ class TestBlockSpectraRoute:
         assert dec.residual <= 1e-7 * max(1.0, float(np.abs(M).max()) * M.shape[0])
         if expected is not None:
             assert invariant_from_blocks(dec.blocks).matches(expected)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(full_range_members())
+    def test_both_routes_match_the_mpmath_oracle(self, case):
+        # the only check that shares no kernel with either route. A wrong
+        # answer is let through only where the resolvability rule, on the
+        # oracle's pieces, stands above half its limit: the band of the
+        # strict xfail test_small_coupling_beside_t18_matches_the_mpmath_oracle,
+        # where both routes read a t = 0 piece beside t = 18 at about 1.3e-8
+        m, M = case
+        try:
+            got = canonical_invariant(M, m)
+        except MembershipError:
+            return
+        oracle = mp_invariant(M, m)
+        if resolvability([HyperbolicBlock(*x) for x in oracle.triples]) > 0.5:
+            return
+        assert got.matches(oracle), (got, oracle)
+        try:
+            dec = block_decompose(M, m)
+        except MembershipError:
+            return
+        assert invariant_from_blocks(dec.blocks).matches(oracle), (dec.blocks, oracle)
 
     @pytest.mark.parametrize("p", [1, 4])
     def test_kernels_act_on_blocks_of_side_at_most_p(self, monkeypatch, p):

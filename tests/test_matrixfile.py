@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import per_entry_dumps_matrix
 from pseudounitary import dumps_matrix, loads_matrix, make_metric
-from pseudounitary.matrixfile import KIND_BLOCK, KIND_SQUARE, _json_pairs
+from pseudounitary.cli import main
+from pseudounitary.matrixfile import KIND_BLOCK, KIND_SQUARE, _pairs
 
 MAX = sys.float_info.max
 
@@ -120,9 +121,26 @@ class TestWriterAgainstOracle:
                                                                               extra=extra)
 
 
-def _document(entries) -> str:
-    return json.dumps({"format": "upq-matrix/1", "kind": "square", "p": 1, "q": 1,
+def _document(entries, kind: str = "square") -> str:
+    return json.dumps({"format": "upq-matrix/1", "kind": kind, "p": 1, "q": 1,
                        "entries": entries})
+
+
+IDENTITY_ENTRIES = [[1, 0], [0, 0], [0, 0], [-1, 0]]
+
+# file text and the start of the reader's message
+UNREADABLE = {
+    "not_an_object": ("[1, 2]", "matrix file must hold a JSON object"),
+    "unknown_kind": (_document(IDENTITY_ENTRIES, "other"), "unknown matrix kind 'other'"),
+    "three_entries": (_document(IDENTITY_ENTRIES[:3]),
+                      "entries must be a list of 4 [re, im] pairs"),
+    "three_numbers_a_row": (_document([[1, 0, 0], [0, 0, 0], [0, 0, 0], [-1, 0, 0]]),
+                            "entries must be [re, im] pairs"),
+    "nan": (_document(IDENTITY_ENTRIES).replace("[-1, 0]", "[NaN, 0]"),
+            "entries contain non-finite values"),
+    "infinity": (_document(IDENTITY_ENTRIES).replace("[0, 0]", "[0, -Infinity]", 1),
+                 "entries contain non-finite values"),
+}
 
 
 NON_NUMERIC = {
@@ -140,7 +158,7 @@ class TestReaderRejects:
             loads_matrix(_document(NON_NUMERIC[case]))
 
     def test_integer_too_large_for_a_float(self):
-        text = _document([[1, 0], [0, 0], [0, 0], [-1, 0]]).replace("-1", "1" + "0" * 400)
+        text = _document(IDENTITY_ENTRIES).replace("-1", "1" + "0" * 400)
         with pytest.raises(ValueError, match=r"entries must be numeric \[re, im\] pairs"):
             loads_matrix(text)
 
@@ -155,30 +173,67 @@ class TestReaderRejects:
         deep = "[" * 100000 + "]" * 100000
         text = deep
         if where == "unknown_key":
-            valid = _document([[1, 0], [0, 0], [0, 0], [-1, 0]])
+            valid = _document(IDENTITY_ENTRIES)
             text = valid.replace("{", '{"note": ' + deep + ", ", 1)
         with pytest.raises(ValueError, match="^matrix file nests too deeply to parse$"):
             loads_matrix(text)
 
+    @pytest.mark.parametrize("case", sorted(UNREADABLE))
+    def test_unreadable_file(self, case):
+        text, message = UNREADABLE[case]
+        with pytest.raises(ValueError) as exc:
+            loads_matrix(text)
+        assert str(exc.value).startswith(message)
+
+    @pytest.mark.parametrize("case", sorted(UNREADABLE))
+    def test_upq_check_exits_two_on_unreadable_file(self, tmp_path, capsys, case):
+        text, message = UNREADABLE[case]
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code = main(["check", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: " + message)
+
     def test_json_integers_are_numbers(self):
-        doc = loads_matrix(_document([[1, 0], [0, 0], [0, 0], [-1, 0]]))
+        doc = loads_matrix(_document(IDENTITY_ENTRIES))
         assert np.array_equal(doc.matrix, np.diag([1.0, -1.0]))
 
 
+class TestWriterRejects:
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="^unknown matrix kind 'other'$"):
+            dumps_matrix(np.eye(2), make_metric(1, 1), "other")
+
+    def test_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"must have shape \(2, 2\), got \(3, 3\)$"):
+            dumps_matrix(np.eye(3), make_metric(1, 1))
+
+
 class TestJsonPairs:
-    """The one-template text of [re, im] pairs that `upq sample` writes for ground truth."""
+    """The [re, im] pairs of an ndarray, as reports print them and file extras hold them."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(matrices())
     def test_same_text_as_json_dumps(self, case):
-        _, _, a = case
-        pairs = np.ascontiguousarray(a, complex).reshape(-1).view(float).reshape(-1, 2)
-        assert _json_pairs(a) == json.dumps(pairs.tolist())
+        metric, _, a = case
+        text = json.dumps([[z.real, z.imag] for z in a.flat])
+        assert json.dumps(_pairs(a)) == text
+        assert f'\n  "u": {text},\n' in dumps_matrix(np.eye(metric.n), metric, extra={"u": a})
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_raises(self, bad):
+        a = np.array([[1.0, complex(0.0, bad)]])
         with pytest.raises(ValueError, match="non-finite"):
-            _json_pairs(np.array([[1.0, complex(0.0, bad)]]))
+            _pairs(a)
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps_matrix(np.eye(2), make_metric(1, 1), extra={"g": {"u": a}})
+
+    @pytest.mark.parametrize("value", [np.int64(3), np.complex128(1j), np.float32(0.5), {1, 2}],
+                             ids=["int64", "complex128", "float32", "set"])
+    def test_other_objects_stay_a_type_error(self, value):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            dumps_matrix(np.eye(2), make_metric(1, 1), extra={"x": value})
 
     def test_ndarray_extras_read_as_their_pairs(self):
         metric = make_metric(1, 1)
@@ -186,8 +241,9 @@ class TestJsonPairs:
         pairs = [[0.1, 0.0], [-0.0, 0.0], [1e17, 0.0], [2.0, 0.0]]
         header = {"a": [1, "x", None], "b": {}}
         arrays = dumps_matrix(np.eye(2), metric,
-                              extra={"u": m, "g": {**header, "nested": {"u": m}}})
+                              extra={"u": m, "g": {**header, "nested": {"u": m}, "list": [m]}})
         lists = dumps_matrix(np.eye(2), metric,
-                             extra={"u": pairs, "g": {**header, "nested": {"u": pairs}}})
+                             extra={"u": pairs, "g": {**header, "nested": {"u": pairs},
+                                                      "list": [pairs]}})
         assert arrays == lists
         assert json.loads(arrays)["g"]["nested"]["u"][1] == [-0.0, 0.0]

@@ -197,6 +197,10 @@ class TestHermitian:
     def test_residual_zero_on_real_symmetric(self):
         assert hermitian_residual(hyperbolic(0.3)) == 0.0
 
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match=r"^matrix must be square, got shape \(2, 3\)$"):
+            hermitian_residual(np.ones((2, 3)))
+
 
 class TestBlockIdentities:
     def test_member_near_zero(self):

@@ -212,6 +212,11 @@ class TestSampleTangent:
             sample_us_lie(m, seed=5).block, sample_us_lie(m, seed=5).block
         )
 
+    @pytest.mark.parametrize("scale", [-1.0, float("nan")])
+    def test_negative_or_nan_scale_refused(self, scale):
+        with pytest.raises(ValueError, match="^scale must be a nonnegative finite number$"):
+            sample_us_lie(make_metric(1, 1), 1, scale)
+
 
 class TestSampleGeneric:
     # at (0, q) and (p, 0) one Haar factor is the empty one
