@@ -16,7 +16,6 @@ generators of spectral.py are read off it.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
@@ -29,6 +28,7 @@ from .metric import (
     MembershipError,
     SignatureMetric,
     _blocks,
+    _checked_real,
     _fro,
     _gram_residual,
     _phase_fixed_qr,
@@ -67,19 +67,9 @@ class HyperbolicBlock(namedtuple("HyperbolicBlock", "kind t sign", defaults=(0.0
         # bool is a subclass of int, but True is neither a sign nor a parameter
         if isinstance(sign, (bool, np.bool_)) or sign not in (1, -1):
             raise ValueError("block sign must be +1 or -1")
-        try:
-            finite = math.isfinite(t)
-        except TypeError:
-            finite = None
-        if finite is None or isinstance(t, (bool, np.bool_)):
-            raise ValueError(f"block parameter must be a real number, got {t!r}")
-        if not finite:
-            raise ValueError("block parameter must be finite")
-        t = float(t)
+        t = _checked_real(t, "block parameter")
         if kind == IOTA and t != 0.0:
             raise ValueError("iota blocks carry no hyperbolic parameter")
-        if t < 0:
-            raise ValueError("hyperbolic parameter must be nonnegative")
         # stored as the plain types every piece list holds: str, float, int
         return tuple.__new__(cls, (HYPERBOLIC if kind == HYPERBOLIC else IOTA, t,
                                    1 if sign == 1 else -1))

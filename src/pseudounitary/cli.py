@@ -35,7 +35,7 @@ from .matrixfile import (
 from .metric import (
     DEFAULT_TOL,
     MembershipError,
-    _checked_tol,
+    _checked_real,
     block_identities_residual,
     hermitian_residual,
     make_metric,
@@ -54,7 +54,7 @@ def _default_tol() -> float:
         tol = float(raw)
     except ValueError:
         raise ValueError(f"UPQ_TOL must be a number, got {raw!r}") from None
-    return _checked_tol(tol, "UPQ_TOL")
+    return _checked_real(tol, "UPQ_TOL")
 
 
 def _read_document(path: str, kind: str = KIND_SQUARE) -> tuple[MatrixDocument, dict]:
@@ -255,7 +255,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if hasattr(args, "tol"):
-            args.tol = _default_tol() if args.tol is None else _checked_tol(args.tol, "--tol")
+            args.tol = _default_tol() if args.tol is None else _checked_real(args.tol, "--tol")
         return args.func(args)
     except MembershipError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,7 +24,7 @@ from .metric import (
     DEFAULT_TOL,
     MembershipError,
     SignatureMetric,
-    _checked_tol,
+    _checked_real,
     _hermitian_residual,
     as_matrix,
     require_member,
@@ -58,7 +58,7 @@ def validate_lie_algebra(T, metric: SignatureMetric, tol: float = DEFAULT_TOL) -
     this is the Hermitian residual of X, finite over the whole float range.
     """
     a = as_matrix(T, (metric.n, metric.n), "T")
-    return bool(_hermitian_residual(1j * metric.signs[:, None] * a) <= _checked_tol(tol))
+    return bool(_hermitian_residual(1j * metric.signs[:, None] * a) <= _checked_real(tol, "tol"))
 
 
 def _padded(values: np.ndarray, size: int) -> np.ndarray:

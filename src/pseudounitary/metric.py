@@ -15,7 +15,6 @@ from operator import index
 import numpy as np
 
 # Default relative tolerance for membership-style predicates (dimensions <= 64).
-# Every tolerance a function takes must be a finite nonnegative number.
 DEFAULT_TOL = 1e-10
 
 
@@ -23,11 +22,19 @@ class MembershipError(ValueError):
     """The input is not (numerically) in the set an operation requires."""
 
 
-def _checked_tol(tol: float, source: str = "tol") -> float:
-    """The tolerance, refused with ValueError unless it is a finite nonnegative number."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"{source} must be a finite nonnegative number, got {tol!r}")
-    return tol
+def _checked_real(x, name: str) -> float:
+    """float(x), the one check of every real argument: ValueError unless x is a finite
+    nonnegative number. Ints, floats, numpy scalars and 0-d arrays pass; bools, strings,
+    None, complex numbers and arrays with entries are refused."""
+    if not (isinstance(x, float) and 0.0 <= x < math.inf):  # floats need no type test
+        v = x[()] if isinstance(x, np.ndarray) else x  # a 0-d array as its scalar
+        try:
+            ok = not isinstance(v, (bool, np.bool_, np.complexfloating)) and math.isfinite(v)
+        except (TypeError, OverflowError):
+            ok = False
+        if not (ok and v >= 0):
+            raise ValueError(f"{name} must be a finite nonnegative number, got {x!r}")
+    return float(x)
 
 
 @dataclass(frozen=True)
@@ -38,13 +45,18 @@ class SignatureMetric:
     q: int
 
     def __post_init__(self):
-        # bool is a subclass of int, but True is not a dimension
-        if any(isinstance(x, bool) or not isinstance(x, int) for x in (self.p, self.q)):
-            raise ValueError("signature entries must be integers")
-        if self.p < 0 or self.q < 0 or self.p + self.q < 1:
-            raise ValueError(
-                f"invalid signature ({self.p}, {self.q}): need p >= 0, q >= 0, p + q >= 1"
-            )
+        p, q = self.p, self.q
+        try:
+            # True is not a dimension, though bool subclasses int; index refuses floats, np.bool_
+            if isinstance(p, bool) or isinstance(q, bool):
+                raise TypeError
+            p, q = index(p), index(q)
+        except TypeError:
+            raise ValueError(f"signature entries must be integers, got ({p!r}, {q!r})") from None
+        if p < 0 or q < 0 or p + q < 1:
+            raise ValueError(f"invalid signature ({p}, {q}): need p >= 0, q >= 0, p + q >= 1")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     @property
     def n(self) -> int:
@@ -71,15 +83,10 @@ class SignatureMetric:
 def make_metric(p: int, q: int) -> SignatureMetric:
     """Build the signature metric for p positive and q negative directions.
 
-    Any integer type is accepted (numpy integers included); booleans and
-    floats raise ValueError instead of being truncated.
+    Any integer type is accepted (numpy integers included) and stored as a
+    plain int; booleans and floats raise ValueError instead of being truncated.
     """
-    if not (isinstance(p, bool) or isinstance(q, bool)):
-        try:
-            return SignatureMetric(index(p), index(q))
-        except TypeError:
-            pass
-    raise ValueError(f"signature entries must be integers, got ({p!r}, {q!r})")
+    return SignatureMetric(p, q)
 
 
 def as_matrix(m, shape: tuple | None = None, name: str = "matrix") -> np.ndarray:
@@ -202,7 +209,7 @@ def _refusals(a: np.ndarray, metric: SignatureMetric, tol: float,
     """Validate a matrix as require_member does: (the MembershipError message,
     or None where it is accepted, and its Frobenius norm). A NaN residual is
     refused; membership is not computed for a matrix that is not Hermitian."""
-    _checked_tol(tol)
+    tol = _checked_real(tol, "tol")
     b, s, fro, norm = _scaled(a)
     if hermitian:
         hr = _skew_residual(b, s, fro)
@@ -223,7 +230,7 @@ def membership_residual(M, metric: SignatureMetric) -> float:
 
 def is_pseudo_unitary(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> bool:
     """True when the membership residual is at most tol."""
-    return membership_residual(M, metric) <= _checked_tol(tol)
+    return membership_residual(M, metric) <= _checked_real(tol, "tol")
 
 
 def hermitian_residual(M) -> float:
@@ -233,7 +240,7 @@ def hermitian_residual(M) -> float:
 
 def is_hermitian(M, tol: float = DEFAULT_TOL) -> bool:
     """True when ||M - M*|| <= tol * (1 + ||M||) in the Frobenius norm."""
-    return hermitian_residual(M) <= _checked_tol(tol)
+    return hermitian_residual(M) <= _checked_real(tol, "tol")
 
 
 def unitary_residual(M) -> float:
@@ -262,10 +269,7 @@ def fast_inverse(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> np.nda
 
     Costs one conjugate transpose and two sign flips instead of a solve.
     """
-    a = as_matrix(M, (metric.n, metric.n))
-    refusal, _ = _refusals(a, metric, tol, hermitian=False)
-    if refusal:
-        raise MembershipError(refusal)
+    a = require_member(M, metric, tol, hermitian=False)
     j = metric.signs
     return (j[:, None] * a.conj().T) * j[None, :]
 
@@ -286,7 +290,7 @@ def check_compact_intersection(M, metric: SignatureMetric, tol: float = DEFAULT_
     Such matrices commute with the metric, hence are block diagonal: a unitary
     from the p block plus a unitary from the q block.
     """
-    _checked_tol(tol)
+    tol = _checked_real(tol, "tol")
     b, s, fro, _ = _scaled(as_matrix(M, (metric.n, metric.n)))
     return bool(_gram_residual(b, s, fro, metric.signs) <= tol
                 and _gram_residual(b, s, fro, np.ones(metric.n)) <= tol)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .canonical import HYPERBOLIC, IOTA, BlockDecomposition, HyperbolicBlock, _block_form
 from .lie import LieElement, exp_us
-from .metric import SignatureMetric, _phase_fixed_qr
+from .metric import SignatureMetric, _checked_real, _phase_fixed_qr
 
 # One entry per block species: hyperbolic +, hyperbolic -, iota +, iota -.
 _KINDS = ((HYPERBOLIC, 1), (HYPERBOLIC, -1), (IOTA, 1), (IOTA, -1))
@@ -55,18 +55,16 @@ class SampleSpec:
     def __post_init__(self):
         if self.metric.p != self.metric.q:
             raise ValueError("block sampling needs a (p, p) signature")
-        w = tuple(float(x) for x in self.block_kind_weights)
-        if len(w) != 4 or not (all(x >= 0 for x in w) and abs(sum(w) - 1.0) <= 1e-9):
+        w = tuple(_checked_real(x, "block_kind_weights entry") for x in self.block_kind_weights)
+        if len(w) != 4 or not abs(sum(w) - 1.0) <= 1e-9:
             raise ValueError("block_kind_weights must be four nonnegative numbers summing to 1")
         object.__setattr__(self, "block_kind_weights", w)
-        if not (0 < self.t_max < np.inf):
+        if not _checked_real(self.t_max, "t_max") > 0:
             raise ValueError(f"t_max must be finite and positive, got {self.t_max!r}")
         if self.t_values is not None:
-            tv = tuple(float(x) for x in self.t_values)
+            tv = tuple(_checked_real(x, "t_values entry") for x in self.t_values)
             if len(tv) != self.metric.p:
                 raise ValueError(f"t_values must have one entry per slot ({self.metric.p})")
-            if any(x < 0 or not np.isfinite(x) for x in tv):
-                raise ValueError("t_values must be finite and nonnegative")
             object.__setattr__(self, "t_values", tv)
 
 
@@ -97,8 +95,7 @@ def sample_us_pp(spec: SampleSpec) -> tuple[np.ndarray, BlockDecomposition]:
 
 def sample_us_lie(metric: SignatureMetric, seed: int, scale: float = 1.0) -> LieElement:
     """Hermitian tangent direction with independent complex Gaussian entries."""
-    if scale < 0 or not np.isfinite(scale):
-        raise ValueError("scale must be a nonnegative finite number")
+    scale = _checked_real(scale, "scale")
     rng = _rng(seed)
     shape = (metric.p, metric.q)
     b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * (scale / np.sqrt(2.0))

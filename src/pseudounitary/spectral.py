@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import _frame
-from .metric import DEFAULT_TOL, SignatureMetric, _checked_tol, as_matrix, require_member
+from .metric import DEFAULT_TOL, SignatureMetric, _checked_real, as_matrix, require_member
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +114,7 @@ def validate_generators(gens: GeneratorSet, tol: float = DEFAULT_TOL) -> list[st
     negative parts: pg + mg is the Gram of the vectors, pg - mg their J-Gram,
     and the diagonals are alpha^2 and beta^2.
     """
-    _checked_tol(tol)
+    tol = _checked_real(tol, "tol")
     problems: list[str] = []
     pp, mm, lam = gens.plus_parts, gens.minus_parts, gens.lambdas
     pg, mg = pp.conj() @ pp.T, mm.conj() @ mm.T

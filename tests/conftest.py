@@ -7,6 +7,7 @@ library code paths they are used to check.
 
 import json
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -118,6 +119,18 @@ def count_calls(monkeypatch, name: str, *modules) -> list:
     for module in modules:
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+# Values every real argument refuses besides NaN, the infinities and negatives:
+# bools (a 0-d one too), a numeric string, None, complex numbers, an array with
+# entries, and an int past the float range.
+HOSTILE_REALS = (True, np.True_, np.array(True), "1e-10", None, 1j, np.complex128(1e-10),
+                 np.array([1e-10, 1e-10]), 10 ** 400)
+
+
+def anchored(message: str) -> str:
+    """A pattern that matches exactly message."""
+    return "^" + re.escape(message) + "$"
 
 
 def _herm(h: np.ndarray) -> np.ndarray:
@@ -303,6 +316,32 @@ def mp_invariant(M, metric: SignatureMetric, dps: int = 50) -> CanonicalInvarian
     return invariant_from_blocks([(HYPERBOLIC, x, -1) for x in t_minus]
                                  + [(HYPERBOLIC, x, 1) for x in t_plus]
                                  + [(IOTA, 0.0, 1 if excess > 0 else -1)] * abs(excess))
+
+
+def mp_exp_tangent(b, dps: int = 50) -> tuple:
+    """(exp [[0, B], [B*, 0]] by mp.expm at dps digits, rounded to complex, and
+    the largest singular value of B by mp.svd_c), for the float block B."""
+    b = np.asarray(b, complex)
+    p, q = b.shape
+    with mp.workdps(dps):
+        t = mp.zeros(p + q, p + q)
+        for i in range(p):
+            for j in range(q):
+                t[i, p + j] = mp.mpc(b[i, j].real, b[i, j].imag)
+                t[p + j, i] = mp.mpc(b[i, j].real, -b[i, j].imag)
+        e = mp.expm(t)
+        s_max = max(mp.svd_c(mp.matrix(b.tolist()), compute_uv=False), default=0)
+        return (np.array([[complex(e[i, j]) for j in range(p + q)] for i in range(p + q)]),
+                float(s_max))
+
+
+def mp_log_parameters(M, metric: SignatureMetric, dps: int = 50) -> np.ndarray:
+    """arcsinh of the singular values of M12 computed by mp.svd_c at dps digits,
+    descending: the parameters of the logarithm of the float member M."""
+    with mp.workdps(dps):
+        s = mp.svd_c(mp.matrix(np.asarray(M, complex)[:metric.p, metric.p:].tolist()),
+                     compute_uv=False)
+        return np.array(sorted((float(mp.asinh(v)) for v in s), reverse=True))
 
 
 def pd_floor_log(M, metric: SignatureMetric):

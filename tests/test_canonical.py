@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    anchored,
     array_refusals,
     array_residuals,
     array_rules_invariants,
@@ -202,6 +203,22 @@ class TestDecompose:
         m = make_metric(1, 1)
         with pytest.raises(MembershipError):
             block_decompose(2.0 * np.eye(2), m)
+
+    def test_a_frame_that_does_not_reassemble_is_refused(self, monkeypatch):
+        # the reassembly gate: eigenvectors of M11 out of step with their
+        # eigenvalues give a frame that does not rebuild the member
+        m = make_metric(2, 2)
+        M = assemble_blocks([hyp(1.0), hyp(0.5, -1)], block_unitary(m, np.random.default_rng(5)), m)
+        eigh, calls = np.linalg.eigh, []
+
+        def reversed_first_eigh(a, *args, **kwargs):
+            lam, x = eigh(a, *args, **kwargs)
+            calls.append(a)
+            return (lam, x[..., ::-1]) if len(calls) == 1 else (lam, x)
+        monkeypatch.setattr(np.linalg, "eigh", reversed_first_eigh)
+        with pytest.raises(MembershipError, match="^block reduction failed: residual"):
+            block_decompose(M, m)
+        assert np.array_equal(calls[0], M[:2, :2])
 
     @pytest.mark.parametrize("p", [1, 2, 4])
     def test_sampled_round_trips(self, p):
@@ -1128,19 +1145,24 @@ valid_triples = st.one_of(
     st.tuples(st.just(HYPERBOLIC), st.floats(0.0, 700.0), st.sampled_from([1, -1])),
     st.tuples(st.just(IOTA), st.just(0.0), st.sampled_from([1, -1])))
 
+def refused_t(shown: str) -> str:
+    """The whole refusal of a block parameter whose repr is shown."""
+    return anchored(f"block parameter must be a finite nonnegative number, got {shown}")
+
+
 BAD_TRIPLES = {
     "unknown_kind": (("circle", 0.0, 1), "unknown block kind"),
     "sign_2": ((HYPERBOLIC, 1.0, 2), "block sign must be"),
-    "negative_t": ((HYPERBOLIC, -0.5, 1), "must be nonnegative"),
-    "nan_t": ((HYPERBOLIC, float("nan"), 1), "must be finite"),
-    "str_t": ((HYPERBOLIC, "1", 1), "must be a real number"),
-    "none_t": ((HYPERBOLIC, None, 1), "must be a real number"),
-    "complex_t": ((HYPERBOLIC, 1j, 1), "must be a real number"),
+    "negative_t": ((HYPERBOLIC, -0.5, 1), refused_t("-0.5")),
+    "nan_t": ((HYPERBOLIC, float("nan"), 1), refused_t("nan")),
+    "str_t": ((HYPERBOLIC, "1", 1), refused_t("'1'")),
+    "none_t": ((HYPERBOLIC, None, 1), refused_t("None")),
+    "complex_t": ((HYPERBOLIC, 1j, 1), refused_t("1j")),
     "iota_with_t": ((IOTA, 0.3, -1), "iota blocks carry no hyperbolic parameter"),
     "bool_sign": ((HYPERBOLIC, 1.0, True), "block sign must be"),
     "numpy_bool_sign": ((IOTA, 0.0, np.True_), "block sign must be"),
-    "bool_t": ((HYPERBOLIC, True, 1), "must be a real number"),
-    "numpy_bool_t": ((IOTA, np.False_, 1), "must be a real number"),
+    "bool_t": ((HYPERBOLIC, True, 1), refused_t("True")),
+    "numpy_bool_t": ((IOTA, np.False_, 1), refused_t("np.False_")),
 }
 
 
@@ -1204,11 +1226,11 @@ class TestOnePieceType:
             assemble_blocks([hyp(1.0), bad])
 
     def test_replace_and_make_check_the_piece(self):
-        with pytest.raises(ValueError, match="must be nonnegative"):
+        with pytest.raises(ValueError, match=refused_t("-1.0")):
             HyperbolicBlock(HYPERBOLIC, 1.0, 1)._replace(t=-1.0)
         with pytest.raises(ValueError, match="block sign must be"):
             HyperbolicBlock._make((IOTA, 5.0, 7))
-        with pytest.raises(ValueError, match="must be a real number"):
+        with pytest.raises(ValueError, match=refused_t("'2'")):
             HyperbolicBlock(HYPERBOLIC, 1.0, 1)._replace(t="2")
         piece = HyperbolicBlock(HYPERBOLIC, 1.0, 1)._replace(t=2.0)
         assert type(piece) is HyperbolicBlock and piece == (HYPERBOLIC, 2.0, 1)

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -13,6 +13,8 @@ from conftest import (
     count_calls,
     hyperbolic,
     local_haar,
+    mp_exp_tangent,
+    mp_log_parameters,
     pd_floor_log,
     unscaled_tangent_residual,
 )
@@ -372,3 +374,50 @@ class TestExponentialImage:
             # ratio depends on the route the SVD takes
             assert ratios[1] == pytest.approx(ratios[0], rel=1e-2)
             assert ratios[2] == pytest.approx(ratios[0], rel=1e-2)
+
+
+@st.composite
+def tangent_blocks(draw):
+    """(metric, B) at p, q <= 3, with the singular values of B drawn in [0, 700]."""
+    p, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    r = min(p, q)
+    s = np.array(draw(st.lists(st.floats(0.0, 700.0), min_size=r, max_size=r)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b = (local_haar(rng, p)[:, :r] * s[None, :]) @ local_haar(rng, q)[:, :r].conj().T
+    return make_metric(p, q), b
+
+
+class TestMpmathOracle:
+    """exp_us and log_us against 50-digit mpmath over t in [0, 700]: routes that
+    share no kernel with the library."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(tangent_blocks())
+    def test_exp_matches_the_mpmath_exponential(self, case):
+        m, b = case
+        got = exp_us(LieElement(m, b))
+        want, s_max = mp_exp_tangent(b)
+        # relative to the largest entry: the SVD's backward error and the unitarity
+        # defect of its factors, about n eps each, pass through exp with its
+        # relative condition number 1 + ||A||_2 = 1 + s_max for a Hermitian A, and
+        # the products W cosh(S) W* and W sinh(S) X* add about n eps more
+        bound = 4 * m.n * np.finfo(float).eps * (1.0 + s_max) * np.abs(want).max()
+        assert np.abs(got - want).max() <= bound
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(tangent_blocks())
+    def test_log_matches_the_mpmath_singular_values(self, case):
+        # wherever log_us returns, its parameters are within its documented
+        # T_COMPARE_TOL * max(1, t / 20) of arcsinh of the exact singular
+        # values of the float member's M12
+        m, b = case
+        M = exp_us(LieElement(m, b))
+        want = mp_log_parameters(M, m)
+        try:
+            got = np.linalg.svd(log_us(M, m).block, compute_uv=False)
+        except MembershipError as exc:
+            assert "not resolvable" in str(exc)
+            event("refused")
+            return
+        event("returned")
+        assert np.all(np.abs(got - want) <= T_COMPARE_TOL * np.maximum(1.0, want / 20.0))

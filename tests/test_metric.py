@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import block_unitary, count_calls, hyperbolic, unscaled_residuals
+from conftest import anchored, block_unitary, count_calls, hyperbolic, unscaled_residuals
 from pseudounitary import canonical as canonical_module
 from pseudounitary import metric as metric_module
 from pseudounitary import (
@@ -73,6 +73,16 @@ class TestMakeMetric:
             make_metric(2, 1.0)
         m = make_metric(np.int64(2), np.int32(1))
         assert (m.p, m.q) == (2, 1) and type(m.p) is int
+
+    def test_signature_metric_takes_the_integer_rule(self):
+        # the constructor itself takes any integer type and stores plain ints
+        m = SignatureMetric(np.int64(2), np.int64(3))
+        assert m == make_metric(2, 3) and hash(m) == hash(make_metric(2, 3))
+        assert type(m.p) is int and type(m.q) is int
+        for p, q in ((True, 1), (np.True_, 1), (2.0, 2), (2, np.float64(2.0)), ("2", 2)):
+            with pytest.raises(ValueError, match=anchored(
+                    f"signature entries must be integers, got ({p!r}, {q!r})")):
+                SignatureMetric(p, q)
 
 
 class TestSigns:

@@ -8,8 +8,10 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import pseudounitary as pu
+from conftest import HOSTILE_REALS, anchored
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "pseudounitary").glob("*.py"))
 
@@ -244,16 +246,18 @@ def _refuses(result) -> bool:
 
 
 def test_nan_tolerance_always_refuses():
-    # a tolerance must be a finite nonnegative number: NaN, an infinity or a
-    # negative number is refused by every function that takes one
+    # a tolerance must be a finite nonnegative number: NaN, an infinity, a
+    # negative number, a bool, a string, None, a complex number or an array
+    # with entries is refused by every function that takes one
     public = sorted(name for name, value in vars(pu).items() if not name.startswith("_")
                     and inspect.isfunction(value) and "tol" in inspect.signature(value).parameters)
     calls = _tol_calls()
     assert public == sorted(calls)
     inputs = [(name, i) for name in public for i in range(len(calls[name]))]
-    accepted = [(name, i) for name, i in inputs if not _refuses(calls[name][i](pu.DEFAULT_TOL))]
-    assert accepted == inputs
-    for bad in (math.nan, math.inf, -math.inf, -1e-12):
+    for good in (pu.DEFAULT_TOL, np.float64(pu.DEFAULT_TOL), np.array(pu.DEFAULT_TOL)):
+        accepted = [(name, i) for name, i in inputs if not _refuses(calls[name][i](good))]
+        assert accepted == inputs, good
+    for bad in (math.nan, math.inf, -math.inf, -1e-12, *HOSTILE_REALS):
         refused = []
         for name, i in inputs:
             try:
@@ -264,3 +268,9 @@ def test_nan_tolerance_always_refuses():
             if _refuses(result):
                 refused.append((name, i))
         assert refused == inputs, bad
+
+
+def test_a_true_tolerance_is_not_a_tolerance_of_one():
+    # True once read as tol = 1 and gave an invariant of 2 I, which is no member
+    with pytest.raises(ValueError, match=anchored("tol must be a finite nonnegative number, got True")):
+        pu.canonical_invariant(2 * np.eye(4), pu.make_metric(2, 2), tol=True)

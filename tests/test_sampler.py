@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_calls, reference_sample_us_pp
+from conftest import HOSTILE_REALS, anchored, count_calls, reference_sample_us_pp
 from pseudounitary import (
     HYPERBOLIC,
     IOTA,
@@ -86,8 +86,10 @@ class TestSampleSpec:
     @pytest.mark.parametrize("weights", [(np.nan, 0.0, 0.0, 1.0), (0.5, 0.5, np.nan, 0.0),
                                          (np.inf, 0.0, 0.0, 1.0)])
     def test_non_finite_weights_refused(self, weights):
-        # a NaN fails both checks, so rng.choice never sees it
-        with pytest.raises(ValueError, match="block_kind_weights must be four nonnegative"):
+        # each entry is checked, so rng.choice never sees a NaN
+        shown = next(repr(x) for x in weights if not np.isfinite(x))
+        with pytest.raises(ValueError, match=anchored(
+                f"block_kind_weights entry must be a finite nonnegative number, got {shown}")):
             SampleSpec(metric=make_metric(1, 1), seed=0, block_kind_weights=weights)
 
     def test_t_values_validated(self):
@@ -104,8 +106,37 @@ class TestSampleSpec:
     @pytest.mark.parametrize("t_max", [np.inf, np.nan])
     def test_t_max_finite(self, t_max):
         # rng.uniform(0, inf) raises OverflowError, not a usage error
-        with pytest.raises(ValueError, match="t_max must be finite and positive"):
+        with pytest.raises(ValueError, match=anchored(
+                f"t_max must be a finite nonnegative number, got {t_max!r}")):
             SampleSpec(metric=make_metric(1, 1), seed=0, t_max=t_max)
+
+    def test_every_real_setting_takes_one_rule(self):
+        m = make_metric(2, 2)
+        for bad in (np.nan, np.inf, -1.0, *HOSTILE_REALS):
+            with pytest.raises(ValueError, match=anchored(
+                    f"t_max must be a finite nonnegative number, got {bad!r}")):
+                SampleSpec(metric=m, seed=0, t_max=bad)
+            with pytest.raises(ValueError, match=anchored(
+                    f"t_values entry must be a finite nonnegative number, got {bad!r}")):
+                SampleSpec(metric=m, seed=0, t_values=(1.0, bad))
+            with pytest.raises(ValueError, match=anchored(
+                    f"block_kind_weights entry must be a finite nonnegative number, got {bad!r}")):
+                SampleSpec(metric=m, seed=0, block_kind_weights=(0.0, 0.0, 0.0, bad))
+            with pytest.raises(ValueError, match=anchored(
+                    f"scale must be a finite nonnegative number, got {bad!r}")):
+                sample_us_lie(m, 0, bad)
+
+    def test_numpy_scalars_and_0d_arrays_are_real_settings(self):
+        m = make_metric(2, 2)
+        spec = SampleSpec(metric=m, seed=3, t_max=np.float64(2.0), t_values=(np.array(0.5), 1),
+                          block_kind_weights=(np.float32(0.5), 0.5, np.int64(0), 0))
+        assert spec.t_values == (0.5, 1.0) and spec.block_kind_weights == (0.5, 0.5, 0.0, 0.0)
+        assert all(type(x) is float for x in spec.t_values + spec.block_kind_weights)
+        plain = SampleSpec(metric=m, seed=3, t_max=2.0, t_values=(0.5, 1.0),
+                           block_kind_weights=(0.5, 0.5, 0.0, 0.0))
+        assert sample_us_pp(spec)[0].tobytes() == sample_us_pp(plain)[0].tobytes()
+        assert (sample_us_lie(m, 4, np.array(0.5)).block.tobytes()
+                == sample_us_lie(m, 4, 0.5).block.tobytes())
 
 
 class TestSampleBlockForm:
@@ -214,7 +245,8 @@ class TestSampleTangent:
 
     @pytest.mark.parametrize("scale", [-1.0, float("nan")])
     def test_negative_or_nan_scale_refused(self, scale):
-        with pytest.raises(ValueError, match="^scale must be a nonnegative finite number$"):
+        with pytest.raises(ValueError, match=anchored(
+                f"scale must be a finite nonnegative number, got {scale!r}")):
             sample_us_lie(make_metric(1, 1), 1, scale)
 
 
