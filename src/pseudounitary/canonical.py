@@ -29,6 +29,7 @@ from .metric import (
     SignatureMetric,
     _blocks,
     _checked_real,
+    _checked_sign,
     _fro,
     _gram_residual,
     _phase_fixed_qr,
@@ -64,15 +65,12 @@ class HyperbolicBlock(namedtuple("HyperbolicBlock", "kind t sign", defaults=(0.0
     def __new__(cls, kind: str, t: float = 0.0, sign: int = 1):
         if kind not in (HYPERBOLIC, IOTA):
             raise ValueError(f"unknown block kind {kind!r}")
-        # bool is a subclass of int, but True is neither a sign nor a parameter
-        if isinstance(sign, (bool, np.bool_)) or sign not in (1, -1):
-            raise ValueError("block sign must be +1 or -1")
+        sign = _checked_sign(sign, "block sign")
         t = _checked_real(t, "block parameter")
         if kind == IOTA and t != 0.0:
             raise ValueError("iota blocks carry no hyperbolic parameter")
         # stored as the plain types every piece list holds: str, float, int
-        return tuple.__new__(cls, (HYPERBOLIC if kind == HYPERBOLIC else IOTA, t,
-                                   1 if sign == 1 else -1))
+        return tuple.__new__(cls, (HYPERBOLIC if kind == HYPERBOLIC else IOTA, t, sign))
 
     @classmethod
     def _make(cls, iterable):

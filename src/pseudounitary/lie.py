@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import _T_MAX, _check_range, _require_resolvable
+from .canonical import _check_range, _require_resolvable
 from .metric import (
     DEFAULT_TOL,
     MembershipError,
@@ -76,8 +76,7 @@ def exp_us(element: LieElement) -> np.ndarray:
     p, q = metric.p, metric.q
     b = element.block
     w, s, xh = np.linalg.svd(b)
-    if s.size and s[0] > _T_MAX:
-        raise ValueError(f"tangent too large: singular value {float(s[0])!r} exceeds {_T_MAX!r}")
+    _check_range(s.max(initial=0.0))
     r = s.size
     cp = (w * np.cosh(_padded(s, p))[None, :]) @ w.conj().T
     cq = (xh.conj().T * np.cosh(_padded(s, q))[None, :]) @ xh

@@ -16,7 +16,7 @@ from itertools import chain
 
 import numpy as np
 
-from .metric import SignatureMetric, make_metric
+from .metric import SignatureMetric, as_matrix, make_metric
 
 FORMAT_VERSION = "upq-matrix/1"
 KIND_SQUARE = "square"
@@ -51,8 +51,6 @@ _CELLS = np.array([f"[%.17g{re}, %.17g{im}]" for re in ("", ".0") for im in ("",
 def _entries_text(a: np.ndarray) -> str:
     """The rows of [re, im] cells, every float printed by one % call."""
     x = np.ascontiguousarray(a).reshape(-1).view(float)
-    if not np.isfinite(x).all():
-        raise ValueError("matrix files cannot hold non-finite entries")
     whole = (x == np.trunc(x)) & (np.abs(x) < 1e17)
     cells = _CELLS[2 * whole[0::2] + whole[1::2]].reshape(a.shape).tolist()
     # the rows of a p x 0 block are empty and print nothing, as at (0, q)
@@ -68,10 +66,7 @@ def _pairs(a) -> list:
     """
     if not isinstance(a, np.ndarray):
         raise TypeError(f"Object of type {type(a).__name__} is not JSON serializable")
-    x = np.ascontiguousarray(a, complex).reshape(-1).view(float)
-    if not np.isfinite(x).all():
-        raise ValueError("matrix files cannot hold non-finite entries")
-    return x.reshape(-1, 2).tolist()
+    return np.ascontiguousarray(as_matrix(a, a.shape, "array")).view(float).reshape(-1, 2).tolist()
 
 
 def dumps_matrix(m, metric: SignatureMetric, kind: str = KIND_SQUARE,
@@ -83,10 +78,7 @@ def dumps_matrix(m, metric: SignatureMetric, kind: str = KIND_SQUARE,
     [re, im] pairs.
     """
     shape = _expected_shape(metric, kind)
-    a = np.asarray(m, dtype=complex)
-    if a.shape != shape:
-        raise ValueError(f"{kind} matrix for ({metric.p}, {metric.q}) must have shape {shape}, "
-                         f"got {a.shape}")
+    a = as_matrix(m, shape, f"{kind} matrix for ({metric.p}, {metric.q})")
     lines = ["{"]
     lines.append(f'  "format": "{FORMAT_VERSION}",')
     lines.append(f'  "kind": "{kind}",')

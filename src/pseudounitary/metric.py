@@ -37,6 +37,25 @@ def _checked_real(x, name: str) -> float:
     return float(x)
 
 
+def _checked_int(x, name: str, low: int = 0) -> int:
+    """index(x), the one check of every integer argument: ValueError unless x is an integer
+    at least low. Bools, floats (2.0 too), strings, None and arrays with entries are refused."""
+    try:
+        # True is not a count, though bool subclasses int; index refuses floats, np.bool_
+        if not isinstance(x, bool) and index(x) >= low:
+            return index(x)
+    except TypeError:  # not an integer, as for a float or an array with entries
+        pass
+    raise ValueError(f"{name} must be an integer >= {low}, got {x!r}")
+
+
+def _checked_sign(x, name: str) -> int:
+    """1 or -1 as a plain int, the one check of every sign; a bool (0-d too) is refused."""
+    if isinstance(x, bool) or getattr(x, "dtype", None) == bool or x not in (1, -1):
+        raise ValueError(f"{name} must be +1 or -1, got {x!r}")
+    return 1 if x == 1 else -1
+
+
 @dataclass(frozen=True)
 class SignatureMetric:
     """Signature (p, q): p positive directions followed by q negative ones."""
@@ -45,16 +64,9 @@ class SignatureMetric:
     q: int
 
     def __post_init__(self):
-        p, q = self.p, self.q
-        try:
-            # True is not a dimension, though bool subclasses int; index refuses floats, np.bool_
-            if isinstance(p, bool) or isinstance(q, bool):
-                raise TypeError
-            p, q = index(p), index(q)
-        except TypeError:
-            raise ValueError(f"signature entries must be integers, got ({p!r}, {q!r})") from None
-        if p < 0 or q < 0 or p + q < 1:
-            raise ValueError(f"invalid signature ({p}, {q}): need p >= 0, q >= 0, p + q >= 1")
+        p, q = _checked_int(self.p, "p"), _checked_int(self.q, "q")
+        if p + q < 1:
+            raise ValueError(f"invalid signature ({p}, {q}): need p + q >= 1")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
@@ -92,9 +104,11 @@ def make_metric(p: int, q: int) -> SignatureMetric:
 def as_matrix(m, shape: tuple | None = None, name: str = "matrix") -> np.ndarray:
     """Coerce to a complex array of the given shape, rejecting non-finite entries.
 
-    Without a shape, any square matrix is accepted.
+    Without a shape, any square matrix is accepted. Bools, strings and objects are refused.
     """
-    a = np.asarray(m, dtype=complex)
+    a = np.asarray(m)
+    if a.dtype.kind not in "iufc":
+        raise ValueError(f"{name} entries must be numbers, got dtype {a.dtype}")
     if shape is None:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"{name} must be square, got shape {a.shape}")
@@ -102,7 +116,7 @@ def as_matrix(m, shape: tuple | None = None, name: str = "matrix") -> np.ndarray
         raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
-    return a
+    return np.asarray(a, dtype=complex)
 
 
 def _phase_fixed_qr(z: np.ndarray, mode: str = "reduced") -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .canonical import HYPERBOLIC, IOTA, BlockDecomposition, HyperbolicBlock, _block_form
 from .lie import LieElement, exp_us
-from .metric import SignatureMetric, _checked_real, _phase_fixed_qr
+from .metric import SignatureMetric, _checked_int, _checked_real, _phase_fixed_qr
 
 # One entry per block species: hyperbolic +, hyperbolic -, iota +, iota -.
 _KINDS = ((HYPERBOLIC, 1), (HYPERBOLIC, -1), (IOTA, 1), (IOTA, -1))
@@ -20,7 +20,7 @@ DEFAULT_KIND_WEIGHTS = (0.4, 0.2, 0.2, 0.2)
 
 
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
+    return np.random.Generator(np.random.PCG64(_checked_int(seed, "seed")))
 
 
 def _haar(rng: np.random.Generator, n: int, count: int = 1) -> np.ndarray:
@@ -32,9 +32,7 @@ def _haar(rng: np.random.Generator, n: int, count: int = 1) -> np.ndarray:
 
 def haar_unitary(n: int, seed: int) -> np.ndarray:
     """Haar-distributed n x n unitary; same seed gives the same matrix."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return _haar(_rng(seed), n)[0]
+    return _haar(_rng(seed), _checked_int(n, "n", 1))[0]
 
 
 @dataclass(frozen=True)

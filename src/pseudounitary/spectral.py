@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import _frame
-from .metric import DEFAULT_TOL, SignatureMetric, _checked_real, as_matrix, require_member
+from .metric import (DEFAULT_TOL, SignatureMetric, _checked_real, _checked_sign, as_matrix,
+                     require_member)
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,14 +33,12 @@ class GeneratorSet:
     vectors: np.ndarray
 
     def __post_init__(self):
-        # bool is a subclass of int, but True is not a sign
-        if isinstance(self.sigma, (bool, np.bool_)) or self.sigma not in (1, -1):
-            raise ValueError("sigma must be +1 or -1")
-        object.__setattr__(self, "sigma", 1 if self.sigma == 1 else -1)
-        lam = np.asarray(self.lambdas, dtype=float).reshape(-1)
+        object.__setattr__(self, "sigma", _checked_sign(self.sigma, "sigma"))
+        lam = as_matrix(np.ravel(self.lambdas), (np.size(self.lambdas),), "lambdas")
+        if lam.imag.any():
+            raise ValueError("lambdas must be real numbers")
         vec = as_matrix(self.vectors, (lam.size, self.metric.n), "vectors")
-        as_matrix(lam, lam.shape, "lambdas")
-        object.__setattr__(self, "lambdas", lam)
+        object.__setattr__(self, "lambdas", lam.real.copy())
         object.__setattr__(self, "vectors", vec)
 
     @property

@@ -127,6 +127,11 @@ def count_calls(monkeypatch, name: str, *modules) -> list:
 HOSTILE_REALS = (True, np.True_, np.array(True), "1e-10", None, 1j, np.complex128(1e-10),
                  np.array([1e-10, 1e-10]), 10 ** 400)
 
+# Values every integer argument (signature entries, seeds, sizes) refuses: bools,
+# floats (an integral one too), a numeric string, None, a negative int and an
+# array with entries.
+HOSTILE_INTS = (True, np.True_, 1.5, 2.0, "3", None, -1, np.array([1, 2]))
+
 
 def anchored(message: str) -> str:
     """A pattern that matches exactly message."""
@@ -502,8 +507,6 @@ def per_generator_block_decompose(M, metric: SignatureMetric) -> tuple:
 
 def _fmt(x: float) -> str:
     # 17 significant digits guarantee an exact float64 round trip.
-    if not np.isfinite(x):
-        raise ValueError("matrix files cannot hold non-finite entries")
     s = "%.17g" % x
     if not any(c in s for c in ".eE"):
         s += ".0"
@@ -518,6 +521,8 @@ def per_entry_dumps_matrix(m, metric: SignatureMetric, kind: str = KIND_SQUARE,
     the right shape for the kind and leaves the shape check to the library.
     """
     a = np.asarray(m, dtype=complex)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{kind} matrix for ({metric.p}, {metric.q}) contains non-finite entries")
     lines = ["{"]
     lines.append(f'  "format": "{FORMAT_VERSION}",')
     lines.append(f'  "kind": "{kind}",')

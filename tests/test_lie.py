@@ -9,6 +9,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    anchored,
     block_unitary,
     count_calls,
     hyperbolic,
@@ -150,9 +151,12 @@ class TestExp:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert np.isfinite(exp_us(tangent(m, [[bound]]))).all()
-            with pytest.raises(ValueError, match="tangent too large"):
+            # the range rule of every analysis route, on the largest singular value
+            with pytest.raises(ValueError, match=anchored(
+                    f"hyperbolic parameter t = {float(np.nextafter(bound, np.inf))!r} is past "
+                    f"the limit {float(bound)!r} = arccosh(float max / 2) of finite entries")):
                 exp_us(tangent(m, [[np.nextafter(bound, np.inf)]]))
-            with pytest.raises(ValueError, match="tangent too large"):
+            with pytest.raises(ValueError, match="^hyperbolic parameter t = 709.8 is past the limit"):
                 exp_us(tangent(make_metric(2, 3), 709.8 * np.eye(2, 3)))
 
 

@@ -87,7 +87,8 @@ class TestWriterAgainstOracle:
             with pytest.raises(ValueError) as exc:
                 writer(a, metric, kind)
             messages.append(str(exc.value))
-        assert messages == ["matrix files cannot hold non-finite entries"] * 2
+        assert messages == [f"{kind} matrix for ({metric.p}, {metric.q}) "
+                            "contains non-finite entries"] * 2
 
     @pytest.mark.parametrize("p, q", [(2, 0), (0, 2), (1, 0)])
     def test_empty_blocks_round_trip(self, p, q):

@@ -79,9 +79,11 @@ class TestMakeMetric:
         m = SignatureMetric(np.int64(2), np.int64(3))
         assert m == make_metric(2, 3) and hash(m) == hash(make_metric(2, 3))
         assert type(m.p) is int and type(m.q) is int
+        # each entry takes the one integer rule, whose message names the entry it refuses
         for p, q in ((True, 1), (np.True_, 1), (2.0, 2), (2, np.float64(2.0)), ("2", 2)):
+            name, bad = ("q", q) if type(p) is int else ("p", p)
             with pytest.raises(ValueError, match=anchored(
-                    f"signature entries must be integers, got ({p!r}, {q!r})")):
+                    f"{name} must be an integer >= 0, got {bad!r}")):
                 SignatureMetric(p, q)
 
 

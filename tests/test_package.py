@@ -2,6 +2,7 @@
 
 import ast
 import builtins
+import dataclasses
 import inspect
 import math
 import re
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import pseudounitary as pu
-from conftest import HOSTILE_REALS, anchored
+from conftest import HOSTILE_INTS, HOSTILE_REALS, anchored
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "pseudounitary").glob("*.py"))
 
@@ -274,3 +275,233 @@ def test_a_true_tolerance_is_not_a_tolerance_of_one():
     # True once read as tol = 1 and gave an invariant of 2 I, which is no member
     with pytest.raises(ValueError, match=anchored("tol must be a finite nonnegative number, got True")):
         pu.canonical_invariant(2 * np.eye(4), pu.make_metric(2, 2), tol=True)
+
+
+def _bits(x):
+    """A result as nested lists that compare equal only when every array and
+    float in it is bitwise equal."""
+    if isinstance(x, np.ndarray):
+        return [x.dtype.str, x.shape, x.tobytes()]
+    if dataclasses.is_dataclass(x):
+        return [_bits(getattr(x, f.name)) for f in dataclasses.fields(x)]
+    if isinstance(x, (tuple, list)):
+        return [_bits(v) for v in x]
+    return x.hex() if isinstance(x, float) else x
+
+
+def _public_parameters(annotations) -> list:
+    """The parameters, as name.parameter, of the public functions and classes of
+    the package whose annotation is one of the given strings (None for none)."""
+    found = []
+    for name, value in vars(pu).items():
+        if name.startswith("_") or not (inspect.isfunction(value) or inspect.isclass(value)
+                                        and not issubclass(value, BaseException)):
+            continue
+        for param in inspect.signature(value).parameters.values():
+            annotation = None if param.annotation is param.empty else param.annotation
+            if annotation in annotations:
+                found.append(f"{name}.{param.name}")
+    return sorted(found)
+
+
+def _int_calls() -> dict:
+    """Per integer parameter of the package: a call taking the value, and the
+    name and lower bound its refusal shows."""
+    return {
+        "SignatureMetric.p": (lambda v: pu.SignatureMetric(v, 1), "p", 0),
+        "SignatureMetric.q": (lambda v: pu.SignatureMetric(1, v), "q", 0),
+        "make_metric.p": (lambda v: pu.make_metric(v, 1), "p", 0),
+        "make_metric.q": (lambda v: pu.make_metric(1, v), "q", 0),
+        "haar_unitary.n": (lambda v: pu.haar_unitary(v, 0), "n", 1),
+        "haar_unitary.seed": (lambda v: pu.haar_unitary(2, v), "seed", 0),
+        "sample_upq.seed": (lambda v: pu.sample_upq(pu.make_metric(1, 2), v), "seed", 0),
+        "sample_us_lie.seed": (lambda v: pu.sample_us_lie(pu.make_metric(2, 1), v), "seed", 0),
+        "SampleSpec.seed": (lambda v: pu.sample_us_pp(pu.SampleSpec(pu.make_metric(2, 2), v)),
+                            "seed", 0),
+    }
+
+
+def _sign_calls() -> dict:
+    """Per int parameter of the package that is a sign: a call taking the value,
+    and the name its refusal shows."""
+    return {
+        "GeneratorSet.sigma": (lambda v: pu.GeneratorSet(pu.make_metric(1, 1), v, [2.0],
+                                                         [[1.0, 0.0]]), "sigma"),
+        "HyperbolicBlock.sign": (lambda v: pu.HyperbolicBlock(pu.IOTA, 0.0, v), "block sign"),
+    }
+
+
+def test_every_integer_argument_takes_one_rule():
+    # signature entries, every seed and haar_unitary's n are refused by one
+    # rule, with ValueError and never numpy's TypeError; a seed of None once
+    # drew a fresh seed from the OS on every call
+    calls = _int_calls()
+    assert _public_parameters({"int"}) == sorted([*calls, *_sign_calls()])
+    for name, (call, shown, low) in calls.items():
+        for bad in HOSTILE_INTS + ((0,) if low else ()):
+            with pytest.raises(ValueError, match=anchored(
+                    f"{shown} must be an integer >= {low}, got {bad!r}")):
+                call(bad)
+        # any integer type gives bitwise the result of the plain int
+        plain = _bits(call(3))
+        for same in (np.int64(3), np.uint8(3), np.array(3)):
+            assert _bits(call(same)) == plain, (name, same)
+
+
+@pytest.mark.parametrize("sign", [True, np.True_, np.array(True), 0, 2, -1.5, "1", None])
+def test_every_sign_takes_one_rule(sign):
+    # a bool equals 1 or 0 but is no sign, a 0-d one included
+    for call, shown in _sign_calls().values():
+        with pytest.raises(ValueError, match=anchored(f"{shown} must be +1 or -1, got {sign!r}")):
+            call(sign)
+
+
+def _matrix_calls() -> dict:
+    """Per matrix parameter of the package: a valid integer input and a call taking it."""
+    m = pu.make_metric(1, 1)
+    j, eye = np.array([[1, 0], [0, -1]]), np.eye(2, dtype=int)
+    iota = (pu.HyperbolicBlock(pu.IOTA, 0.0, 1),)
+    return {
+        "BlockDecomposition.q": (eye, lambda a: pu.BlockDecomposition(m, a, iota).matrix()),
+        "GeneratorSet.lambdas": (np.array([2]), lambda a: pu.GeneratorSet(m, 1, a, [[1.0, 0.0]])),
+        "GeneratorSet.vectors": (np.array([[1, 0]]), lambda a: pu.GeneratorSet(m, 1, [2.0], a)),
+        "LieElement.block": (np.array([[1]]), lambda a: pu.LieElement(m, a)),
+        "are_equivalent.M1": (j, lambda a: pu.are_equivalent(a, j, m)),
+        "are_equivalent.M2": (j, lambda a: pu.are_equivalent(j, a, m)),
+        "assemble_blocks.unitary": (eye, lambda a: pu.assemble_blocks(iota, a, m)),
+        "block_decompose.M": (j, lambda a: pu.block_decompose(a, m)),
+        "block_identities_residual.M": (j, lambda a: pu.block_identities_residual(a, m)),
+        "canonical_invariant.M": (j, lambda a: pu.canonical_invariant(a, m)),
+        "check_compact_intersection.M": (j, lambda a: pu.check_compact_intersection(a, m)),
+        "dumps_matrix.m": (j, lambda a: pu.dumps_matrix(a, m)),
+        "extract_generators.M": (j, lambda a: pu.extract_generators(a, m)),
+        "fast_inverse.M": (j, lambda a: pu.fast_inverse(a, m)),
+        "hermitian_residual.M": (j, pu.hermitian_residual),
+        "indefinite_form.w": (np.array([1, 2]), lambda a: pu.indefinite_form([1j, 1], a, m)),
+        "indefinite_form.z": (np.array([1, 2]), lambda a: pu.indefinite_form(a, [1j, 1], m)),
+        "is_hermitian.M": (j, pu.is_hermitian),
+        "is_in_exp_image.M": (eye, lambda a: pu.is_in_exp_image(a, m)),
+        "is_pseudo_unitary.M": (j, lambda a: pu.is_pseudo_unitary(a, m)),
+        "log_us.M": (eye, lambda a: pu.log_us(a, m)),
+        "membership_residual.M": (j, lambda a: pu.membership_residual(a, m)),
+        "quadratic_form.z": (np.array([2, 1]), lambda a: pu.quadratic_form(a, m)),
+        "require_member.M": (j, lambda a: pu.require_member(a, m)),
+        "split_blocks.M": (j, lambda a: pu.split_blocks(a, m)),
+        "unitary_residual.M": (j, pu.unitary_residual),
+        "validate_lie_algebra.T": (j[::-1], lambda a: pu.validate_lie_algebra(a, m)),
+    }
+
+
+# unannotated or ndarray parameters that no matrix rule applies to, with the reason
+NOT_MATRICES = {
+    "MatrixDocument.matrix": "a record that loads_matrix fills from entries it has checked",
+    "assemble_blocks.blocks": "a list of (kind, t, sign) pieces",
+    "invariant_from_blocks.blocks": "a list of (kind, t, sign) pieces",
+}
+
+
+def test_every_matrix_argument_takes_one_rule():
+    # a matrix holds numbers: strings, bools and objects are refused by
+    # as_matrix's dtype rule, not read as numbers, while an int matrix gives
+    # bitwise the answer of its float copy
+    calls = _matrix_calls()
+    assert _public_parameters({None, "np.ndarray"}) == sorted([*calls, *NOT_MATRICES])
+    for name, (valid, call) in calls.items():
+        assert valid.dtype.kind == "i"
+        assert _bits(call(valid)) == _bits(call(valid.astype(float))), name
+        for dtype in (str, bool, object):
+            with pytest.raises(ValueError, match="entries must be numbers, got dtype"):
+                call(valid.astype(dtype))
+
+
+def test_numeric_strings_and_bools_are_not_matrices():
+    with pytest.raises(ValueError, match=anchored("matrix entries must be numbers, got dtype <U2")):
+        pu.membership_residual([["1", "0"], ["0", "-1"]], pu.make_metric(1, 1))
+    with pytest.raises(ValueError, match=anchored("matrix entries must be numbers, got dtype bool")):
+        pu.is_pseudo_unitary([[True, False], [False, True]], pu.make_metric(2, 0))
+
+
+@pytest.mark.parametrize("lambdas, message", [
+    ([2 + 1j], "lambdas must be real numbers"),
+    (["2"], "lambdas entries must be numbers, got dtype <U1"),
+    ([True], "lambdas entries must be numbers, got dtype bool"),
+])
+def test_generator_lambdas_are_real_numbers(lambdas, message):
+    with pytest.raises(ValueError, match=anchored(message)):
+        pu.GeneratorSet(pu.make_metric(1, 1), 1, lambdas, [[1.0, 0.0]])
+
+
+def test_generator_lambdas_are_stored_as_floats():
+    for lambdas in ([2], [2.0 + 0j], np.array([[2.0]])):
+        gens = pu.GeneratorSet(pu.make_metric(1, 1), 1, lambdas, [[1.0, 0.0]])
+        assert gens.lambdas.dtype == float and gens.lambdas.flags.c_contiguous
+        assert gens.lambdas.tolist() == [2.0]
+
+
+# names of the complex dtype, as np.asarray(x, dtype=...) may spell it
+COMPLEX_NAMES = {"complex", "complex128", "complex_", "cdouble"}
+
+
+def rule_copies(sources: dict) -> list:
+    """Code outside metric.py that decides an integer, sign or matrix argument
+    itself, as file:line and what it is.
+
+    sources maps a file name to its text. Flagged: an isinstance test against
+    bool or np.bool_, operator.index, np.asarray(..., dtype=complex), and
+    np.random.PCG64 built anywhere but sampler._rng, which checks every seed.
+    """
+    found = []
+
+    def visit(name: str, node, function):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                else function
+            what = None
+            if isinstance(child, ast.ImportFrom) and child.module == "operator" and any(
+                    alias.name == "index" for alias in child.names):
+                what = "operator.index"
+            elif (isinstance(child, ast.Attribute) and child.attr == "index"
+                  and getattr(child.value, "id", None) == "operator"):
+                what = "operator.index"
+            elif isinstance(child, ast.Call):
+                called = getattr(child.func, "id", getattr(child.func, "attr", None))
+                if called == "isinstance" and len(child.args) == 2 and any(
+                        getattr(n, "id", getattr(n, "attr", None)) in ("bool", "bool_")
+                        for n in ast.walk(child.args[1])):
+                    what = "isinstance bool"
+                elif called == "asarray" and any(
+                        getattr(n, "id", getattr(n, "attr", None)) in COMPLEX_NAMES
+                        for n in child.args[1:] + [k.value for k in child.keywords
+                                                   if k.arg == "dtype"]):
+                    what = "asarray complex"
+                elif called == "PCG64" and (name, function) != ("sampler.py", "_rng"):
+                    what = "PCG64"
+            if what and (name != "metric.py" or what == "PCG64"):
+                found.append(f"{name}:{child.lineno}:{what}")
+            visit(name, child, inner)
+
+    for name, text in sources.items():
+        visit(name, ast.parse(text), None)
+    return found
+
+
+def test_rule_copy_guard_sees_each_copy():
+    sources = {
+        "a.py": ("import numpy as np\nfrom operator import index, sub\n\n\n"
+                 "def f(x, s):\n    if isinstance(s, (bool, np.bool_)):\n        raise ValueError\n"
+                 "    return np.asarray(x, dtype=complex), np.asarray(x, np.complex128)\n"),
+        "metric.py": ("import operator\n\n\ndef g(x):\n    if isinstance(x, bool):\n"
+                      "        return np.random.PCG64(1)\n    return operator.index(x)\n"),
+        "sampler.py": ("def _rng(seed):\n    return np.random.PCG64(seed)\n\n\n"
+                       "def other(seed):\n    return np.random.PCG64(seed)\n"),
+    }
+    assert rule_copies(sources) == [
+        "a.py:2:operator.index", "a.py:6:isinstance bool", "a.py:8:asarray complex",
+        "a.py:8:asarray complex", "metric.py:6:PCG64", "sampler.py:6:PCG64"]
+
+
+def test_argument_rules_live_in_metric():
+    # integers, signs and matrices are decided by _checked_int, _checked_sign
+    # and as_matrix alone, and every seed is checked where the generator is built
+    assert SOURCES
+    assert rule_copies({path.name: path.read_text(encoding="utf-8") for path in SOURCES}) == []
