@@ -8,15 +8,11 @@ from .metric import (
     check_compact_intersection,
     fast_inverse,
     hermitian_residual,
-    indefinite_form,
     is_hermitian,
     is_pseudo_unitary,
     make_metric,
     membership_residual,
-    quadratic_form,
     require_member,
-    split_blocks,
-    unitary_residual,
 )
 from .spectral import (
     GeneratorSet,
@@ -42,7 +38,6 @@ from .lie import (
     exp_us,
     is_in_exp_image,
     log_us,
-    validate_lie_algebra,
 )
 from .sampler import (
     SampleSpec,

@@ -63,7 +63,7 @@ class HyperbolicBlock(namedtuple("HyperbolicBlock", "kind t sign", defaults=(0.0
     __slots__ = ()
 
     def __new__(cls, kind: str, t: float = 0.0, sign: int = 1):
-        if kind not in (HYPERBOLIC, IOTA):
+        if getattr(kind, "ndim", 0) or kind not in (HYPERBOLIC, IOTA):  # an array of kinds is none
             raise ValueError(f"unknown block kind {kind!r}")
         sign = _checked_sign(sign, "block sign")
         t = _checked_real(t, "block parameter")

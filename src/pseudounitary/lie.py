@@ -24,8 +24,6 @@ from .metric import (
     DEFAULT_TOL,
     MembershipError,
     SignatureMetric,
-    _checked_real,
-    _hermitian_residual,
     as_matrix,
     require_member,
 )
@@ -41,24 +39,6 @@ class LieElement:
     def __post_init__(self):
         b = as_matrix(self.block, (self.metric.p, self.metric.q), "block")
         object.__setattr__(self, "block", b)
-
-    def matrix(self) -> np.ndarray:
-        """The full n x n Hermitian tangent matrix [[0, B], [B*, 0]]."""
-        p, q = self.metric.p, self.metric.q
-        out = np.zeros((p + q, p + q), dtype=complex)
-        out[:p, p:] = self.block
-        out[p:, :p] = self.block.conj().T
-        return out
-
-
-def validate_lie_algebra(T, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> bool:
-    """True when T* J + J T vanishes relatively, i.e. T is a tangent direction.
-
-    The defect T* J + J T is i (X - X*) for X = i J T, and ||X|| = ||T||, so
-    this is the Hermitian residual of X, finite over the whole float range.
-    """
-    a = as_matrix(T, (metric.n, metric.n), "T")
-    return bool(_hermitian_residual(1j * metric.signs[:, None] * a) <= _checked_real(tol, "tol"))
 
 
 def _padded(values: np.ndarray, size: int) -> np.ndarray:

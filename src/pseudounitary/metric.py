@@ -1,4 +1,4 @@
-"""Signature metrics, indefinite forms, and membership checks for U(p, q).
+"""Signature metrics, argument rules and membership checks for U(p, q).
 
 A matrix M belongs to U(p, q) when M* J M = J, where J = diag{I_p, -I_q}.
 Everything downstream (generators, block forms, exp/log) builds on the
@@ -50,8 +50,10 @@ def _checked_int(x, name: str, low: int = 0) -> int:
 
 
 def _checked_sign(x, name: str) -> int:
-    """1 or -1 as a plain int, the one check of every sign; a bool (0-d too) is refused."""
-    if isinstance(x, bool) or getattr(x, "dtype", None) == bool or x not in (1, -1):
+    """1 or -1 as a plain int, the one check of every sign; a bool (0-d too) and an
+    array with entries are refused."""
+    if (isinstance(x, bool) or getattr(x, "dtype", None) == bool or getattr(x, "ndim", 0)
+            or x not in (1, -1)):
         raise ValueError(f"{name} must be +1 or -1, got {x!r}")
     return 1 if x == 1 else -1
 
@@ -132,27 +134,6 @@ def _blocks(a: np.ndarray, p: int) -> tuple:
     return a[:p, :p], a[:p, p:], a[p:, :p], a[p:, p:]
 
 
-def split_blocks(M, metric: SignatureMetric) -> tuple:
-    """Split M into blocks (p x p, p x q, q x p, q x q) along the signature."""
-    return _blocks(as_matrix(M, (metric.n, metric.n)), metric.p)
-
-
-def indefinite_form(z, w, metric: SignatureMetric) -> complex:
-    """Indefinite inner product: conjugate z, weight by the signature, sum against w.
-
-    Conjugate-linear in the first argument, so indefinite_form(w, z) is the
-    complex conjugate of indefinite_form(z, w).
-    """
-    zv = as_matrix(np.ravel(z), (metric.n,), "z")
-    wv = as_matrix(np.ravel(w), (metric.n,), "w")
-    return complex(np.sum(np.conj(zv) * metric.signs * wv))
-
-
-def quadratic_form(z, metric: SignatureMetric) -> float:
-    """The real value of the indefinite form of z against itself."""
-    return float(indefinite_form(z, z, metric).real)
-
-
 # The helpers below trust a matrix that as_matrix has already coerced and
 # checked; the public functions coerce once and then call them.
 
@@ -213,11 +194,6 @@ def _skew_residual(b: np.ndarray, s, fro):
     return _fro(b - b.conj().T) / (s + fro)
 
 
-def _hermitian_residual(a: np.ndarray):
-    b, s, fro, _ = _scaled(a)
-    return _skew_residual(b, s, fro)
-
-
 def _refusals(a: np.ndarray, metric: SignatureMetric, tol: float,
               hermitian: bool = True) -> tuple:
     """Validate a matrix as require_member does: (the MembershipError message,
@@ -249,18 +225,13 @@ def is_pseudo_unitary(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> b
 
 def hermitian_residual(M) -> float:
     """Relative Frobenius size of M - M*."""
-    return float(_hermitian_residual(as_matrix(M)))
+    b, s, fro, _ = _scaled(as_matrix(M))
+    return float(_skew_residual(b, s, fro))
 
 
 def is_hermitian(M, tol: float = DEFAULT_TOL) -> bool:
     """True when ||M - M*|| <= tol * (1 + ||M||) in the Frobenius norm."""
     return hermitian_residual(M) <= _checked_real(tol, "tol")
-
-
-def unitary_residual(M) -> float:
-    """Relative Frobenius size of M* M - I."""
-    b, s, fro, _ = _scaled(as_matrix(M))
-    return float(_gram_residual(b, s, fro, np.ones(len(b))))
 
 
 def block_identities_residual(M, metric: SignatureMetric) -> float:

@@ -53,14 +53,17 @@ class SampleSpec:
     def __post_init__(self):
         if self.metric.p != self.metric.q:
             raise ValueError("block sampling needs a (p, p) signature")
-        w = tuple(_checked_real(x, "block_kind_weights entry") for x in self.block_kind_weights)
+        # a value with no entries, such as a number, fails its field's count below
+        weights = self.block_kind_weights if np.iterable(self.block_kind_weights) else ()
+        w = tuple(_checked_real(x, "block_kind_weights entry") for x in weights)
         if len(w) != 4 or not abs(sum(w) - 1.0) <= 1e-9:
             raise ValueError("block_kind_weights must be four nonnegative numbers summing to 1")
         object.__setattr__(self, "block_kind_weights", w)
         if not _checked_real(self.t_max, "t_max") > 0:
             raise ValueError(f"t_max must be finite and positive, got {self.t_max!r}")
         if self.t_values is not None:
-            tv = tuple(_checked_real(x, "t_values entry") for x in self.t_values)
+            values = self.t_values if np.iterable(self.t_values) else ()
+            tv = tuple(_checked_real(x, "t_values entry") for x in values)
             if len(tv) != self.metric.p:
                 raise ValueError(f"t_values must have one entry per slot ({self.metric.p})")
             object.__setattr__(self, "t_values", tv)

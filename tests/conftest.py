@@ -366,8 +366,29 @@ def pd_floor_log(M, metric: SignatureMetric):
     return (u[:, :r] * np.arcsinh(s)[None, :]) @ vh[:r, :]
 
 
+def unitary_residual(a) -> float:
+    """||A* A - I|| / (1 + ||A||^2) in plain numpy: zero exactly on unitary matrices."""
+    a = np.asarray(a, complex)
+    return float(np.linalg.norm(a.conj().T @ a - np.eye(len(a))) / (1.0 + np.linalg.norm(a) ** 2))
+
+
+def indefinite_product(z, w, metric: SignatureMetric) -> complex:
+    """sum(conj(z) J w), the indefinite inner product that members of U(p, q) preserve."""
+    return complex(np.vdot(z, metric.signs * np.asarray(w)))
+
+
+def tangent_matrix(block, metric: SignatureMetric) -> np.ndarray:
+    """The n x n Hermitian tangent [[0, B], [B*, 0]] of a p x q block B."""
+    p = metric.p
+    out = np.zeros((metric.n, metric.n), dtype=complex)
+    out[:p, p:] = block
+    out[p:, :p] = np.conj(block).T
+    return out
+
+
 def unscaled_tangent_residual(T, metric: SignatureMetric) -> float:
-    """||T* J + J T|| / (1 + ||T||), the np.linalg.norm formula of the tangent check, unscaled."""
+    """||T* J + J T|| / (1 + ||T||) in plain np.linalg.norm arithmetic, unscaled: zero
+    exactly on the Lie algebra of U(p, q)."""
     a = np.asarray(T, complex)
     j = metric.signs
     defect = a.conj().T * j[None, :] + j[:, None] * a

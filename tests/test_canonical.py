@@ -26,6 +26,7 @@ from conftest import (
     per_generator_block_decompose,
     per_piece_assemble,
     per_piece_matrix,
+    unitary_residual,
 )
 from pseudounitary import metric as metric_module
 from pseudounitary import (
@@ -53,7 +54,6 @@ from pseudounitary import (
     require_member,
     sample_us_pp,
     spectral,
-    unitary_residual,
 )
 from pseudounitary.canonical import T_COMPARE_TOL
 from pseudounitary.cli import main
@@ -1152,6 +1152,8 @@ def refused_t(shown: str) -> str:
 
 BAD_TRIPLES = {
     "unknown_kind": (("circle", 0.0, 1), "unknown block kind"),
+    "array_kind": ((np.array([IOTA]), 0.0, 1), "unknown block kind"),
+    "array_kinds": ((np.array([IOTA, IOTA]), 0.0, 1), "unknown block kind"),
     "sign_2": ((HYPERBOLIC, 1.0, 2), "block sign must be"),
     "negative_t": ((HYPERBOLIC, -0.5, 1), refused_t("-0.5")),
     "nan_t": ((HYPERBOLIC, float("nan"), 1), refused_t("nan")),

@@ -436,6 +436,19 @@ class TestModuleForm:
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
         assert code == 0 and json.loads(out)["result"]["dimension"] == 6
 
+    @pytest.mark.parametrize("argv, code", [
+        (["dim", "--p", "2", "--q", "3"], 0),
+        (["invert", "-"], 1),
+        (["check", "/nonexistent/never.json"], 2),
+    ])
+    def test_run_exits_with_the_code_main_returns(self, monkeypatch, argv, code):
+        # run() is the installed upq script: it reads sys.argv and exits with main's code
+        monkeypatch.setattr(sys, "argv", ["upq", *argv])
+        monkeypatch.setattr(sys, "stdin", io.StringIO(dumps_matrix(2 * np.eye(2), make_metric(1, 1))))
+        with pytest.raises(SystemExit) as exited:
+            cli.run()
+        assert exited.value.code == code
+
 
 class TestUsageErrors:
     def test_missing_file(self, capsys):

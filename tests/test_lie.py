@@ -1,4 +1,4 @@
-"""Tangent space validation, the exponential map, and its inverse."""
+"""Tangent blocks, the exponential map, and its inverse."""
 
 import re
 import warnings
@@ -17,6 +17,7 @@ from conftest import (
     mp_exp_tangent,
     mp_log_parameters,
     pd_floor_log,
+    tangent_matrix,
     unscaled_tangent_residual,
 )
 from pseudounitary import (
@@ -35,10 +36,8 @@ from pseudounitary import (
     log_us,
     make_metric,
     membership_residual,
-    validate_lie_algebra,
 )
 import pseudounitary
-from pseudounitary.metric import _hermitian_residual
 
 LN2 = np.log(2.0)
 
@@ -48,29 +47,7 @@ def tangent(metric, b):
 
 
 class TestValidate:
-    def test_offdiagonal_hermitian_generators_pass(self):
-        m = make_metric(1, 1)
-        T = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        assert validate_lie_algebra(T, m)
-        assert validate_lie_algebra(np.zeros((2, 2)), m)
-
-    def test_diagonal_part_rejected(self):
-        m = make_metric(1, 1)
-        assert not validate_lie_algebra(np.eye(2), m)
-
-    def test_complex_offdiagonal(self):
-        m = make_metric(1, 2)
-        T = np.zeros((3, 3), dtype=complex)
-        T[0, 1] = 2.0 - 1j
-        T[1, 0] = 2.0 + 1j
-        assert validate_lie_algebra(T, m)
-        T[1, 2] = 0.5
-        assert not validate_lie_algebra(T, m)
-
-    def test_huge_non_tangent_rejected_without_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert not validate_lie_algebra(np.array([[1e200, 0.0], [0.0, 0.0]]), make_metric(1, 1))
+    """The tangent defect T* J + J T, measured as the Hermitian residual of i J T."""
 
     def test_residual_is_bitwise_the_unscaled_formula(self):
         # tangents and non-tangents scaled from 1e-30 to 1e30, where the
@@ -82,26 +59,13 @@ class TestValidate:
             n = m.n
             T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             if rng.random() < 0.5:
-                T = LieElement(m, T[: m.p, m.p:]).matrix()
+                T = tangent_matrix(T[: m.p, m.p:], m)
             T = T * 10.0 ** rng.uniform(-30, 30)
             x = 1j * m.signs[:, None] * T
-            assert _hermitian_residual(x) == unscaled_tangent_residual(T, m)
-            assert validate_lie_algebra(T, m) == (unscaled_tangent_residual(T, m) <= 1e-10)
+            assert hermitian_residual(x) == unscaled_tangent_residual(T, m)
 
 
 class TestGenerator:
-    def test_embedding(self):
-        m = make_metric(1, 2)
-        el = tangent(m, [[1.0, 2.0j]])
-        T = el.matrix()
-        assert T.shape == (3, 3)
-        assert T[0, 1] == 1.0
-        assert T[0, 2] == 2.0j
-        assert T[1, 0] == 1.0
-        assert T[2, 0] == -2.0j
-        assert validate_lie_algebra(T, m)
-        assert hermitian_residual(T) == 0.0
-
     def test_shape_checked(self):
         with pytest.raises(ValueError):
             tangent(make_metric(1, 1), [[1.0, 2.0]])

@@ -1,4 +1,4 @@
-"""Metric construction, indefinite forms, and membership predicates."""
+"""Metric construction and membership predicates."""
 
 import warnings
 
@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import anchored, block_unitary, count_calls, hyperbolic, unscaled_residuals
+from conftest import (anchored, block_unitary, count_calls, hyperbolic, indefinite_product,
+                      unscaled_residuals)
 from pseudounitary import canonical as canonical_module
 from pseudounitary import metric as metric_module
 from pseudounitary import (
@@ -22,16 +23,12 @@ from pseudounitary import (
     exp_us,
     fast_inverse,
     hermitian_residual,
-    indefinite_form,
     is_hermitian,
     is_pseudo_unitary,
     make_metric,
     membership_residual,
-    quadratic_form,
     require_member,
     sample_upq,
-    split_blocks,
-    unitary_residual,
 )
 
 LN2 = np.log(2.0)
@@ -109,39 +106,6 @@ class TestSigns:
 
 
 class TestForms:
-    def test_basis_vectors(self):
-        m = make_metric(1, 1)
-        assert indefinite_form([1, 0], [1, 0], m) == 1
-        assert indefinite_form([0, 1], [0, 1], m) == -1
-
-    def test_hand_expansion(self):
-        m = make_metric(1, 1)
-        z = np.array([1, 1]) / np.sqrt(2)
-        w = np.array([1, -1]) / np.sqrt(2)
-        assert indefinite_form(z, w, m) == pytest.approx(1.0)
-
-    def test_conjugate_symmetry(self):
-        m = make_metric(2, 3)
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            z = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-            w = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-            assert indefinite_form(z, w, m) == pytest.approx(
-                np.conj(indefinite_form(w, z, m))
-            )
-
-    def test_quadratic_values(self):
-        m = make_metric(1, 2)
-        assert quadratic_form([3, 4, 0], m) == pytest.approx(-7.0)
-        assert quadratic_form([0, 0, 0], m) == 0.0
-        z = np.array([np.sqrt(2), 1, 0]) / np.sqrt(3)
-        assert quadratic_form(z, m) == pytest.approx(1.0 / 3.0)
-
-    def test_dimension_mismatch(self):
-        m = make_metric(1, 1)
-        with pytest.raises(ValueError):
-            indefinite_form([1, 0, 0], [1, 0], m)
-
     def test_form_preserved_by_members(self):
         m = make_metric(2, 2)
         rng = np.random.default_rng(5)
@@ -149,8 +113,8 @@ class TestForms:
             M = sample_upq(m, seed)
             z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            assert indefinite_form(M @ z, M @ w, m) == pytest.approx(
-                indefinite_form(z, w, m), abs=1e-10
+            assert indefinite_product(M @ z, M @ w, m) == pytest.approx(
+                indefinite_product(z, w, m), abs=1e-10
             )
 
 
@@ -299,8 +263,8 @@ class TestCompactIntersection:
             assert not check_compact_intersection(sample_upq(m, seed), m)
 
     def test_unitary_residual(self):
-        assert unitary_residual(np.eye(3)) == 0.0
-        assert unitary_residual(2 * np.eye(2)) > 0.1
+        assert _unitary_residual(np.eye(3)) == 0.0
+        assert _unitary_residual(2 * np.eye(2)) > 0.1
 
     def test_one_measurement_per_check(self, monkeypatch):
         # both residuals, and the norm of the block test, read one _scaled(M)
@@ -313,17 +277,6 @@ class TestCompactIntersection:
         assemble_blocks([("hyperbolic", 0.5, 1), ("iota", 0.0, -1)], Q, m)
         assert len(measured) == 2
         assert all(x.shape != Q.shape for x in norms)
-
-
-class TestBlockView:
-    def test_round_trip_exact(self):
-        m = make_metric(2, 3)
-        rng = np.random.default_rng(1)
-        M = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        m11, m12, m21, m22 = split_blocks(M, m)
-        assert m11.shape == (2, 2) and m12.shape == (2, 3)
-        assert m21.shape == (3, 2) and m22.shape == (3, 3)
-        assert np.array_equal(np.block([[m11, m12], [m21, m22]]), M)
 
 
 class TestValidatesOnce:
@@ -367,8 +320,13 @@ def residual_inputs(draw):
     return metric, x * 10.0 ** draw(st.floats(-100.0, 75.0))
 
 
+def _unitary_residual(a):
+    """||A* A - I|| / (1 + ||A||^2): the membership residual at signature (n, 0)."""
+    return membership_residual(a, make_metric(len(a), 0))
+
+
 def _residuals(a, metric):
-    return (membership_residual(a, metric), hermitian_residual(a), unitary_residual(a))
+    return (membership_residual(a, metric), hermitian_residual(a), _unitary_residual(a))
 
 
 class TestFullRangeResiduals:
@@ -385,7 +343,7 @@ class TestFullRangeResiduals:
             assert require_member(M, m) is not None
             assert is_pseudo_unitary(M, m) and is_hermitian(M)
             assert block_identities_residual(M, m) <= r
-            assert np.isfinite(unitary_residual(M)) and not check_compact_intersection(M, m)
+            assert np.isfinite(_unitary_residual(M)) and not check_compact_intersection(M, m)
             inv = canonical_invariant(M, m)
         assert inv.triples == (("hyperbolic", pytest.approx(t, rel=1e-14), 1),)
 
@@ -403,7 +361,7 @@ class TestFullRangeResiduals:
                 fast_inverse(M, m)
             assert not is_pseudo_unitary(M, m)
             assert 0.0 < block_identities_residual(M, m) <= r
-            assert np.isfinite(unitary_residual(M))
+            assert np.isfinite(_unitary_residual(M))
 
     def test_largest_floats_give_finite_residuals(self):
         m = make_metric(1, 2)

@@ -14,7 +14,8 @@ import pytest
 import pseudounitary as pu
 from conftest import HOSTILE_INTS, HOSTILE_REALS, anchored
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "pseudounitary").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "pseudounitary").glob("*.py"))
 
 
 def test_no_assert_statements():
@@ -159,6 +160,49 @@ def test_private_functions_are_used():
     assert found == sorted(UNREFERENCED_ALLOWED)
 
 
+def unused_public_names(names, sources: dict, texts: list) -> list:
+    """The names that no code in the given sources uses and no given text names.
+
+    sources maps a file name to its text. A name counts as used there where
+    it is loaded, as a name or as an attribute, outside its own top-level
+    definition; importing or re-exporting it does not count. In texts, a
+    name counts where it stands as a whole word.
+    """
+    used = set()
+    for text in sources.values():
+        for top in ast.parse(text).body:
+            used |= {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(top) if isinstance(node, (ast.Name, ast.Attribute))
+                     and isinstance(node.ctx, ast.Load)} - {getattr(top, "name", None)}
+    return sorted(name for name in names if name not in used
+                  and not any(re.search(rf"\b{re.escape(name)}\b", text) for text in texts))
+
+
+def test_public_name_guard_sees_a_planted_name():
+    sources = {"a.py": ("LIMIT = 2\n\n\ndef used(x):\n    return x < LIMIT\n\n\n"
+                        "def planted(x):\n    return planted(x - 1) if x else 0\n\n\n"
+                        "class Shown:\n    pass\n"),
+               "__init__.py": "from .a import LIMIT, Shown, named, planted, used\n",
+               "b.py": "from .a import used\n\n\ndef g():\n    return used(1)\n"}
+    texts = ["`Shown` holds no planted_value", "named\n"]
+    names = ["LIMIT", "Shown", "named", "planted", "used"]
+    assert unused_public_names(names, sources, texts) == ["planted"]
+
+
+def test_public_names_are_used():
+    # a public name that only the tests use: the package itself, a workload,
+    # an acceptance criterion or README has to use it
+    names = [name for name, value in vars(pu).items()
+             if not name.startswith("_") and not inspect.ismodule(value)]
+    texts = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "bench").iterdir())
+             if path.suffix in (".py", ".md")]
+    texts += [(ROOT / name).read_text(encoding="utf-8")
+              for name in ("tests/test_acceptance.py", "README.md")]
+    assert SOURCES and names
+    assert unused_public_names(names, {path.name: path.read_text(encoding="utf-8")
+                                       for path in SOURCES}, texts) == []
+
+
 def exception_names(trees: dict) -> set:
     """Names of the builtin exception classes and of the classes the given
     module trees derive from them, directly or through each other."""
@@ -220,7 +264,6 @@ def _tol_calls() -> dict:
     M = np.array([[c, s], [s, c]], dtype=complex)
     gens = pu.extract_generators(M, m)
     empty = pu.GeneratorSet(m, 1, [], np.zeros((0, 2)))
-    tangent = pu.LieElement(m, [[0.5]]).matrix()
     return {
         "are_equivalent": [lambda tol: pu.are_equivalent(M, M, m, tol)],
         "block_decompose": [lambda tol: pu.block_decompose(M, m, tol)],
@@ -238,7 +281,6 @@ def _tol_calls() -> dict:
         "require_member": [lambda tol: pu.require_member(M, m, tol)],
         "validate_generators": [lambda tol: pu.validate_generators(gens, tol),
                                 lambda tol: pu.validate_generators(empty, tol)],
-        "validate_lie_algebra": [lambda tol: pu.validate_lie_algebra(tangent, m, tol)],
     }
 
 
@@ -348,9 +390,11 @@ def test_every_integer_argument_takes_one_rule():
             assert _bits(call(same)) == plain, (name, same)
 
 
-@pytest.mark.parametrize("sign", [True, np.True_, np.array(True), 0, 2, -1.5, "1", None])
+@pytest.mark.parametrize("sign", [True, np.True_, np.array(True), 0, 2, -1.5, "1", None,
+                                  np.array([1]), np.array([[1]]), np.array([1, 1])])
 def test_every_sign_takes_one_rule(sign):
-    # a bool equals 1 or 0 but is no sign, a 0-d one included
+    # a bool equals 1 or 0 but is no sign, a 0-d one included; an array with
+    # entries is no sign either, though one with a single 1 once passed as 1
     for call, shown in _sign_calls().values():
         with pytest.raises(ValueError, match=anchored(f"{shown} must be +1 or -1, got {sign!r}")):
             call(sign)
@@ -377,18 +421,12 @@ def _matrix_calls() -> dict:
         "extract_generators.M": (j, lambda a: pu.extract_generators(a, m)),
         "fast_inverse.M": (j, lambda a: pu.fast_inverse(a, m)),
         "hermitian_residual.M": (j, pu.hermitian_residual),
-        "indefinite_form.w": (np.array([1, 2]), lambda a: pu.indefinite_form([1j, 1], a, m)),
-        "indefinite_form.z": (np.array([1, 2]), lambda a: pu.indefinite_form(a, [1j, 1], m)),
         "is_hermitian.M": (j, pu.is_hermitian),
         "is_in_exp_image.M": (eye, lambda a: pu.is_in_exp_image(a, m)),
         "is_pseudo_unitary.M": (j, lambda a: pu.is_pseudo_unitary(a, m)),
         "log_us.M": (eye, lambda a: pu.log_us(a, m)),
         "membership_residual.M": (j, lambda a: pu.membership_residual(a, m)),
-        "quadratic_form.z": (np.array([2, 1]), lambda a: pu.quadratic_form(a, m)),
         "require_member.M": (j, lambda a: pu.require_member(a, m)),
-        "split_blocks.M": (j, lambda a: pu.split_blocks(a, m)),
-        "unitary_residual.M": (j, pu.unitary_residual),
-        "validate_lie_algebra.T": (j[::-1], lambda a: pu.validate_lie_algebra(a, m)),
     }
 
 

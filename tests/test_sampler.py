@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import HOSTILE_REALS, anchored, count_calls, reference_sample_us_pp
+from conftest import (HOSTILE_REALS, anchored, count_calls, reference_sample_us_pp,
+                      tangent_matrix, unitary_residual, unscaled_tangent_residual)
 from pseudounitary import (
     HYPERBOLIC,
     IOTA,
@@ -23,8 +24,6 @@ from pseudounitary import (
     sample_upq,
     sample_us_lie,
     sample_us_pp,
-    unitary_residual,
-    validate_lie_algebra,
 )
 from pseudounitary import sampler as sampler_module
 from pseudounitary.sampler import DEFAULT_KIND_WEIGHTS
@@ -67,6 +66,13 @@ class TestHaar:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             haar_unitary(0, seed=1)
+
+
+# per SampleSpec field that takes entries: its refusal of a value with none, at (2, 2)
+NO_ENTRIES = {
+    "block_kind_weights": "block_kind_weights must be four nonnegative numbers summing to 1",
+    "t_values": "t_values must have one entry per slot (2)",
+}
 
 
 class TestSampleSpec:
@@ -125,6 +131,13 @@ class TestSampleSpec:
             with pytest.raises(ValueError, match=anchored(
                     f"scale must be a finite nonnegative number, got {bad!r}")):
                 sample_us_lie(m, 0, bad)
+
+    @pytest.mark.parametrize("field", sorted(NO_ENTRIES))
+    @pytest.mark.parametrize("value", [1.0, 0, np.array(1.0), True])
+    def test_a_value_without_entries_takes_its_fields_rule(self, field, value):
+        # a number once raised TypeError: 'float' object is not iterable
+        with pytest.raises(ValueError, match=anchored(NO_ENTRIES[field])):
+            SampleSpec(metric=make_metric(2, 2), seed=0, **{field: value})
 
     def test_numpy_scalars_and_0d_arrays_are_real_settings(self):
         m = make_metric(2, 2)
@@ -227,7 +240,7 @@ class TestSampleTangent:
         m = make_metric(p, q)
         el = sample_us_lie(m, seed=8)
         assert el.block.shape == (p, q)
-        assert validate_lie_algebra(el.matrix(), m)
+        assert unscaled_tangent_residual(tangent_matrix(el.block, m), m) <= 1e-10
 
     def test_exp_of_sample_is_positive_member(self):
         m = make_metric(2, 3)

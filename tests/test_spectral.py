@@ -424,15 +424,15 @@ class TestValidateGenerators:
 
 class TestGeneratorSetSign:
     @pytest.mark.parametrize("sigma", [1, -1, 1.0, -1.0, np.int64(-1), np.float64(1.0),
-                                       1 + 0j, np.array([1])])
+                                       1 + 0j, np.array(1)])
     def test_sign_stored_as_int(self, sigma):
         gens = GeneratorSet(metric=make_metric(1, 1), sigma=sigma, lambdas=[2.0],
                             vectors=[[1.0, 0.0]])
         assert type(gens.sigma) is int and gens.sigma == (1 if sigma == 1 else -1)
 
-    @pytest.mark.parametrize("sigma", [True, False, np.True_, 0, 2, -1.5])
+    @pytest.mark.parametrize("sigma", [True, False, np.True_, 0, 2, -1.5, np.array([1])])
     def test_other_signs_refused(self, sigma):
-        # bool is a subclass of int, but True is not a sign
+        # bool is a subclass of int, but True is not a sign; nor is an array with entries
         with pytest.raises(ValueError, match="sigma must be"):
             GeneratorSet(metric=make_metric(1, 1), sigma=sigma, lambdas=[2.0],
                          vectors=[[1.0, 0.0]])
