@@ -36,7 +36,6 @@ from .metric import (
     _refusals,
     _scaled,
     as_matrix,
-    make_metric,
     require_member,
 )
 
@@ -54,6 +53,8 @@ _EPS = float(np.finfo(float).eps)
 # Largest hyperbolic parameter with finite output, arccosh(float max / 2): past it
 # a sum of two entries of size cosh t overflows, as (C + C*) / 2 in exp_us does.
 _T_MAX = float(np.arccosh(np.finfo(float).max / 2.0))
+# Times tol * max(1, ||M||_F): the reassembly gate of _frame, the spectra bound of _invariants.
+_RESIDUAL_FACTOR = 1000.0
 
 
 class HyperbolicBlock(namedtuple("HyperbolicBlock", "kind t sign", defaults=(0.0, 1))):
@@ -77,9 +78,6 @@ class HyperbolicBlock(namedtuple("HyperbolicBlock", "kind t sign", defaults=(0.0
         # the namedtuple's _make, and _replace through it, would skip the checks
         return cls(*iterable)
 
-    def matrix(self) -> np.ndarray:
-        return assemble_blocks([self])
-
 
 @dataclass(frozen=True, eq=False)
 class BlockDecomposition:
@@ -90,14 +88,13 @@ class BlockDecomposition:
     minus the reassembly, as block_decompose measured it (0 for data M is built from).
     """
 
-    metric: SignatureMetric
     q: np.ndarray
     blocks: tuple
     residual: float = 0.0
 
     def matrix(self) -> np.ndarray:
         """Reassemble the member this decomposition describes."""
-        return assemble_blocks(self.blocks, self.q, self.metric)
+        return assemble_blocks(self.blocks, self.q)
 
 
 @dataclass(frozen=True)
@@ -127,14 +124,13 @@ def _t_close(t1: float, t2: float) -> bool:
     return abs(t1 - t2) <= T_COMPARE_TOL * max(1.0, max(t1, t2) / 20.0)
 
 
-def _require_block_unitary(Q: np.ndarray, metric: SignatureMetric) -> None:
+def _require_block_unitary(Q: np.ndarray, p: int) -> None:
     b, s, fro, norm = _scaled(Q)
-    res = _gram_residual(b, s, fro, np.ones(metric.n))
+    res = _gram_residual(b, s, fro, np.ones(2 * p))
     if not res <= DEFAULT_TOL:
         raise ValueError(f"conjugating matrix is not unitary: residual {res:.3e}")
-    _, q12, q21, _ = _blocks(Q, metric.p)
-    scale = max(1.0, float(norm))
-    bound = DEFAULT_TOL * scale
+    _, q12, q21, _ = _blocks(Q, p)
+    bound = DEFAULT_TOL * max(1.0, float(norm))
     if np.linalg.norm(q12) > bound or np.linalg.norm(q21) > bound:
         raise ValueError("conjugating matrix must be block diagonal for the signature")
 
@@ -162,29 +158,23 @@ def _block_form(hyp: np.ndarray, t: np.ndarray, sign: np.ndarray) -> np.ndarray:
     return out
 
 
-def assemble_blocks(blocks, unitary=None, metric: SignatureMetric | None = None) -> np.ndarray:
-    """Place 2x2 pieces at rows/columns (j, p + j), then conjugate by the unitary.
+def assemble_blocks(blocks, unitary=None) -> np.ndarray:
+    """Place p 2x2 pieces at rows/columns (j, p + j), then conjugate by the unitary.
 
     Each piece is a (kind, t, sign) triple, checked as HyperbolicBlock checks
-    it. With unitary Q, returns Q* B Q where B is the block-form matrix, so
-    the result decomposes back to the given pieces with the same Q. Raises
-    ValueError for a parameter past arccosh(float max / 2).
+    it. With unitary Q, block diagonal at (p, p), returns Q* B Q where B is
+    the block-form matrix, so the result decomposes back to the given pieces
+    with the same Q. Raises ValueError for a parameter past arccosh(float max / 2).
     """
     blocks = [HyperbolicBlock(k, t, s) for k, t, s in blocks]
     p = len(blocks)
-    if metric is None:
-        if p == 0:
-            raise ValueError("need at least one block or an explicit metric")
-        metric = make_metric(p, p)
-    if metric.p != metric.q:
-        raise ValueError("block assembly needs a (p, p) signature")
-    if metric.p != p:
-        raise ValueError(f"expected {metric.p} blocks for this metric, got {p}")
+    if p == 0:
+        raise ValueError("need at least one block")
     kind, t, sign = zip(*blocks)
     out = _block_form(np.array(kind) == HYPERBOLIC, np.array(t), np.array(sign))
     if unitary is not None:
-        Q = as_matrix(unitary, (metric.n, metric.n), "unitary")
-        _require_block_unitary(Q, metric)
+        Q = as_matrix(unitary, (2 * p, 2 * p), "unitary")
+        _require_block_unitary(Q, p)
         out = Q.conj().T @ out @ Q
     return out
 
@@ -207,7 +197,7 @@ def block_decompose(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> Blo
     q, hyp, t, d, residual = _frame(require_member(M, metric, tol), metric.p, tol)
     blocks = tuple(map(HyperbolicBlock, np.where(hyp, HYPERBOLIC, IOTA).tolist(), t.tolist(),
                        d[:metric.p].tolist()))
-    return BlockDecomposition(metric=metric, q=q, blocks=blocks, residual=residual)
+    return BlockDecomposition(q=q, blocks=blocks, residual=residual)
 
 
 def _frame(a: np.ndarray, p: int, tol: float) -> tuple:
@@ -288,7 +278,7 @@ def _frame(a: np.ndarray, p: int, tol: float) -> tuple:
     r[p:, p:] -= (w1.conj().T * np.concatenate([np.where(hyp, d1, -scale * sign),
                                                  scale * unpaired])) @ w1
     err = float(_fro(r))
-    if err > 1000.0 * tol * max(scale, fro):
+    if err > _RESIDUAL_FACTOR * tol * max(scale, fro):
         raise MembershipError(f"block reduction failed: residual {err / scale:.3e}")
     unitary = np.zeros((p + q, p + q), dtype=complex)
     unitary[:p, :p], unitary[p:, p:] = w0, w1
@@ -403,7 +393,7 @@ def _invariants(matrices, metric: SignatureMetric, tol: float) -> list:
     # indexed [side][item][position]
     s_all, t_all, h_all = s.tolist(), np.arcsinh(s).tolist(), np.hypot(1.0, s).tolist()
     # a float, so that a numpy scalar tol does not set the precision of the bounds
-    bound = float(1000.0 * tol)
+    bound = float(_RESIDUAL_FACTOR * tol)
     out = []
     for k, (lam, lam2, norm) in enumerate(zip(lam11.tolist(), lam22.tolist(), norms)):
         # eigh sorts ascending, so |lambda| descends over the n negative

@@ -4,8 +4,8 @@ Reports go to stdout as JSON; matrix outputs use the matrix file format so
 commands compose through pipes ("-" reads stdin). Exit codes: 0 for success
 or a positive verdict, 1 for a mathematical negative (non-member,
 inequivalent, outside the exponential image), 2 for usage or input errors.
-Diagnostics go to stderr only. The UPQ_TOL environment variable overrides
-the default tolerance; every command also takes --tol.
+Diagnostics go to stderr only. Every command that tests membership takes
+--tol, the one way to set its tolerance (default DEFAULT_TOL).
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 
 from .canonical import (
@@ -46,17 +45,6 @@ from .sampler import SampleSpec, haar_unitary, sample_upq, sample_us_lie, sample
 from .spectral import extract_generators
 
 
-def _default_tol() -> float:
-    raw = os.environ.get("UPQ_TOL")
-    if raw is None:
-        return DEFAULT_TOL
-    try:
-        tol = float(raw)
-    except ValueError:
-        raise ValueError(f"UPQ_TOL must be a number, got {raw!r}") from None
-    return _checked_real(tol, "UPQ_TOL")
-
-
 def _read_document(path: str, kind: str = KIND_SQUARE) -> tuple[MatrixDocument, dict]:
     if path == "-":
         text = sys.stdin.read()
@@ -72,11 +60,11 @@ def _read_document(path: str, kind: str = KIND_SQUARE) -> tuple[MatrixDocument, 
 
 
 def _print_report(command: str, source, tolerances: dict, metric, result: dict) -> None:
-    """Print the JSON report; its result opens with p and q unless metric is None."""
+    """Print the report as strict JSON, its result opening with p and q unless metric is None."""
     if metric is not None:
         result = {"p": metric.p, "q": metric.q, **result}
     print(json.dumps({"command": command, "input": source, "tolerances": tolerances,
-                      "result": result}, indent=2))
+                      "result": result}, indent=2, allow_nan=False))
 
 
 def _cmd_check(args) -> int:
@@ -189,11 +177,9 @@ def _cmd_sample(args) -> int:
     elif args.family == "lie":
         elem = sample_us_lie(metric, args.seed)
         sys.stdout.write(dumps_matrix(elem.block, metric, KIND_BLOCK))
-    elif args.family == "upq":
-        m = sample_upq(metric, args.seed)
-        sys.stdout.write(dumps_matrix(m, metric, KIND_SQUARE))
     else:
-        m = haar_unitary(metric.n, args.seed)
+        m = (sample_upq(metric, args.seed) if args.family == "upq"
+             else haar_unitary(metric.n, args.seed))
         sys.stdout.write(dumps_matrix(m, metric, KIND_SQUARE))
     return 0
 
@@ -219,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             cmd.add_argument("file1", help="first matrix file path, or - for stdin")
             cmd.add_argument("file2", help="second matrix file path")
-        cmd.add_argument("--tol", type=float, default=None,
-                         help=f"membership tolerance (default {DEFAULT_TOL}, or UPQ_TOL)")
+        cmd.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                         help=f"membership tolerance (default {DEFAULT_TOL})")
         cmd.set_defaults(func=handler)
         return cmd
 
@@ -255,7 +241,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if hasattr(args, "tol"):
-            args.tol = _default_tol() if args.tol is None else _checked_real(args.tol, "--tol")
+            args.tol = _checked_real(args.tol, "--tol")
         return args.func(args)
     except MembershipError as exc:
         print(f"error: {exc}", file=sys.stderr)

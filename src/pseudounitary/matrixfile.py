@@ -25,12 +25,11 @@ KIND_BLOCK = "block"
 
 @dataclass(frozen=True, eq=False)
 class MatrixDocument:
-    """A matrix read from a file, with its signature, kind, and raw JSON."""
+    """A matrix read from a file, with its signature and kind."""
 
     matrix: np.ndarray
     metric: SignatureMetric
     kind: str
-    raw: dict
 
 
 def _expected_shape(metric: SignatureMetric, kind: str) -> tuple[int, int]:
@@ -75,7 +74,8 @@ def dumps_matrix(m, metric: SignatureMetric, kind: str = KIND_SQUARE,
 
     The items of extra go between the header and the entries, each written
     by json.dumps; an ndarray anywhere among them is written as its list of
-    [re, im] pairs.
+    [re, im] pairs. A NaN or infinite float among them, which JSON cannot
+    hold, raises ValueError.
     """
     shape = _expected_shape(metric, kind)
     a = as_matrix(m, shape, f"{kind} matrix for ({metric.p}, {metric.q})")
@@ -85,7 +85,8 @@ def dumps_matrix(m, metric: SignatureMetric, kind: str = KIND_SQUARE,
     lines.append(f'  "p": {metric.p},')
     lines.append(f'  "q": {metric.q},')
     for key, value in (extra or {}).items():
-        lines.append(f'  {json.dumps(str(key))}: {json.dumps(value, default=_pairs)},')
+        text = json.dumps(value, default=_pairs, allow_nan=False)
+        lines.append(f'  {json.dumps(str(key))}: {text},')
     lines.append('  "entries": [')
     lines.append(_entries_text(a))
     lines.append("  ]")
@@ -132,4 +133,4 @@ def loads_matrix(text: str) -> MatrixDocument:
         raise ValueError("entries contain non-finite values")
     # a view keeps every bit, the sign of -0.0 included; re + 1j * im does not
     m = arr.view(complex).reshape(shape)
-    return MatrixDocument(matrix=m, metric=metric, kind=kind, raw=doc)
+    return MatrixDocument(matrix=m, metric=metric, kind=kind)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from operator import index
 
@@ -35,6 +36,13 @@ def _checked_real(x, name: str) -> float:
         if not (ok and v >= 0):
             raise ValueError(f"{name} must be a finite nonnegative number, got {x!r}")
     return float(x)
+
+
+def _checked_reals(x, name: str) -> tuple:
+    """The entries of an ordered collection by _checked_real; () for a set, a dict or a number."""
+    if isinstance(x, (Set, Mapping)) or not np.iterable(x):
+        return ()
+    return tuple(_checked_real(v, name) for v in x)
 
 
 def _checked_int(x, name: str, low: int = 0) -> int:

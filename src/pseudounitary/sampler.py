@@ -12,7 +12,7 @@ import numpy as np
 
 from .canonical import HYPERBOLIC, IOTA, BlockDecomposition, HyperbolicBlock, _block_form
 from .lie import LieElement, exp_us
-from .metric import SignatureMetric, _checked_int, _checked_real, _phase_fixed_qr
+from .metric import SignatureMetric, _checked_int, _checked_real, _checked_reals, _phase_fixed_qr
 
 # One entry per block species: hyperbolic +, hyperbolic -, iota +, iota -.
 _KINDS = ((HYPERBOLIC, 1), (HYPERBOLIC, -1), (IOTA, 1), (IOTA, -1))
@@ -53,17 +53,14 @@ class SampleSpec:
     def __post_init__(self):
         if self.metric.p != self.metric.q:
             raise ValueError("block sampling needs a (p, p) signature")
-        # a value with no entries, such as a number, fails its field's count below
-        weights = self.block_kind_weights if np.iterable(self.block_kind_weights) else ()
-        w = tuple(_checked_real(x, "block_kind_weights entry") for x in weights)
+        w = _checked_reals(self.block_kind_weights, "block_kind_weights entry")
         if len(w) != 4 or not abs(sum(w) - 1.0) <= 1e-9:
             raise ValueError("block_kind_weights must be four nonnegative numbers summing to 1")
         object.__setattr__(self, "block_kind_weights", w)
         if not _checked_real(self.t_max, "t_max") > 0:
             raise ValueError(f"t_max must be finite and positive, got {self.t_max!r}")
         if self.t_values is not None:
-            values = self.t_values if np.iterable(self.t_values) else ()
-            tv = tuple(_checked_real(x, "t_values entry") for x in values)
+            tv = _checked_reals(self.t_values, "t_values entry")
             if len(tv) != self.metric.p:
                 raise ValueError(f"t_values must have one entry per slot ({self.metric.p})")
             object.__setattr__(self, "t_values", tv)
@@ -75,8 +72,7 @@ def sample_us_pp(spec: SampleSpec) -> tuple[np.ndarray, BlockDecomposition]:
     Draw order (fixed for reproducibility): block kinds, hyperbolic
     parameters, then the two Haar factors of the conjugating unitary.
     """
-    metric = spec.metric
-    p = metric.p
+    p = spec.metric.p
     rng = _rng(spec.seed)
     kind_idx = rng.choice(len(_KINDS), size=p, p=spec.block_kind_weights)
     ts = np.asarray(spec.t_values) if spec.t_values is not None else rng.uniform(
@@ -91,7 +87,7 @@ def sample_us_pp(spec: SampleSpec) -> tuple[np.ndarray, BlockDecomposition]:
     # the product assemble_blocks forms, without a second check of what was built here
     kind, t, sign = zip(*blocks)
     m = q.conj().T @ _block_form(np.array(kind) == HYPERBOLIC, np.array(t), np.array(sign)) @ q
-    return m, BlockDecomposition(metric=metric, q=q, blocks=tuple(blocks))
+    return m, BlockDecomposition(q=q, blocks=tuple(blocks))
 
 
 def sample_us_lie(metric: SignatureMetric, seed: int, scale: float = 1.0) -> LieElement:

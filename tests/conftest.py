@@ -79,7 +79,7 @@ def reference_sample_us_pp(spec: SampleSpec) -> tuple:
     q = np.zeros((2 * p, 2 * p), dtype=complex)
     q[:p, :p] = local_haar(rng, p)
     q[p:, p:] = local_haar(rng, p)
-    return assemble_blocks(blocks, q, spec.metric), q, tuple(blocks)
+    return assemble_blocks(blocks, q), q, tuple(blocks)
 
 
 def random_generator_set(metric: SignatureMetric, k: int, rng: np.random.Generator,

@@ -182,9 +182,9 @@ def test_c05_equivalence_detection():
         ts2 = ts.copy()
         ts2[int(rng.integers(p))] += rng.uniform(2e-3, 0.8)
         A = assemble_blocks([HyperbolicBlock(HYPERBOLIC, t, 1) for t in ts],
-                            block_unitary(m, rng), m)
+                            block_unitary(m, rng))
         B = assemble_blocks([HyperbolicBlock(HYPERBOLIC, t, 1) for t in ts2],
-                            block_unitary(m, rng), m)
+                            block_unitary(m, rng))
         if are_equivalent(A, B, m):
             false_positives += 1
     ok = false_negatives == 0 and false_positives == 0
@@ -208,9 +208,9 @@ def test_c06_one_parameter_group_law():
         Q = block_unitary(m, rng)
         t = rng.uniform(0.0, 3.0, size=3)
         s = rng.uniform(0.0, 3.0, size=3)
-        A = assemble_blocks([HyperbolicBlock(HYPERBOLIC, x, 1) for x in t], Q, m)
-        B = assemble_blocks([HyperbolicBlock(HYPERBOLIC, x, 1) for x in s], Q, m)
-        C = assemble_blocks([HyperbolicBlock(HYPERBOLIC, x + y, 1) for x, y in zip(t, s)], Q, m)
+        A = assemble_blocks([HyperbolicBlock(HYPERBOLIC, x, 1) for x in t], Q)
+        B = assemble_blocks([HyperbolicBlock(HYPERBOLIC, x, 1) for x in s], Q)
+        C = assemble_blocks([HyperbolicBlock(HYPERBOLIC, x + y, 1) for x, y in zip(t, s)], Q)
         worst_comm = max(worst_comm,
                          float(np.linalg.norm(A @ B - B @ A)),
                          float(np.linalg.norm(A @ B - C)))

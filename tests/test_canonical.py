@@ -74,15 +74,15 @@ def iota(sign=1):
 
 class TestHyperbolicBlock:
     def test_matrices(self):
-        assert np.allclose(hyp(LN2).matrix(), hyperbolic(LN2))
-        assert np.allclose(hyp(LN2, -1).matrix(), -hyperbolic(LN2))
-        assert np.array_equal(iota(1).matrix(), np.diag([1.0 + 0j, -1.0]))
-        assert np.array_equal(iota(-1).matrix(), np.diag([-1.0 + 0j, 1.0]))
+        assert np.allclose(assemble_blocks([hyp(LN2)]), hyperbolic(LN2))
+        assert np.allclose(assemble_blocks([hyp(LN2, -1)]), -hyperbolic(LN2))
+        assert np.array_equal(assemble_blocks([iota(1)]), np.diag([1.0 + 0j, -1.0]))
+        assert np.array_equal(assemble_blocks([iota(-1)]), np.diag([-1.0 + 0j, 1.0]))
 
     def test_block_members_of_u11(self):
         m = make_metric(1, 1)
         for b in (hyp(0.7), hyp(1.2, -1), iota(1), iota(-1)):
-            assert membership_residual(b.matrix(), m) <= 1e-15
+            assert membership_residual(assemble_blocks([b]), m) <= 1e-15
 
     def test_constructor_defaults_and_repr(self):
         assert HyperbolicBlock(IOTA) == (IOTA, 0.0, 1)
@@ -115,14 +115,9 @@ class TestAssemble:
     def test_negative_iota(self):
         assert np.allclose(assemble_blocks([iota(-1)]), np.diag([-1.0, 1.0]))
 
-    def test_metric_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            assemble_blocks([hyp(1.0)], metric=make_metric(2, 2))
-        with pytest.raises(ValueError):
-            assemble_blocks([hyp(1.0)], metric=make_metric(1, 2))
-
     def test_no_blocks_need_a_metric(self):
-        with pytest.raises(ValueError, match="^need at least one block or an explicit metric$"):
+        # the pieces fix the signature, so an empty list has none
+        with pytest.raises(ValueError, match="^need at least one block$"):
             assemble_blocks([])
 
     def test_non_unitary_rejected(self):
@@ -141,7 +136,7 @@ class TestAssemble:
         rng = np.random.default_rng(8)
         blocks = [hyp(0.4), iota(-1), hyp(2.2, -1)]
         Q = block_unitary(m, rng)
-        M = assemble_blocks(blocks, Q, m)
+        M = assemble_blocks(blocks, Q)
         assert membership_residual(M, m) <= 1e-14
 
 
@@ -189,7 +184,7 @@ class TestDecompose:
         m = make_metric(2, 2)
         rng = np.random.default_rng(12)
         Q = block_unitary(m, rng)
-        M = assemble_blocks([hyp(LN2), iota(1)], Q, m)
+        M = assemble_blocks([hyp(LN2), iota(1)], Q)
         dec = block_decompose(M, m)
         kinds = sorted((b.kind, b.sign, round(b.t, 9)) for b in dec.blocks)
         assert kinds == [(HYPERBOLIC, 1, round(LN2, 9)), (IOTA, 1, 0.0)]
@@ -208,7 +203,7 @@ class TestDecompose:
         # the reassembly gate: eigenvectors of M11 out of step with their
         # eigenvalues give a frame that does not rebuild the member
         m = make_metric(2, 2)
-        M = assemble_blocks([hyp(1.0), hyp(0.5, -1)], block_unitary(m, np.random.default_rng(5)), m)
+        M = assemble_blocks([hyp(1.0), hyp(0.5, -1)], block_unitary(m, np.random.default_rng(5)))
         eigh, calls = np.linalg.eigh, []
 
         def reversed_first_eigh(a, *args, **kwargs):
@@ -382,7 +377,7 @@ def _t18_family() -> tuple:
     out = []
     for seed in range(40):
         Q = block_unitary(FAMILY_METRIC, np.random.default_rng(seed))
-        M = assemble_blocks(T18_FAMILY, Q, FAMILY_METRIC)
+        M = assemble_blocks(T18_FAMILY, Q)
         out.append((seed, M, mp_invariant(M, FAMILY_METRIC)))
     return tuple(out)
 
@@ -407,7 +402,7 @@ class TestSpectralInvariant:
     @given(near_tie_blocks(), st.integers(0, 2**32 - 1))
     def test_near_ties_at_small_t_keep_their_signs(self, blocks, seed):
         m = make_metric(len(blocks), len(blocks))
-        M = assemble_blocks(blocks, block_unitary(m, np.random.default_rng(seed)), m)
+        M = assemble_blocks(blocks, block_unitary(m, np.random.default_rng(seed)))
         assert canonical_invariant(M, m).matches(invariant_from_blocks(blocks))
 
     @pytest.mark.parametrize("blocks", [
@@ -422,7 +417,7 @@ class TestSpectralInvariant:
         expected = invariant_from_blocks(blocks)
         rng = np.random.default_rng(11)
         for _ in range(20):
-            M = assemble_blocks(blocks, block_unitary(m, rng), m)
+            M = assemble_blocks(blocks, block_unitary(m, rng))
             assert canonical_invariant(M, m).matches(expected)
 
     def test_seeded_sweep_is_never_wrong(self):
@@ -480,13 +475,13 @@ class TestSpectralInvariant:
     def test_large_parameters_resolved(self):
         m = make_metric(2, 2)
         blocks = [hyp(100.0), hyp(100.5, -1)]
-        M = assemble_blocks(blocks, block_unitary(m, np.random.default_rng(3)), m)
+        M = assemble_blocks(blocks, block_unitary(m, np.random.default_rng(3)))
         assert canonical_invariant(M, m).matches(invariant_from_blocks(blocks))
 
     def test_unresolvable_coupling_refused(self):
         # rounding at cosh 40 swamps the zero coupling of the iota piece
         m = make_metric(2, 2)
-        M = assemble_blocks([hyp(40.0), iota(1)], block_unitary(m, np.random.default_rng(4)), m)
+        M = assemble_blocks([hyp(40.0), iota(1)], block_unitary(m, np.random.default_rng(4)))
         with pytest.raises(MembershipError):
             canonical_invariant(M, m)
 
@@ -564,7 +559,7 @@ def full_range_members(draw):
             blocks.append(hyp(draw(st.sampled_from(pool)), sign))
     m = make_metric(p, p)
     Q = block_unitary(m, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
-    return m, draw(st.sampled_from([1, -1])) * assemble_blocks(blocks, Q, m)
+    return m, draw(st.sampled_from([1, -1])) * assemble_blocks(blocks, Q)
 
 
 class TestBlockSpectraRoute:
@@ -636,7 +631,7 @@ class TestBlockSpectraRoute:
         expected = invariant_from_blocks(blocks)
         rng = np.random.default_rng(5)
         for _ in range(10):
-            M = assemble_blocks(blocks, block_unitary(m, rng), m)
+            M = assemble_blocks(blocks, block_unitary(m, rng))
             dec = block_decompose(M, m)
             assert invariant_from_blocks(dec.blocks).matches(expected)
             assert unitary_residual(dec.q) <= 1e-14
@@ -647,7 +642,7 @@ class TestBlockSpectraRoute:
         # rows come from M22, turned so that the frame holds sign * sinh t
         m = make_metric(3, 3)
         blocks = [hyp(18.0), hyp(1e-4, -1), hyp(2e-4)]
-        M = assemble_blocks(blocks, block_unitary(m, np.random.default_rng(9)), m)
+        M = assemble_blocks(blocks, block_unitary(m, np.random.default_rng(9)))
         dec = block_decompose(M, m)
         assert [b.t > 1.0 for b in dec.blocks] == [True, False, False]
         coupling = np.diagonal(dec.q @ M @ dec.q.conj().T, 3)
@@ -675,7 +670,7 @@ class TestArrayAssembly:
     @pytest.mark.parametrize("block", [hyp(0.0), hyp(0.0, -1), hyp(LN2), hyp(LN2, -1),
                                        hyp(709.0), iota(1), iota(-1)])
     def test_piece_matrix_is_bitwise_the_per_piece_formula(self, block):
-        assert block.matrix().tobytes() == per_piece_matrix(block).tobytes()
+        assert assemble_blocks([block]).tobytes() == per_piece_matrix(block).tobytes()
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(piece_lists(), st.integers(0, 2**32 - 1), st.booleans())
@@ -684,7 +679,7 @@ class TestArrayAssembly:
         Q = block_unitary(m, np.random.default_rng(seed)) if conjugate else None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = assemble_blocks(blocks, Q, m)
+            got = assemble_blocks(blocks, Q)
         # tobytes also tells the signs of zero apart
         assert got.tobytes() == per_piece_assemble(blocks, Q).tobytes()
 
@@ -723,10 +718,10 @@ class TestArrayAssembly:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"t = 709\.9 is past the limit 709\.78"):
-                hyp(709.9).matrix()
+                assemble_blocks([hyp(709.9)])
             with pytest.raises(ValueError, match=r"t = 709\.9 is past the limit 709\.78"):
-                assemble_blocks([iota(1), hyp(709.9, -1)], Q, m)
-            assert np.isfinite(assemble_blocks([iota(1), hyp(709.0, -1)], Q, m)).all()
+                assemble_blocks([iota(1), hyp(709.9, -1)], Q)
+            assert np.isfinite(assemble_blocks([iota(1), hyp(709.0, -1)], Q)).all()
 
     @staticmethod
     def _analyses(M, m) -> list:
@@ -799,7 +794,7 @@ def mixed_stacks(draw):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         if kind == "unresolvable" and p > 1:
             blocks = [hyp(40.0), iota(1)] + [hyp(rng.uniform(0.0, 3.0)) for _ in range(p - 2)]
-            items.append(assemble_blocks(blocks, block_unitary(m, rng), m))
+            items.append(assemble_blocks(blocks, block_unitary(m, rng)))
             continue
         spec = SampleSpec(metric=m, seed=int(rng.integers(2**31)),
                           t_max=draw(st.sampled_from([3.0, 8.0, 20.0])),
@@ -912,7 +907,7 @@ class TestStackedInvariants:
         matrices = {
             "member": member,
             "nonmember": _perturbed(member, rng),
-            "unresolvable": assemble_blocks([hyp(40.0), iota(1)], block_unitary(m, rng), m),
+            "unresolvable": assemble_blocks([hyp(40.0), iota(1)], block_unitary(m, rng)),
         }
         pair = [matrices[name] for name in order.split(", ")]
         first_refused = pair[1] if order.startswith("member") else pair[0]
@@ -1004,7 +999,7 @@ def oracle_stacks(draw):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         if kind == "unresolvable" and p > 1:
             blocks = [hyp(40.0), iota(1)] + [hyp(rng.uniform(0.0, 3.0)) for _ in range(p - 2)]
-            items.append(assemble_blocks(blocks, block_unitary(m, rng), m))
+            items.append(assemble_blocks(blocks, block_unitary(m, rng)))
             continue
         if kind == "inconsistent" and p > 1:
             items.append(_inconsistent(m, rng))
@@ -1215,7 +1210,7 @@ class TestOnePieceType:
         piece = HyperbolicBlock(*x)
         assert piece == x and hash(piece) == hash(x)
         assert (piece.kind, piece.t, piece.sign) == x
-        assert assemble_blocks([x]).tobytes() == piece.matrix().tobytes()
+        assert assemble_blocks([x]).tobytes() == assemble_blocks([piece]).tobytes()
 
     @pytest.mark.parametrize("case", sorted(BAD_TRIPLES))
     def test_bad_triples_are_refused_at_both_boundaries(self, case):
@@ -1301,9 +1296,9 @@ class TestGroupLaw:
         Q = block_unitary(m, rng)
         t = rng.uniform(0.0, 3.0, size=3)
         s = rng.uniform(0.0, 3.0, size=3)
-        A = assemble_blocks([hyp(x) for x in t], Q, m)
-        B = assemble_blocks([hyp(x) for x in s], Q, m)
-        C = assemble_blocks([hyp(x + y) for x, y in zip(t, s)], Q, m)
+        A = assemble_blocks([hyp(x) for x in t], Q)
+        B = assemble_blocks([hyp(x) for x in s], Q)
+        C = assemble_blocks([hyp(x + y) for x, y in zip(t, s)], Q)
         assert np.linalg.norm(A @ B - B @ A) <= 1e-10
         assert np.linalg.norm(A @ B - C) <= 1e-10
 

@@ -98,7 +98,7 @@ def test_decompose_report_reassembles_its_sample(capsys, monkeypatch):
     doc = loads_matrix(sample)
     q = np.array(report["result"]["unitary"]).view(complex).reshape(doc.matrix.shape)
     blocks = [HyperbolicBlock(b["kind"], b["t"], b["sign"]) for b in report["result"]["blocks"]]
-    assert np.linalg.norm(assemble_blocks(blocks, q, doc.metric) - doc.matrix) <= 1e-9
+    assert np.linalg.norm(assemble_blocks(blocks, q) - doc.matrix) <= 1e-9
     truth = [HyperbolicBlock(b["kind"], b["t"], b["sign"])
              for b in json.loads(sample)["ground_truth"]["blocks"]]
     assert invariant_from_blocks(blocks).matches(invariant_from_blocks(truth))

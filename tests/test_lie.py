@@ -259,7 +259,7 @@ def image_members(draw, t_cap: float = 700.0):
     blocks = [HyperbolicBlock(kind, float(tj) if kind == HYPERBOLIC else 0.0, sign)
               for (kind, sign), tj in zip(species, t)]
     pd = all(b.kind == HYPERBOLIC and b.sign == 1 for b in blocks)
-    return m, assemble_blocks(blocks, block_unitary(m, rng), m), pd, t
+    return m, assemble_blocks(blocks, block_unitary(m, rng)), pd, t
 
 
 class TestExponentialImage:
@@ -301,7 +301,7 @@ class TestExponentialImage:
 
     def test_top_of_the_range(self):
         m = make_metric(8, 8)
-        M = assemble_blocks([HyperbolicBlock(HYPERBOLIC, 709.0, 1)] * 8, None, m)
+        M = assemble_blocks([HyperbolicBlock(HYPERBOLIC, 709.0, 1)] * 8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert is_in_exp_image(M, m)
@@ -330,7 +330,7 @@ class TestExponentialImage:
         # the ratio of the measured value to the limit
         m = make_metric(2, 2)
         blocks = [HyperbolicBlock(HYPERBOLIC, t, 1), HyperbolicBlock(HYPERBOLIC, 0.5, 1)]
-        M = assemble_blocks(blocks, block_unitary(m, np.random.default_rng(6)), m)
+        M = assemble_blocks(blocks, block_unitary(m, np.random.default_rng(6)))
         ratios = []
         for f in (canonical_invariant, log_us, is_in_exp_image):
             with pytest.raises(MembershipError, match="not resolvable") as exc:

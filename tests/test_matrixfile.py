@@ -210,6 +210,13 @@ class TestWriterRejects:
         with pytest.raises(ValueError, match=r"must have shape \(2, 2\), got \(3, 3\)$"):
             dumps_matrix(np.eye(3), make_metric(1, 1))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"),
+                                       np.float64("nan"), {"t": [0.5, float("nan")]}])
+    def test_non_finite_extras_are_refused(self, value):
+        # json.dumps once wrote NaN, which strict JSON readers refuse
+        with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+            dumps_matrix(np.eye(2), make_metric(1, 1), extra={"x": value})
+
 
 class TestJsonPairs:
     """The [re, im] pairs of an ndarray, as reports print them and file extras hold them."""

@@ -274,7 +274,7 @@ class TestCompactIntersection:
         assert check_compact_intersection(Q, m)
         assert len(measured) == 1
         norms = count_calls(monkeypatch, "norm", np.linalg)
-        assemble_blocks([("hyperbolic", 0.5, 1), ("iota", 0.0, -1)], Q, m)
+        assemble_blocks([("hyperbolic", 0.5, 1), ("iota", 0.0, -1)], Q)
         assert len(measured) == 2
         assert all(x.shape != Q.shape for x in norms)
 

@@ -203,6 +203,39 @@ def test_public_names_are_used():
                                        for path in SOURCES}, texts) == []
 
 
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(sources: dict) -> list:
+    """Reads of the process environment in the given sources, as file:line: an
+    environ or getenv attribute (bytes forms included), or such a name imported
+    from os."""
+    found = []
+    for name, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_NAMES
+                    or isinstance(node, ast.ImportFrom) and node.module == "os"
+                    and any(alias.name in ENVIRONMENT_NAMES for alias in node.names)):
+                found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_environment_guard_sees_each_read():
+    sources = {"a.py": ("import os\nfrom os import getenv\n\n\ndef f():\n"
+                        "    return os.environ.get('X'), os.getenvb(b'Y'), getenv('Z')\n"),
+               "b.py": ("import os as system\n\n\ndef g(path):\n"
+                        "    return system.environ['X'], os.path.join(path, 'environ')\n")}
+    assert environment_reads(sources) == ["a.py:2", "a.py:6", "a.py:6", "b.py:5"]
+
+
+def test_nothing_reads_the_environment():
+    # upq's tolerance is set by --tol alone; a setting read from the
+    # environment would be a second knob that no command line shows
+    assert SOURCES
+    assert environment_reads({path.name: path.read_text(encoding="utf-8")
+                              for path in SOURCES}) == []
+
+
 def exception_names(trees: dict) -> set:
     """Names of the builtin exception classes and of the classes the given
     module trees derive from them, directly or through each other."""
@@ -406,13 +439,13 @@ def _matrix_calls() -> dict:
     j, eye = np.array([[1, 0], [0, -1]]), np.eye(2, dtype=int)
     iota = (pu.HyperbolicBlock(pu.IOTA, 0.0, 1),)
     return {
-        "BlockDecomposition.q": (eye, lambda a: pu.BlockDecomposition(m, a, iota).matrix()),
+        "BlockDecomposition.q": (eye, lambda a: pu.BlockDecomposition(a, iota).matrix()),
         "GeneratorSet.lambdas": (np.array([2]), lambda a: pu.GeneratorSet(m, 1, a, [[1.0, 0.0]])),
         "GeneratorSet.vectors": (np.array([[1, 0]]), lambda a: pu.GeneratorSet(m, 1, [2.0], a)),
         "LieElement.block": (np.array([[1]]), lambda a: pu.LieElement(m, a)),
         "are_equivalent.M1": (j, lambda a: pu.are_equivalent(a, j, m)),
         "are_equivalent.M2": (j, lambda a: pu.are_equivalent(j, a, m)),
-        "assemble_blocks.unitary": (eye, lambda a: pu.assemble_blocks(iota, a, m)),
+        "assemble_blocks.unitary": (eye, lambda a: pu.assemble_blocks(iota, a)),
         "block_decompose.M": (j, lambda a: pu.block_decompose(a, m)),
         "block_identities_residual.M": (j, lambda a: pu.block_identities_residual(a, m)),
         "canonical_invariant.M": (j, lambda a: pu.canonical_invariant(a, m)),
@@ -485,8 +518,9 @@ def rule_copies(sources: dict) -> list:
     itself, as file:line and what it is.
 
     sources maps a file name to its text. Flagged: an isinstance test against
-    bool or np.bool_, operator.index, np.asarray(..., dtype=complex), and
-    np.random.PCG64 built anywhere but sampler._rng, which checks every seed.
+    bool or np.bool_, operator.index, np.asarray(..., dtype=complex), np.iterable
+    (a sequence's entries are read by _checked_reals), and np.random.PCG64 built
+    anywhere but sampler._rng, which checks every seed.
     """
     found = []
 
@@ -512,6 +546,8 @@ def rule_copies(sources: dict) -> list:
                         for n in child.args[1:] + [k.value for k in child.keywords
                                                    if k.arg == "dtype"]):
                     what = "asarray complex"
+                elif called == "iterable":
+                    what = "iterable"
                 elif called == "PCG64" and (name, function) != ("sampler.py", "_rng"):
                     what = "PCG64"
             if what and (name != "metric.py" or what == "PCG64"):
@@ -527,7 +563,8 @@ def test_rule_copy_guard_sees_each_copy():
     sources = {
         "a.py": ("import numpy as np\nfrom operator import index, sub\n\n\n"
                  "def f(x, s):\n    if isinstance(s, (bool, np.bool_)):\n        raise ValueError\n"
-                 "    return np.asarray(x, dtype=complex), np.asarray(x, np.complex128)\n"),
+                 "    return np.asarray(x, dtype=complex), np.asarray(x, np.complex128)\n\n\n"
+                 "def h(x):\n    return tuple(x) if np.iterable(x) else ()\n"),
         "metric.py": ("import operator\n\n\ndef g(x):\n    if isinstance(x, bool):\n"
                       "        return np.random.PCG64(1)\n    return operator.index(x)\n"),
         "sampler.py": ("def _rng(seed):\n    return np.random.PCG64(seed)\n\n\n"
@@ -535,11 +572,12 @@ def test_rule_copy_guard_sees_each_copy():
     }
     assert rule_copies(sources) == [
         "a.py:2:operator.index", "a.py:6:isinstance bool", "a.py:8:asarray complex",
-        "a.py:8:asarray complex", "metric.py:6:PCG64", "sampler.py:6:PCG64"]
+        "a.py:8:asarray complex", "a.py:12:iterable", "metric.py:6:PCG64", "sampler.py:6:PCG64"]
 
 
 def test_argument_rules_live_in_metric():
-    # integers, signs and matrices are decided by _checked_int, _checked_sign
-    # and as_matrix alone, and every seed is checked where the generator is built
+    # integers, signs, matrices and sequences are decided by _checked_int,
+    # _checked_sign, as_matrix and _checked_reals alone, and every seed is
+    # checked where the generator is built
     assert SOURCES
     assert rule_copies({path.name: path.read_text(encoding="utf-8") for path in SOURCES}) == []

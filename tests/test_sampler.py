@@ -74,6 +74,13 @@ NO_ENTRIES = {
     "t_values": "t_values must have one entry per slot (2)",
 }
 
+# per such field: unordered collections of entries that would pass its count and rule at (2, 2)
+UNORDERED = {
+    "block_kind_weights": [{0.4, 0.2, 0.3, 0.1}, frozenset({0.4, 0.2, 0.3, 0.1}),
+                           dict.fromkeys((0.4, 0.2, 0.3, 0.1), "x")],
+    "t_values": [{2.5, 1.0}, frozenset({2.5, 1.0}), {2.5: "x", 1.0: "y"}],
+}
+
 
 class TestSampleSpec:
     def test_rectangular_rejected(self):
@@ -138,6 +145,26 @@ class TestSampleSpec:
         # a number once raised TypeError: 'float' object is not iterable
         with pytest.raises(ValueError, match=anchored(NO_ENTRIES[field])):
             SampleSpec(metric=make_metric(2, 2), seed=0, **{field: value})
+
+    @pytest.mark.parametrize("field", sorted(UNORDERED))
+    def test_an_unordered_collection_takes_its_fields_rule(self, field):
+        # a set once stored the weights in hash order, handing the species the
+        # wrong weights, and a dict gave its keys
+        for value in UNORDERED[field]:
+            with pytest.raises(ValueError, match=anchored(NO_ENTRIES[field])):
+                SampleSpec(metric=make_metric(2, 2), seed=0, **{field: value})
+
+    def test_a_list_a_tuple_and_an_array_give_the_same_sample(self):
+        m = make_metric(3, 3)
+        weights, ts = (0.4, 0.1, 0.2, 0.3), (0.5, 2.0, 1.25)
+        want, truth = sample_us_pp(SampleSpec(metric=m, seed=5, block_kind_weights=weights,
+                                              t_values=ts))
+        for sequence in (list, np.array):
+            spec = SampleSpec(metric=m, seed=5, block_kind_weights=sequence(weights),
+                              t_values=sequence(ts))
+            assert (spec.block_kind_weights, spec.t_values) == (weights, ts)
+            got, got_truth = sample_us_pp(spec)
+            assert got.tobytes() == want.tobytes() and got_truth.blocks == truth.blocks
 
     def test_numpy_scalars_and_0d_arrays_are_real_settings(self):
         m = make_metric(2, 2)

@@ -190,7 +190,7 @@ class TestTraceRefusal:
         # which the trace rule refused; the frame's sign counts give sigma and k
         m = make_metric(p, p)
         blocks = [HyperbolicBlock(HYPERBOLIC, 40.0, 1)] * p
-        M = assemble_blocks(blocks, block_unitary(m, np.random.default_rng(0)), m)
+        M = assemble_blocks(blocks, block_unitary(m, np.random.default_rng(0)))
         assert abs(trace_jm(M, m)) > m.n + 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -324,7 +324,7 @@ class TestTiedClusterOrder:
         # rebuilds the member
         m = make_metric(4, 4)
         blocks = [HyperbolicBlock(HYPERBOLIC, t, 1) for t in (0.7, 0.7, 0.7, 1.9)]
-        M = assemble_blocks(blocks, block_unitary(m, np.random.default_rng(seed)), m)
+        M = assemble_blocks(blocks, block_unitary(m, np.random.default_rng(seed)))
         g = extract_generators(M, m)
         ref = three_eigh_generators(M, m)
         np.testing.assert_allclose(g.lambdas, ref.lambdas, rtol=1e-12)
@@ -585,7 +585,7 @@ class TestFrameRoute:
         # about t = 15; the check of lambda (alpha^2 - beta^2) against 2 holds
         m = make_metric(2, 2)
         blocks = [HyperbolicBlock(HYPERBOLIC, t, 1), HyperbolicBlock(HYPERBOLIC, 0.5, 1)]
-        M = assemble_blocks(blocks, block_unitary(m, np.random.default_rng(0)), m)
+        M = assemble_blocks(blocks, block_unitary(m, np.random.default_rng(0)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             gens = extract_generators(M, m)
