@@ -23,21 +23,9 @@ from operator import sub
 
 import numpy as np
 
-from .metric import (
-    DEFAULT_TOL,
-    MembershipError,
-    SignatureMetric,
-    _blocks,
-    _checked_real,
-    _checked_sign,
-    _fro,
-    _gram_residual,
-    _phase_fixed_qr,
-    _refusals,
-    _scaled,
-    as_matrix,
-    require_member,
-)
+from .metric import (DEFAULT_TOL, MembershipError, SignatureMetric, _blocks, _checked_metric,
+                     _checked_real, _checked_sign, _fro, _gram_residual, _measured,
+                     _phase_fixed_qr, _refusals, _scaled, require_member)
 
 HYPERBOLIC = "hyperbolic"
 IOTA = "iota"
@@ -124,8 +112,9 @@ def _t_close(t1: float, t2: float) -> bool:
     return abs(t1 - t2) <= T_COMPARE_TOL * max(1.0, max(t1, t2) / 20.0)
 
 
-def _require_block_unitary(Q: np.ndarray, p: int) -> None:
-    b, s, fro, norm = _scaled(Q)
+def _require_block_unitary(unitary, p: int) -> np.ndarray:
+    """The unitary of assemble_blocks as an array: ValueError unless block unitary at (p, p)."""
+    Q, b, s, fro, norm = _measured(unitary, SignatureMetric(p, p), "unitary")
     res = _gram_residual(b, s, fro, np.ones(2 * p))
     if not res <= DEFAULT_TOL:
         raise ValueError(f"conjugating matrix is not unitary: residual {res:.3e}")
@@ -133,6 +122,7 @@ def _require_block_unitary(Q: np.ndarray, p: int) -> None:
     bound = DEFAULT_TOL * max(1.0, float(norm))
     if np.linalg.norm(q12) > bound or np.linalg.norm(q21) > bound:
         raise ValueError("conjugating matrix must be block diagonal for the signature")
+    return Q
 
 
 def _check_range(top: float) -> None:
@@ -173,8 +163,7 @@ def assemble_blocks(blocks, unitary=None) -> np.ndarray:
     kind, t, sign = zip(*blocks)
     out = _block_form(np.array(kind) == HYPERBOLIC, np.array(t), np.array(sign))
     if unitary is not None:
-        Q = as_matrix(unitary, (2 * p, 2 * p), "unitary")
-        _require_block_unitary(Q, p)
+        Q = _require_block_unitary(unitary, p)
         out = Q.conj().T @ out @ Q
     return out
 
@@ -192,7 +181,7 @@ def block_decompose(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> Blo
     iota piece. Strong couplings take the leading slots by descending t. The
     result is verified by reassembly before it is returned.
     """
-    if metric.p != metric.q:
+    if _checked_metric(metric).p != metric.q:
         raise ValueError("block decomposition is defined for signature (p, p)")
     q, hyp, t, d, residual = _frame(require_member(M, metric, tol), metric.p, tol)
     blocks = tuple(map(HyperbolicBlock, np.where(hyp, HYPERBOLIC, IOTA).tolist(), t.tolist(),
@@ -361,27 +350,28 @@ def _invariants(matrices, metric: SignatureMetric, tol: float) -> list:
 
     Raises the MembershipError of the first refused matrix, in order, so a
     pair is refused with the message its first refused member gets alone.
-    Every matrix is coerced before any is validated; validation, one matrix
-    at a time as require_member validates it, stops at the first refusal.
+    Every matrix is coerced and measured before any is validated, so a
+    non-finite entry anywhere raises its ValueError first; validation, one
+    matrix at a time as require_member validates it, stops at the first refusal.
     One eigh of the M11 stack, one eigvalsh of the M22 stack and one SVD
     serve the matrices accepted before it. The range rule of _check_range and
     the rules of canonical_invariant run item by item on Python floats and
     raise at their first refusal; the validation refusal is raised after
     them. _normalized reads each invariant off plain triples.
     """
-    if metric.p != metric.q:
+    if _checked_metric(metric).p != metric.q:
         raise ValueError("the canonical invariant is defined for signature (p, p)")
     p = metric.p
-    stack = np.array([as_matrix(m, (metric.n, metric.n)) for m in matrices])
+    measured = [_measured(m, metric) for m in matrices]
     refusal, norms = None, []
-    for a in stack:
-        refusal, norm = _refusals(a, metric, tol)
+    for item in measured:
+        refusal = _refusals(item, metric, tol)
         if refusal:
             break
-        norms.append(norm)
+        norms.append(item[4])
     if not norms:
         raise MembershipError(refusal)
-    stack = stack[:len(norms)]
+    stack = np.array([item[0] for item in measured[:len(norms)]])
     lam11, x = np.linalg.eigh(stack[:, :p, :p])
     lam22 = np.linalg.eigvalsh(stack[:, p:, p:])
     neg = lam11 < 0

@@ -20,13 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import _check_range, _require_resolvable
-from .metric import (
-    DEFAULT_TOL,
-    MembershipError,
-    SignatureMetric,
-    as_matrix,
-    require_member,
-)
+from .metric import (DEFAULT_TOL, MembershipError, SignatureMetric, _checked_metric, as_matrix,
+                     require_member)
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,7 +32,7 @@ class LieElement:
     block: np.ndarray
 
     def __post_init__(self):
-        b = as_matrix(self.block, (self.metric.p, self.metric.q), "block")
+        b = as_matrix(self.block, (_checked_metric(self.metric).p, self.metric.q), "block")
         object.__setattr__(self, "block", b)
 
 

@@ -16,7 +16,7 @@ from itertools import chain
 
 import numpy as np
 
-from .metric import SignatureMetric, as_matrix, make_metric
+from .metric import SignatureMetric, _checked_metric, as_matrix, make_metric
 
 FORMAT_VERSION = "upq-matrix/1"
 KIND_SQUARE = "square"
@@ -77,7 +77,7 @@ def dumps_matrix(m, metric: SignatureMetric, kind: str = KIND_SQUARE,
     [re, im] pairs. A NaN or infinite float among them, which JSON cannot
     hold, raises ValueError.
     """
-    shape = _expected_shape(metric, kind)
+    shape = _expected_shape(_checked_metric(metric), kind)
     a = as_matrix(m, shape, f"{kind} matrix for ({metric.p}, {metric.q})")
     lines = ["{"]
     lines.append(f'  "format": "{FORMAT_VERSION}",')

@@ -111,11 +111,16 @@ def make_metric(p: int, q: int) -> SignatureMetric:
     return SignatureMetric(p, q)
 
 
-def as_matrix(m, shape: tuple | None = None, name: str = "matrix") -> np.ndarray:
-    """Coerce to a complex array of the given shape, rejecting non-finite entries.
+def _checked_metric(x) -> SignatureMetric:
+    """x, the one check of every metric argument: ValueError unless it is a SignatureMetric."""
+    if not isinstance(x, SignatureMetric):
+        raise ValueError(f"metric must be a SignatureMetric, got {x!r}")
+    return x
 
-    Without a shape, any square matrix is accepted. Bools, strings and objects are refused.
-    """
+
+def _coerced(m, shape: tuple | None, name: str) -> np.ndarray:
+    """m as a complex array of the shape, or square without one, by the rule of every
+    matrix argument: bools, strings and objects are refused."""
     a = np.asarray(m)
     if a.dtype.kind not in "iufc":
         raise ValueError(f"{name} entries must be numbers, got dtype {a.dtype}")
@@ -124,9 +129,17 @@ def as_matrix(m, shape: tuple | None = None, name: str = "matrix") -> np.ndarray
             raise ValueError(f"{name} must be square, got shape {a.shape}")
     elif a.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+    return np.asarray(a, dtype=complex)
+
+
+def as_matrix(m, shape: tuple | None = None, name: str = "matrix") -> np.ndarray:
+    """Coerce to a complex array of the given shape, rejecting non-finite entries: for
+    the arrays that are not measured (lambdas, vectors, the matrix a file is written
+    from). Matrices a public function validates take _measured instead."""
+    a = _coerced(m, shape, name)
     if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
-    return np.asarray(a, dtype=complex)
+    return a
 
 
 def _phase_fixed_qr(z: np.ndarray, mode: str = "reduced") -> np.ndarray:
@@ -142,8 +155,8 @@ def _blocks(a: np.ndarray, p: int) -> tuple:
     return a[:p, :p], a[:p, p:], a[p:, :p], a[p:, p:]
 
 
-# The helpers below trust a matrix that as_matrix has already coerced and
-# checked; the public functions coerce once and then call them.
+# The helpers below trust a matrix that _measured has already coerced and
+# checked; the public functions measure it once and then call them.
 
 
 def _fro(x: np.ndarray):
@@ -151,7 +164,7 @@ def _fro(x: np.ndarray):
     and the imaginary parts each dotted with themselves."""
     v = x.ravel(order="K")
     re, im = v.real, v.imag
-    return np.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 # Below 2^(_SCALE_FROM + 1) in every real and imaginary part, no product or
@@ -159,7 +172,7 @@ def _fro(x: np.ndarray):
 _SCALE_FROM = 200
 
 
-def _scaled(a: np.ndarray) -> tuple:
+def _scaled(a: np.ndarray, name: str = "matrix") -> tuple:
     """(b, s, ||b||, ||a||) with b = s a, s a power of two.
 
     With a real or imaginary part at or above 2^(_SCALE_FROM + 1), s is
@@ -169,19 +182,30 @@ def _scaled(a: np.ndarray) -> tuple:
     by a power of two is exact: the residuals are finite over the whole float
     range and agree with the plain formulas where those do not overflow, up
     to the rounding of the squared norm (numpy's x ** 2 is not always
-    correctly rounded). A norm of a beyond the float range is inf.
+    correctly rounded). A norm of a beyond the float range is inf. A NaN or
+    an infinity fails the same bound and raises "<name> contains non-finite entries".
     """
     # reshape copies a matrix that view cannot take, such as a transpose
     big = np.abs(a.reshape(-1).view(float)).max()
     if big < 2.0 ** (_SCALE_FROM + 1):
         fro = _fro(a)
         return a, 1.0, fro, fro
+    if not big < math.inf:  # NaN compares false too
+        raise ValueError(f"{name} contains non-finite entries")
     # frexp writes big = m 2^k with m in [0.5, 1); big >= 2^_SCALE_FROM gives s <= 1
     s = np.ldexp(1.0, _SCALE_FROM + 1 - np.frexp(big)[1])
     b = a * s
     fro = _fro(b)
     with np.errstate(over="ignore"):
         return b, s, fro, fro / s
+
+
+def _measured(m, metric: SignatureMetric | None, name: str = "matrix") -> tuple:
+    """(a, b, s, ||b||, ||a||) of a matrix a public function validates: a is m by the
+    matrix rule, n x n for a checked metric (square for None), and one read of its
+    entries in _scaled decides finiteness, the overflow guard and the scale."""
+    a = _coerced(m, None if metric is None else (metric.n, metric.n), name)
+    return (a, *_scaled(a, name))
 
 
 def _gram_defect(b: np.ndarray, s, j: np.ndarray) -> np.ndarray:
@@ -202,27 +226,27 @@ def _skew_residual(b: np.ndarray, s, fro):
     return _fro(b - b.conj().T) / (s + fro)
 
 
-def _refusals(a: np.ndarray, metric: SignatureMetric, tol: float,
-              hermitian: bool = True) -> tuple:
-    """Validate a matrix as require_member does: (the MembershipError message,
-    or None where it is accepted, and its Frobenius norm). A NaN residual is
+def _refusals(measured: tuple, metric: SignatureMetric, tol: float,
+              hermitian: bool = True) -> str | None:
+    """Validate a matrix from its _measured tuple as require_member does: the
+    MembershipError message, or None where it is accepted. A NaN residual is
     refused; membership is not computed for a matrix that is not Hermitian."""
     tol = _checked_real(tol, "tol")
-    b, s, fro, norm = _scaled(a)
+    _, b, s, fro, _ = measured
     if hermitian:
         hr = _skew_residual(b, s, fro)
         if not hr <= tol:
-            return f"matrix is not Hermitian: residual {hr:.3e} exceeds {tol:.3e}", norm
+            return f"matrix is not Hermitian: residual {hr:.3e} exceeds {tol:.3e}"
     r = _gram_residual(b, s, fro, metric.signs)
     if not r <= tol:
         return (f"matrix is not in U({metric.p},{metric.q}): "
-                f"membership residual {r:.3e} exceeds {tol:.3e}"), norm
-    return None, norm
+                f"membership residual {r:.3e} exceeds {tol:.3e}")
+    return None
 
 
 def membership_residual(M, metric: SignatureMetric) -> float:
     """Relative Frobenius size of M* J M - J; zero exactly on members of U(p, q)."""
-    b, s, fro, _ = _scaled(as_matrix(M, (metric.n, metric.n)))
+    _, b, s, fro, _ = _measured(M, _checked_metric(metric))
     return float(_gram_residual(b, s, fro, metric.signs))
 
 
@@ -233,7 +257,7 @@ def is_pseudo_unitary(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> b
 
 def hermitian_residual(M) -> float:
     """Relative Frobenius size of M - M*."""
-    b, s, fro, _ = _scaled(as_matrix(M))
+    _, b, s, fro, _ = _measured(M, None)
     return float(_skew_residual(b, s, fro))
 
 
@@ -252,7 +276,7 @@ def block_identities_residual(M, metric: SignatureMetric) -> float:
     These are blocks of the M* J M - J that membership_residual measures, over
     its normalization: this residual exceeds it by no more than norm rounding.
     """
-    b, s, fro, _ = _scaled(as_matrix(M, (metric.n, metric.n)))
+    _, b, s, fro, _ = _measured(M, _checked_metric(metric))
     d11, d12, _, d22 = _blocks(_gram_defect(b, s, metric.signs), metric.p)
     return float(max(_fro(d11), _fro(d22), _fro(d12)) / (s * s + fro ** 2))
 
@@ -270,11 +294,11 @@ def fast_inverse(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> np.nda
 def require_member(M, metric: SignatureMetric, tol: float = DEFAULT_TOL,
                    hermitian: bool = True) -> np.ndarray:
     """Validate membership (and optionally Hermitian symmetry), returning the array."""
-    a = as_matrix(M, (metric.n, metric.n))
-    refusal, _ = _refusals(a, metric, tol, hermitian)
+    measured = _measured(M, _checked_metric(metric))
+    refusal = _refusals(measured, metric, tol, hermitian)
     if refusal:
         raise MembershipError(refusal)
-    return a
+    return measured[0]
 
 
 def check_compact_intersection(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> bool:
@@ -284,6 +308,6 @@ def check_compact_intersection(M, metric: SignatureMetric, tol: float = DEFAULT_
     from the p block plus a unitary from the q block.
     """
     tol = _checked_real(tol, "tol")
-    b, s, fro, _ = _scaled(as_matrix(M, (metric.n, metric.n)))
+    _, b, s, fro, _ = _measured(M, _checked_metric(metric))
     return bool(_gram_residual(b, s, fro, metric.signs) <= tol
                 and _gram_residual(b, s, fro, np.ones(metric.n)) <= tol)

@@ -12,7 +12,8 @@ import numpy as np
 
 from .canonical import HYPERBOLIC, IOTA, BlockDecomposition, HyperbolicBlock, _block_form
 from .lie import LieElement, exp_us
-from .metric import SignatureMetric, _checked_int, _checked_real, _checked_reals, _phase_fixed_qr
+from .metric import (SignatureMetric, _checked_int, _checked_metric, _checked_real, _checked_reals,
+                     _phase_fixed_qr)
 
 # One entry per block species: hyperbolic +, hyperbolic -, iota +, iota -.
 _KINDS = ((HYPERBOLIC, 1), (HYPERBOLIC, -1), (IOTA, 1), (IOTA, -1))
@@ -51,7 +52,7 @@ class SampleSpec:
     t_values: tuple | None = None
 
     def __post_init__(self):
-        if self.metric.p != self.metric.q:
+        if _checked_metric(self.metric).p != self.metric.q:
             raise ValueError("block sampling needs a (p, p) signature")
         w = _checked_reals(self.block_kind_weights, "block_kind_weights entry")
         if len(w) != 4 or not abs(sum(w) - 1.0) <= 1e-9:
@@ -94,7 +95,7 @@ def sample_us_lie(metric: SignatureMetric, seed: int, scale: float = 1.0) -> Lie
     """Hermitian tangent direction with independent complex Gaussian entries."""
     scale = _checked_real(scale, "scale")
     rng = _rng(seed)
-    shape = (metric.p, metric.q)
+    shape = (_checked_metric(metric).p, metric.q)
     b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * (scale / np.sqrt(2.0))
     return LieElement(metric=metric, block=b)
 
@@ -106,7 +107,7 @@ def sample_upq(metric: SignatureMetric, seed: int) -> np.ndarray:
     entries have scale 1/sqrt(n), which keeps the hyperbolic angles at desk scale.
     """
     rng = _rng(seed)
-    p, q = metric.p, metric.q
+    p, q = _checked_metric(metric).p, metric.q
     scale = 1.0 / np.sqrt(metric.n)
     u = _haar(rng, p)[0]
     v = _haar(rng, q)[0]

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import _frame
-from .metric import (DEFAULT_TOL, SignatureMetric, _checked_real, _checked_sign, as_matrix,
-                     require_member)
+from .metric import (DEFAULT_TOL, SignatureMetric, _checked_metric, _checked_real,
+                     _checked_sign, as_matrix, require_member)
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,6 +33,7 @@ class GeneratorSet:
     vectors: np.ndarray
 
     def __post_init__(self):
+        _checked_metric(self.metric)
         object.__setattr__(self, "sigma", _checked_sign(self.sigma, "sigma"))
         lam = as_matrix(np.ravel(self.lambdas), (np.size(self.lambdas),), "lambdas")
         if lam.imag.any():

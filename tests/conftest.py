@@ -132,6 +132,10 @@ HOSTILE_REALS = (True, np.True_, np.array(True), "1e-10", None, 1j, np.complex12
 # array with entries.
 HOSTILE_INTS = (True, np.True_, 1.5, 2.0, "3", None, -1, np.array([1, 2]))
 
+# Values every metric argument refuses: a (p, q) tuple, None, a string, an int
+# and a dict, none of them a SignatureMetric.
+HOSTILE_METRICS = ((1, 1), None, "(1, 1)", 2, {"p": 1, "q": 1})
+
 
 def anchored(message: str) -> str:
     """A pattern that matches exactly message."""
@@ -288,6 +292,36 @@ def unscaled_residuals(a: np.ndarray, metric: SignatureMetric) -> tuple:
     defect = a.conj().T @ a - np.eye(a.shape[0])
     unitary = np.linalg.norm(defect) / (1.0 + np.linalg.norm(a) ** 2)
     return membership, hermitian, unitary, blocks
+
+
+def two_read_measured(m, shape: tuple | None, name: str = "matrix") -> tuple:
+    """(b, s, ||b||, ||a||) of a matrix argument by two reads of its entries, as
+    the library took them before one max-abs decided finiteness too: the
+    matrix rule with np.isfinite, then the power-of-two scale of the largest
+    real or imaginary part (s is 2^(201 - k) from 2^201 on, 2^k the smallest
+    power of two above it), with np.sqrt Frobenius norms."""
+    a = np.asarray(m)
+    if a.dtype.kind not in "iufc":
+        raise ValueError(f"{name} entries must be numbers, got dtype {a.dtype}")
+    if shape is None:
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"{name} must be square, got shape {a.shape}")
+    elif a.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    a = np.asarray(a, dtype=complex)
+
+    def fro(x):
+        v = x.ravel(order="K")
+        return np.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+    big = np.abs(a.reshape(-1).view(float)).max()
+    if big < 2.0 ** 201:
+        return a, 1.0, fro(a), fro(a)
+    s = np.ldexp(1.0, 201 - np.frexp(big)[1])
+    b = a * s
+    with np.errstate(over="ignore"):
+        return b, s, fro(b), fro(b) / s
 
 
 def mp_invariant(M, metric: SignatureMetric, dps: int = 50) -> CanonicalInvariant:

@@ -4,6 +4,7 @@ import functools
 import io
 import itertools
 import json
+import math
 import warnings
 from unittest import mock
 
@@ -774,6 +775,20 @@ class TestEquivalence:
         B = assemble_blocks([hyp(0.5), hyp(1.6)])
         assert not are_equivalent(A, B, m)
 
+    def test_parameters_past_t_20_compare_relatively(self):
+        # at t = 30 the tolerance is T_COMPARE_TOL * 30 / 20 = 1.5e-8
+        base = invariant_from_blocks([hyp(30.0)])
+        assert base.matches(invariant_from_blocks([hyp(30.0 + 1.2e-8)]))
+        assert not base.matches(invariant_from_blocks([hyp(30.0 + 2e-8)]))
+
+    def test_resolvability_shortcut_sums_the_couplings(self):
+        # Python's max([1.0, nan]) is 1.0, so a shortcut on the largest
+        # coupling would accept a NaN in a later position; the sum is NaN
+        s = [1.0, math.nan]
+        with pytest.raises(MembershipError, match="^hyperbolic parameters not resolvable"):
+            canonical._require_resolvable(s, [math.hypot(1.0, x) for x in s],
+                                          [math.asinh(x) for x in s])
+
 
 def _perturbed(M, rng):
     """A 1e-6 Hermitian perturbation: still Hermitian, no longer a member."""
@@ -931,7 +946,7 @@ class TestStackedInvariants:
         assert are_equivalent(M, Q.conj().T @ M @ Q, m)
         assert [len(calls[k]) for k in ("eigh", "eigvalsh", "svd")] == [1, 1, 1]
         assert calls["eigh"][0].shape == (2, 3, 3)
-        assert [a.shape for a in validations] == [(6, 6), (6, 6)]
+        assert [x[0].shape for x in validations] == [(6, 6), (6, 6)]
         canonical_invariant(M, m)
         assert [len(calls[k]) for k in ("eigh", "eigvalsh", "svd")] == [2, 2, 2]
         assert len(validations) == 3
@@ -1068,7 +1083,9 @@ class TestArrayRulesOracle:
     def test_validation_is_bitwise_the_array_residuals(self, case):
         # validation takes one matrix; the oracle reads the whole stack
         m, stack, tol = case
-        messages, norms = zip(*[metric_module._refusals(a, m, tol) for a in stack])
+        measured = [metric_module._measured(a, m) for a in stack]
+        messages = [metric_module._refusals(x, m, tol) for x in measured]
+        norms = [x[4] for x in measured]
         expected_messages, expected_norms = array_refusals(stack, m, tol)
         assert list(messages) == expected_messages
         assert [float(x).hex() for x in norms] == [x.hex() for x in expected_norms.tolist()]

@@ -1,5 +1,6 @@
 """Metric construction and membership predicates."""
 
+import inspect
 import warnings
 
 import numpy as np
@@ -8,11 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (anchored, block_unitary, count_calls, hyperbolic, indefinite_product,
-                      unscaled_residuals)
+                      two_read_measured, unscaled_residuals)
+import pseudounitary as pu
 from pseudounitary import canonical as canonical_module
 from pseudounitary import metric as metric_module
 from pseudounitary import (
-    DEFAULT_TOL,
     LieElement,
     MembershipError,
     SignatureMetric,
@@ -279,23 +280,59 @@ class TestCompactIntersection:
         assert all(x.shape != Q.shape for x in norms)
 
 
+def _validating_calls() -> dict:
+    """Per validating public function: a call on a complex Hermitian member of
+    U(2, 2) (two for are_equivalent, a block unitary for assemble_blocks), the
+    matrices it validates, and the number of _scaled calls: one per matrix,
+    and one more where the canonical frame scales the validated matrix for
+    its reassembly residual."""
+    m = make_metric(2, 2)
+    M = np.kron(np.eye(2), hyperbolic(LN2))[[0, 2, 1, 3]][:, [0, 2, 1, 3]]
+    N = M.conj().T.copy()
+    Q = block_unitary(m, np.random.default_rng(3))
+    pieces = [("hyperbolic", 0.5, 1), ("iota", 0.0, -1)]
+    return {
+        "require_member": (lambda: pu.require_member(M, m), [M], 1),
+        "require_member_any": (lambda: pu.require_member(M, m, hermitian=False), [M], 1),
+        "fast_inverse": (lambda: pu.fast_inverse(M, m), [M], 1),
+        "membership_residual": (lambda: pu.membership_residual(M, m), [M], 1),
+        "is_pseudo_unitary": (lambda: pu.is_pseudo_unitary(M, m), [M], 1),
+        "hermitian_residual": (lambda: pu.hermitian_residual(M), [M], 1),
+        "is_hermitian": (lambda: pu.is_hermitian(M), [M], 1),
+        "block_identities_residual": (lambda: pu.block_identities_residual(M, m), [M], 1),
+        "check_compact_intersection": (lambda: pu.check_compact_intersection(M, m), [M], 1),
+        "assemble_blocks": (lambda: pu.assemble_blocks(pieces, Q), [Q], 1),
+        "canonical_invariant": (lambda: pu.canonical_invariant(M, m), [M], 1),
+        "are_equivalent": (lambda: pu.are_equivalent(M, N, m), [M, N], 2),
+        "log_us": (lambda: pu.log_us(M, m), [M], 1),
+        "is_in_exp_image": (lambda: pu.is_in_exp_image(M, m), [M], 1),
+        "block_decompose": (lambda: pu.block_decompose(M, m), [M], 2),
+        "extract_generators": (lambda: pu.extract_generators(M, m), [M], 2),
+    }
+
+
 class TestValidatesOnce:
-    # the public functions coerce and finiteness-check their input once, then
-    # hand the array to trusting helpers
-    @pytest.mark.parametrize("fn, kwargs", [
-        (metric_module.require_member, {}),
-        (metric_module.require_member, {"hermitian": False}),
-        (fast_inverse, {}),
-        (check_compact_intersection, {}),
-        (block_identities_residual, {}),
-    ], ids=["require_member", "require_member_any", "fast_inverse",
-            "check_compact_intersection", "block_identities_residual"])
-    def test_one_coercion_per_call(self, monkeypatch, fn, kwargs):
-        metric = make_metric(2, 2)
-        m = np.kron(np.eye(2), hyperbolic(LN2))[[0, 2, 1, 3]][:, [0, 2, 1, 3]]
-        coercions = count_calls(monkeypatch, "as_matrix", metric_module)
-        fn(m, metric, **kwargs)
-        assert len(coercions) == 1
+    # every public function reads the matrix it validates once, through
+    # _measured, whose max-abs decides finiteness; np.isfinite never sees it
+    @pytest.mark.parametrize("name", sorted(_validating_calls()))
+    def test_one_coercion_per_call(self, monkeypatch, name):
+        call, matrices, scalings = _validating_calls()[name]
+        measured = count_calls(monkeypatch, "_measured", metric_module, canonical_module)
+        scaled = count_calls(monkeypatch, "_scaled", metric_module, canonical_module)
+        finite_checks = count_calls(monkeypatch, "isfinite", np)
+        call()
+        assert [id(x) for x in measured] == [id(x) for x in matrices]
+        assert len(scaled) == scalings
+        assert not any(np.shares_memory(x, a) for x in finite_checks for a in matrices)
+
+    def test_every_validating_function_is_listed(self):
+        # every public function whose first parameter is a matrix, and the
+        # unitary of assemble_blocks
+        first = {name: next(iter(inspect.signature(value).parameters))
+                 for name, value in vars(pu).items()
+                 if inspect.isfunction(value) and not name.startswith("_")}
+        validating = {name for name, param in first.items() if param in ("M", "M1")}
+        assert validating | {"assemble_blocks"} == set(_validating_calls()) - {"require_member_any"}
 
 
 @st.composite
@@ -318,6 +355,23 @@ def residual_inputs(draw):
         if kind == "hermitian":
             x = x + x.conj().T
     return metric, x * 10.0 ** draw(st.floats(-100.0, 75.0))
+
+
+@st.composite
+def measured_inputs(draw):
+    """(metric or None, matrix): residual_inputs, the largest part moved to up to
+    1e308, with a NaN or an infinity planted, transposed, real, or a row short."""
+    metric, x = draw(residual_inputs())
+    x = np.array(x, dtype=complex)
+    big = np.abs(x.view(float)).max()
+    if draw(st.booleans()) and big > 0:
+        x = x / big * 10.0 ** draw(st.floats(-300.0, 308.0))
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, metric.n - 1)), draw(st.integers(0, metric.n - 1))
+        bad = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        x.view(float).reshape(metric.n, metric.n, 2)[i, j, draw(st.integers(0, 1))] = bad
+    x = draw(st.sampled_from([x, x.T, x.real, x[:-1]]))
+    return draw(st.sampled_from([metric, None])), x
 
 
 def _unitary_residual(a):
@@ -404,8 +458,25 @@ class TestFullRangeResiduals:
             assert got == expected
         else:
             assert got == pytest.approx(expected, rel=1e-15, abs=0.0)
-        _, norm = metric_module._refusals(a, metric, DEFAULT_TOL)
-        assert float(norm) == np.linalg.norm(a)
+        assert float(metric_module._measured(a, metric)[4]) == np.linalg.norm(a)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(measured_inputs())
+    def test_one_read_agrees_with_two(self, case):
+        # the max-abs that scales also decides finiteness: (b, s, ||b||, ||a||)
+        # are bitwise those of a finiteness check followed by the scaling, and
+        # every refusal is the same ValueError
+        metric, x = case
+
+        def outcome(measure):
+            try:
+                b, *rest = measure()
+            except ValueError as exc:
+                return str(exc)
+            return [b.dtype.str, b.shape, b.tobytes()] + [float(v).hex() for v in rest]
+        shape = None if metric is None else (metric.n, metric.n)
+        assert (outcome(lambda: metric_module._measured(x, metric)[1:])
+                == outcome(lambda: two_read_measured(x, shape)))
 
     def test_stack_item_squares_its_norm_as_the_matrix_does(self):
         # item 1693 read one ulp apart when the invariant pass validated its

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import pseudounitary as pu
-from conftest import HOSTILE_INTS, HOSTILE_REALS, anchored
+from conftest import HOSTILE_INTS, HOSTILE_METRICS, HOSTILE_REALS, anchored
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "pseudounitary").glob("*.py"))
@@ -485,6 +485,49 @@ def test_every_matrix_argument_takes_one_rule():
                 call(valid.astype(dtype))
 
 
+def _metric_calls() -> dict:
+    """Per metric parameter of the package: a call taking the value, valid with
+    the metric of signature (1, 1)."""
+    j, eye = np.diag([1.0, -1.0]), np.eye(2)
+    return {
+        "GeneratorSet.metric": lambda v: pu.GeneratorSet(v, 1, [2.0], [[1.0, 0.0]]),
+        "LieElement.metric": lambda v: pu.LieElement(v, [[1.0]]),
+        "SampleSpec.metric": lambda v: pu.SampleSpec(v, 0),
+        "are_equivalent.metric": lambda v: pu.are_equivalent(j, j, v),
+        "block_decompose.metric": lambda v: pu.block_decompose(j, v),
+        "block_identities_residual.metric": lambda v: pu.block_identities_residual(j, v),
+        "canonical_invariant.metric": lambda v: pu.canonical_invariant(j, v),
+        "check_compact_intersection.metric": lambda v: pu.check_compact_intersection(j, v),
+        "dumps_matrix.metric": lambda v: pu.dumps_matrix(j, v),
+        "extract_generators.metric": lambda v: pu.extract_generators(j, v),
+        "fast_inverse.metric": lambda v: pu.fast_inverse(j, v),
+        "is_in_exp_image.metric": lambda v: pu.is_in_exp_image(eye, v),
+        "is_pseudo_unitary.metric": lambda v: pu.is_pseudo_unitary(j, v),
+        "log_us.metric": lambda v: pu.log_us(eye, v),
+        "membership_residual.metric": lambda v: pu.membership_residual(j, v),
+        "require_member.metric": lambda v: pu.require_member(j, v),
+        "sample_upq.metric": lambda v: pu.sample_upq(v, 0),
+        "sample_us_lie.metric": lambda v: pu.sample_us_lie(v, 0),
+    }
+
+
+# metric parameters that the metric rule does not apply to, with the reason
+NOT_METRICS = {"MatrixDocument.metric": "a record that loads_matrix fills from make_metric"}
+
+
+def test_every_metric_argument_takes_one_rule():
+    # a (p, q) tuple once reached metric.n and failed with AttributeError;
+    # every metric parameter now gives the rule's ValueError
+    calls = _metric_calls()
+    assert _public_parameters({"SignatureMetric"}) == sorted([*calls, *NOT_METRICS])
+    for name, call in calls.items():
+        call(pu.make_metric(1, 1))
+        for bad in HOSTILE_METRICS:
+            with pytest.raises(ValueError, match=anchored(
+                    f"metric must be a SignatureMetric, got {bad!r}")):
+                call(bad)
+
+
 def test_numeric_strings_and_bools_are_not_matrices():
     with pytest.raises(ValueError, match=anchored("matrix entries must be numbers, got dtype <U2")):
         pu.membership_residual([["1", "0"], ["0", "-1"]], pu.make_metric(1, 1))
@@ -514,11 +557,11 @@ COMPLEX_NAMES = {"complex", "complex128", "complex_", "cdouble"}
 
 
 def rule_copies(sources: dict) -> list:
-    """Code outside metric.py that decides an integer, sign or matrix argument
-    itself, as file:line and what it is.
+    """Code outside metric.py that decides an integer, sign, metric or matrix
+    argument itself, as file:line and what it is.
 
     sources maps a file name to its text. Flagged: an isinstance test against
-    bool or np.bool_, operator.index, np.asarray(..., dtype=complex), np.iterable
+    bool, np.bool_ or SignatureMetric, operator.index, np.asarray(..., dtype=complex), np.iterable
     (a sequence's entries are read by _checked_reals), and np.random.PCG64 built
     anywhere but sampler._rng, which checks every seed.
     """
@@ -541,6 +584,10 @@ def rule_copies(sources: dict) -> list:
                         getattr(n, "id", getattr(n, "attr", None)) in ("bool", "bool_")
                         for n in ast.walk(child.args[1])):
                     what = "isinstance bool"
+                elif called == "isinstance" and len(child.args) == 2 and any(
+                        getattr(n, "id", getattr(n, "attr", None)) == "SignatureMetric"
+                        for n in ast.walk(child.args[1])):
+                    what = "isinstance SignatureMetric"
                 elif called == "asarray" and any(
                         getattr(n, "id", getattr(n, "attr", None)) in COMPLEX_NAMES
                         for n in child.args[1:] + [k.value for k in child.keywords
@@ -564,7 +611,8 @@ def test_rule_copy_guard_sees_each_copy():
         "a.py": ("import numpy as np\nfrom operator import index, sub\n\n\n"
                  "def f(x, s):\n    if isinstance(s, (bool, np.bool_)):\n        raise ValueError\n"
                  "    return np.asarray(x, dtype=complex), np.asarray(x, np.complex128)\n\n\n"
-                 "def h(x):\n    return tuple(x) if np.iterable(x) else ()\n"),
+                 "def h(x):\n    return tuple(x) if np.iterable(x) else ()\n\n\n"
+                 "def k(m):\n    return isinstance(m, metric.SignatureMetric)\n"),
         "metric.py": ("import operator\n\n\ndef g(x):\n    if isinstance(x, bool):\n"
                       "        return np.random.PCG64(1)\n    return operator.index(x)\n"),
         "sampler.py": ("def _rng(seed):\n    return np.random.PCG64(seed)\n\n\n"
@@ -572,12 +620,14 @@ def test_rule_copy_guard_sees_each_copy():
     }
     assert rule_copies(sources) == [
         "a.py:2:operator.index", "a.py:6:isinstance bool", "a.py:8:asarray complex",
-        "a.py:8:asarray complex", "a.py:12:iterable", "metric.py:6:PCG64", "sampler.py:6:PCG64"]
+        "a.py:8:asarray complex", "a.py:12:iterable", "a.py:16:isinstance SignatureMetric",
+        "metric.py:6:PCG64", "sampler.py:6:PCG64"]
 
 
 def test_argument_rules_live_in_metric():
-    # integers, signs, matrices and sequences are decided by _checked_int,
-    # _checked_sign, as_matrix and _checked_reals alone, and every seed is
+    # integers, signs, metrics, matrices and sequences are decided by
+    # _checked_int, _checked_sign, _checked_metric, the matrix rule of
+    # as_matrix and _measured, and _checked_reals alone, and every seed is
     # checked where the generator is built
     assert SOURCES
     assert rule_copies({path.name: path.read_text(encoding="utf-8") for path in SOURCES}) == []

@@ -396,6 +396,17 @@ class TestValidateGenerators:
         msgs = validate_generators(tampered)
         assert any(msg.startswith("lambda mismatch") for msg in msgs)
 
+    @pytest.mark.parametrize("lam, deviation", [(0.0, "1.000e+00"), (-1.5, "1.450e+00")])
+    def test_small_lambda_deviation_is_relative_to_two(self, lam, deviation):
+        # below |lambda| = 2 the deviation of lambda (alpha^2 - beta^2) from 2
+        # is taken relative to 2, so lambda = 0 divides by nothing small
+        gens = GeneratorSet(metric=make_metric(1, 1), sigma=1, lambdas=[lam],
+                            vectors=[[np.sqrt(0.8), np.sqrt(0.2)]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert validate_generators(gens) == [
+                f"lambda mismatch: largest relative deviation {deviation}"]
+
     @pytest.mark.parametrize("t", [20.0, 40.0, 300.0, 700.0])
     def test_closed_form_pair_valid_at_large_t(self, t):
         # alpha^2 - beta^2 = sech t is below rounding here, yet the pair is valid
