@@ -132,9 +132,10 @@ def _check_range(top: float) -> None:
                          f"{_T_MAX!r} = arccosh(float max / 2) of finite entries")
 
 
-def _block_form(hyp: np.ndarray, t: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """The matrix with piece j at rows and columns (j, p + j), from the pieces'
-    hyperbolic mask, parameters (0 for iota pieces) and signs."""
+def _block_form(blocks) -> np.ndarray:
+    """The matrix with piece j of the (kind, t, sign) pieces at rows and columns (j, p + j)."""
+    kind, t, sign = map(np.array, zip(*blocks))
+    hyp = kind == HYPERBOLIC
     _check_range(t.max(initial=0.0))
     p = t.size
     c = np.cosh(t)
@@ -160,8 +161,7 @@ def assemble_blocks(blocks, unitary=None) -> np.ndarray:
     p = len(blocks)
     if p == 0:
         raise ValueError("need at least one block")
-    kind, t, sign = zip(*blocks)
-    out = _block_form(np.array(kind) == HYPERBOLIC, np.array(t), np.array(sign))
+    out = _block_form(blocks)
     if unitary is not None:
         Q = _require_block_unitary(unitary, p)
         out = Q.conj().T @ out @ Q
@@ -189,6 +189,13 @@ def block_decompose(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> Blo
     return BlockDecomposition(q=q, blocks=blocks, residual=residual)
 
 
+def _m11_reading(top: np.ndarray, p: int) -> tuple:
+    """(lambda, X) of eigh(M11), Y = X* M12 and counts of lambda < 0 for a stack of [M11, M12]."""
+    lam, x = np.linalg.eigh(top[..., :p])
+    y = x.conj().swapaxes(-1, -2) @ top[..., p:]
+    return lam, x, y, [bisect_left(row, 0.0) for row in lam.tolist()]
+
+
 def _frame(a: np.ndarray, p: int, tol: float) -> tuple:
     """The canonical frame of a validated Hermitian member at signature (p, n - p).
 
@@ -207,11 +214,7 @@ def _frame(a: np.ndarray, p: int, tol: float) -> tuple:
         swap, back = np.r_[p:p + q, :p], np.r_[q:p + q, :q]
         unitary, hyp, t, d, residual = _frame(a[np.ix_(swap, swap)], q, tol)
         return unitary[np.ix_(back, back)], hyp, t, d[back], residual
-    m11, m12, _, m22 = _blocks(a, p)
-    lam, x = np.linalg.eigh(m11)
-    y = x.conj().T @ m12
-    # eigh sorts ascending: the negative eigenspace of M11 comes first
-    neg = int(np.count_nonzero(lam < 0))
+    (lam,), (x,), (y,), (neg,) = _m11_reading(a[None, :p], p)  # eigh sorts lambda < 0 first
     w0, v, s = np.empty((p, p), dtype=complex), np.empty((p, q), dtype=complex), np.empty(p)
     for rows in (slice(0, neg), slice(neg, p)):
         if rows.start < rows.stop:
@@ -231,7 +234,7 @@ def _frame(a: np.ndarray, p: int, tol: float) -> tuple:
     hyp = np.ones(p, dtype=bool)
     unpaired = np.zeros(0, dtype=int)
     if k < q:
-        mu, rot = np.linalg.eigh(w1[k:] @ m22 @ w1[k:].conj().T)
+        mu, rot = np.linalg.eigh(w1[k:] @ a[p:, p:] @ w1[k:].conj().T)
         # the weak rows of the negative side take the complement from the
         # front, those of the positive side from the back; the q - p rows
         # between them are the unpaired ones, and they go last
@@ -372,10 +375,9 @@ def _invariants(matrices, metric: SignatureMetric, tol: float) -> list:
     if not norms:
         raise MembershipError(refusal)
     stack = np.array([item[0] for item in measured[:len(norms)]])
-    lam11, x = np.linalg.eigh(stack[:, :p, :p])
+    lam11, _, y, counts = _m11_reading(stack[:, :p], p)
     lam22 = np.linalg.eigvalsh(stack[:, p:, p:])
     neg = lam11 < 0
-    y = x.conj().swapaxes(-1, -2) @ stack[:, :p, p:]
     # side 0 keeps the rows of Y = X* M12 on the negative eigenspace of M11,
     # side 1 those on the positive one: the singular values of a masked Y
     # are those of M12 restricted to that eigenspace, padded with zeros
@@ -385,11 +387,10 @@ def _invariants(matrices, metric: SignatureMetric, tol: float) -> list:
     # a float, so that a numpy scalar tol does not set the precision of the bounds
     bound = float(_RESIDUAL_FACTOR * tol)
     out = []
-    for k, (lam, lam2, norm) in enumerate(zip(lam11.tolist(), lam22.tolist(), norms)):
+    for k, (lam, lam2, n, norm) in enumerate(zip(lam11.tolist(), lam22.tolist(), counts, norms)):
         # eigh sorts ascending, so |lambda| descends over the n negative
         # eigenvalues and over the reversed positive ones, as s does: the
         # couplings of a side are its leading positions, the rest padding
-        n = bisect_left(lam, 0.0)
         t0, t1 = t_all[0][k][:n], t_all[1][k][:p - n]
         t = t0 + t1
         _check_range(max(t))

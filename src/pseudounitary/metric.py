@@ -129,6 +129,9 @@ def _coerced(m, shape: tuple | None, name: str) -> np.ndarray:
             raise ValueError(f"{name} must be square, got shape {a.shape}")
     elif a.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+    if a.dtype.char in "gG":  # a longdouble past the float range casts to inf, which is refused
+        with np.errstate(over="ignore"):
+            return np.asarray(a, dtype=complex)
     return np.asarray(a, dtype=complex)
 
 

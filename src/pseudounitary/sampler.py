@@ -86,8 +86,7 @@ def sample_us_pp(spec: SampleSpec) -> tuple[np.ndarray, BlockDecomposition]:
     q = np.zeros((2 * p, 2 * p), dtype=complex)
     q[:p, :p], q[p:, p:] = _haar(rng, p, 2)
     # the product assemble_blocks forms, without a second check of what was built here
-    kind, t, sign = zip(*blocks)
-    m = q.conj().T @ _block_form(np.array(kind) == HYPERBOLIC, np.array(t), np.array(sign)) @ q
+    m = q.conj().T @ _block_form(blocks) @ q
     return m, BlockDecomposition(q=q, blocks=tuple(blocks))
 
 

@@ -214,7 +214,8 @@ class TestDecompose:
         monkeypatch.setattr(np.linalg, "eigh", reversed_first_eigh)
         with pytest.raises(MembershipError, match="^block reduction failed: residual"):
             block_decompose(M, m)
-        assert np.array_equal(calls[0], M[:2, :2])
+        # the first eigh is that of the M11 stack of one that _m11_reading reads
+        assert np.array_equal(calls[0], M[None, :2, :2])
 
     @pytest.mark.parametrize("p", [1, 2, 4])
     def test_sampled_round_trips(self, p):
@@ -950,6 +951,38 @@ class TestStackedInvariants:
         canonical_invariant(M, m)
         assert [len(calls[k]) for k in ("eigh", "eigvalsh", "svd")] == [2, 2, 2]
         assert len(validations) == 3
+
+    def test_both_routes_read_m11_once_in_one_helper(self, monkeypatch):
+        # _m11_reading is the one eigh of an M11 block: each route calls it
+        # once, on the first p rows of its stack, and no other eigh call of
+        # either route takes an M11 block, alone or stacked
+        readings = count_calls(monkeypatch, "_m11_reading", canonical)
+        eighs = count_calls(monkeypatch, "eigh", np.linalg)
+
+        def read_once(p, *members):
+            m11 = [a[:p, :p] for a in members]
+            assert [x.shape for x in readings] == [(len(members), p, members[0].shape[0])]
+            assert np.array_equal(readings.pop()[..., :p], m11)
+            on_m11 = [x for x in eighs if any(np.array_equal(x, b) for b in [*m11, m11])]
+            assert len(on_m11) == 1
+            eighs.clear()
+
+        m = make_metric(3, 3)
+        M = sample_us_pp(SampleSpec(metric=m, seed=4))[0]
+        Q = block_unitary(m, np.random.default_rng(4))
+        block_decompose(M, m)
+        read_once(3, M)
+        canonical_invariant(M, m)
+        read_once(3, M)
+        N = Q.conj().T @ M @ Q
+        assert are_equivalent(M, N, m)
+        read_once(3, M, N)
+        # at (3, 2) the frame is that of the block swap, a member of U(2, 3)
+        m32 = make_metric(3, 2)
+        M = exp_us(LieElement(m32, np.random.default_rng(5).standard_normal((3, 2))))
+        extract_generators(M, m32)
+        swap = np.r_[3:5, :3]
+        read_once(2, M[np.ix_(swap, swap)])
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(validation_inputs())

@@ -6,6 +6,7 @@ import dataclasses
 import inspect
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -483,6 +484,15 @@ def test_every_matrix_argument_takes_one_rule():
         for dtype in (str, bool, object):
             with pytest.raises(ValueError, match="entries must be numbers, got dtype"):
                 call(valid.astype(dtype))
+        # a longdouble past the float range is refused as non-finite, with no
+        # overflow warning from its cast to complex on the way
+        for dtype in (np.longdouble, np.clongdouble):
+            wide = valid.astype(dtype)
+            wide.flat[0] = np.longdouble("1e400")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="contains non-finite entries"):
+                    call(wide)
 
 
 def _metric_calls() -> dict:
