@@ -23,9 +23,9 @@ from operator import sub
 
 import numpy as np
 
-from .metric import (DEFAULT_TOL, MembershipError, SignatureMetric, _blocks, _checked_metric,
-                     _checked_real, _checked_sign, _fro, _gram_residual, _measured,
-                     _phase_fixed_qr, _refusals, _scaled, require_member)
+from .metric import (DEFAULT_TOL, MembershipError, SignatureMetric, _block_diagonal, _blocks,
+                     _checked_metric, _checked_real, _checked_sign, _fro, _gram_residual,
+                     _measured, _phase_fixed_qr, _refusals, _scaled, require_member)
 
 HYPERBOLIC = "hyperbolic"
 IOTA = "iota"
@@ -41,11 +41,15 @@ _EPS = float(np.finfo(float).eps)
 # Largest hyperbolic parameter with finite output, arccosh(float max / 2): past it
 # a sum of two entries of size cosh t overflows, as (C + C*) / 2 in exp_us does.
 _T_MAX = float(np.arccosh(np.finfo(float).max / 2.0))
-# Times tol * max(1, ||M||_F): the reassembly gate of _frame, the spectra bound of _invariants.
 _RESIDUAL_FACTOR = 1000.0
 
 
-class HyperbolicBlock(namedtuple("HyperbolicBlock", "kind t sign", defaults=(0.0, 1))):
+def _residual_bound(tol) -> float:
+    """Times max(1, ||M||_F): the reassembly gate of _frame, the spectra bound of _invariants."""
+    return _RESIDUAL_FACTOR * float(tol)
+
+
+class HyperbolicBlock(namedtuple("HyperbolicBlock", "kind t sign")):
     """One canonical 2x2 piece, a signed hyperbolic or iota block: the (kind, t, sign)
     triple, checked when built."""
 
@@ -270,10 +274,9 @@ def _frame(a: np.ndarray, p: int, tol: float) -> tuple:
     r[p:, p:] -= (w1.conj().T * np.concatenate([np.where(hyp, d1, -scale * sign),
                                                  scale * unpaired])) @ w1
     err = float(_fro(r))
-    if err > _RESIDUAL_FACTOR * tol * max(scale, fro):
+    if err > _residual_bound(tol) * max(scale, fro):
         raise MembershipError(f"block reduction failed: residual {err / scale:.3e}")
-    unitary = np.zeros((p + q, p + q), dtype=complex)
-    unitary[:p, :p], unitary[p:, p:] = w0, w1
+    unitary = _block_diagonal(w0, w1)
     return unitary, hyp, t, np.concatenate([sign, np.where(hyp, sign, -sign), unpaired]), err / scale
 
 
@@ -384,8 +387,6 @@ def _invariants(matrices, metric: SignatureMetric, tol: float) -> list:
     s = np.linalg.svd(y * np.array([neg, ~neg])[..., None], compute_uv=False)
     # indexed [side][item][position]
     s_all, t_all, h_all = s.tolist(), np.arcsinh(s).tolist(), np.hypot(1.0, s).tolist()
-    # a float, so that a numpy scalar tol does not set the precision of the bounds
-    bound = float(_RESIDUAL_FACTOR * tol)
     out = []
     for k, (lam, lam2, n, norm) in enumerate(zip(lam11.tolist(), lam22.tolist(), counts, norms)):
         # eigh sorts ascending, so |lambda| descends over the n negative
@@ -401,7 +402,7 @@ def _invariants(matrices, metric: SignatureMetric, tol: float) -> list:
         mag = list(map(abs, lam))
         err = max(map(abs, map(sub, mag[:n] + mag[n:][::-1] + sorted(map(abs, lam2), reverse=True),
                                h + sorted(h, reverse=True))))
-        if err > bound * max(1.0, norm):
+        if err > _residual_bound(tol) * max(1.0, norm):
             raise MembershipError(f"block spectra inconsistent: residual {err:.3e}")
         # hyperbolic pieces put the same sign into M11 and M22, iota pieces
         # opposite signs, so (after iota-pair merging) the iota count is the

@@ -107,8 +107,6 @@ def loads_matrix(text: str) -> MatrixDocument:
         raise ValueError(f"unsupported matrix file format {doc.get('format')!r}, "
                          f"expected {FORMAT_VERSION!r}")
     kind = doc.get("kind")
-    if kind not in (KIND_SQUARE, KIND_BLOCK):
-        raise ValueError(f"unknown matrix kind {kind!r}")
     metric = make_metric(doc.get("p"), doc.get("q"))
     shape = _expected_shape(metric, kind)
     entries = doc.get("entries")

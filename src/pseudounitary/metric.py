@@ -158,6 +158,12 @@ def _blocks(a: np.ndarray, p: int) -> tuple:
     return a[:p, :p], a[:p, p:], a[p:, :p], a[p:, p:]
 
 
+def _block_diagonal(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    out = np.zeros((len(u) + len(v),) * 2, dtype=complex)
+    out[:len(u), :len(u)], out[len(u):, len(u):] = u, v
+    return out
+
+
 # The helpers below trust a matrix that _measured has already coerced and
 # checked; the public functions measure it once and then call them.
 

@@ -12,8 +12,8 @@ import numpy as np
 
 from .canonical import HYPERBOLIC, IOTA, BlockDecomposition, HyperbolicBlock, _block_form
 from .lie import LieElement, exp_us
-from .metric import (SignatureMetric, _checked_int, _checked_metric, _checked_real, _checked_reals,
-                     _phase_fixed_qr)
+from .metric import (SignatureMetric, _block_diagonal, _checked_int, _checked_metric, _checked_real,
+                     _checked_reals, _phase_fixed_qr)
 
 # One entry per block species: hyperbolic +, hyperbolic -, iota +, iota -.
 _KINDS = ((HYPERBOLIC, 1), (HYPERBOLIC, -1), (IOTA, 1), (IOTA, -1))
@@ -83,8 +83,7 @@ def sample_us_pp(spec: SampleSpec) -> tuple[np.ndarray, BlockDecomposition]:
     for j in range(p):
         kind, sign = _KINDS[kind_idx[j]]
         blocks.append(HyperbolicBlock(kind, float(ts[j]) if kind == HYPERBOLIC else 0.0, sign))
-    q = np.zeros((2 * p, 2 * p), dtype=complex)
-    q[:p, :p], q[p:, p:] = _haar(rng, p, 2)
+    q = _block_diagonal(*_haar(rng, p, 2))
     # the product assemble_blocks forms, without a second check of what was built here
     m = q.conj().T @ _block_form(blocks) @ q
     return m, BlockDecomposition(q=q, blocks=tuple(blocks))
@@ -108,11 +107,7 @@ def sample_upq(metric: SignatureMetric, seed: int) -> np.ndarray:
     rng = _rng(seed)
     p, q = _checked_metric(metric).p, metric.q
     scale = 1.0 / np.sqrt(metric.n)
-    u = _haar(rng, p)[0]
-    v = _haar(rng, q)[0]
+    factor = _block_diagonal(_haar(rng, p)[0], _haar(rng, q)[0])
     shape = (p, q)
     b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * (scale / np.sqrt(2.0))
-    factor = np.zeros((metric.n, metric.n), dtype=complex)
-    factor[:p, :p] = u
-    factor[p:, p:] = v
     return factor @ exp_us(LieElement(metric=metric, block=b))

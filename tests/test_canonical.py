@@ -46,6 +46,7 @@ from pseudounitary import (
     canonical_invariant,
     exp_us,
     extract_generators,
+    haar_unitary,
     hermitian_residual,
     invariant_from_blocks,
     is_in_exp_image,
@@ -63,6 +64,8 @@ from pseudounitary.sampler import DEFAULT_KIND_WEIGHTS
 
 LN2 = np.log(2.0)
 LN3 = np.log(3.0)
+# the parameter whose coupling beside hyp(3.0) is twice the weak/strong cut
+STRONG_T = float(np.arcsinh(2.0 * canonical.WEAK_COUPLING * np.cosh(3.0)))
 
 
 def hyp(t, sign=1):
@@ -216,6 +219,64 @@ class TestDecompose:
             block_decompose(M, m)
         # the first eigh is that of the M11 stack of one that _m11_reading reads
         assert np.array_equal(calls[0], M[None, :2, :2])
+
+    @pytest.mark.parametrize("tol", [np.float16(1e-4), np.float32(1e-10), np.float64(1e-10),
+                                     np.array(1e-4, dtype=np.float16)])
+    @pytest.mark.parametrize("t", [20.0, 100.0])
+    def test_a_numpy_scalar_tol_is_read_as_its_float(self, t, tol):
+        # the reassembly gate's bound 1000 * tol * ||M|| once took the dtype of
+        # the tol: in float16 it overflowed to inf from t of about 12 (in
+        # float32 from about 89), with a RuntimeWarning
+        m = make_metric(2, 2)
+        M = assemble_blocks([hyp(t), hyp(1.0, -1)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dec, gens = block_decompose(M, m, tol), extract_generators(M, m, tol)
+        want, want_gens = block_decompose(M, m, float(tol)), extract_generators(M, m, float(tol))
+        assert dec.blocks == want.blocks and dec.residual == want.residual
+        assert np.array_equal(dec.q, want.q)
+        assert gens.sigma == want_gens.sigma
+        assert np.array_equal(gens.lambdas, want_gens.lambdas)
+        assert np.array_equal(gens.vectors, want_gens.vectors)
+
+    def test_the_reassembly_gate_refuses_whatever_the_dtype_of_tol(self, monkeypatch):
+        # the reversed-eigenvector fault of
+        # test_a_frame_that_does_not_reassemble_is_refused, beside t = 20: a
+        # float16 tol once let the gate pass its reassembly residual of about 7e8
+        m = make_metric(2, 2)
+        z = np.zeros((2, 2))
+        Q = np.block([[haar_unitary(2, 1), z], [z, haar_unitary(2, 2)]])
+        M = assemble_blocks([hyp(20.0), hyp(0.5, -1)], Q)
+        eigh, calls = np.linalg.eigh, []
+
+        def reversed_first_eigh(a, *args, **kwargs):
+            lam, x = eigh(a, *args, **kwargs)
+            calls.append(a)
+            return (lam, x[..., ::-1]) if len(calls) == 1 else (lam, x)
+        monkeypatch.setattr(np.linalg, "eigh", reversed_first_eigh)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MembershipError, match="^block reduction failed: residual"):
+                block_decompose(M, m, np.float16(1e-4))
+        assert np.array_equal(calls[0], M[None, :2, :2])
+
+    @pytest.mark.parametrize("blocks", [
+        [hyp(3.0), hyp(STRONG_T), iota(-1)],
+        [hyp(3.0), hyp(STRONG_T, -1), iota(1)],
+        [hyp(3.0), hyp(STRONG_T), iota(-1), iota(-1)],
+        [hyp(3.0), hyp(STRONG_T), iota(-1), hyp(1.0)],
+    ])
+    def test_a_coupling_just_above_the_weak_cut_is_strong(self, blocks):
+        # sinh t = 2 WEAK_COUPLING cosh 3 is a strong coupling, read with its
+        # V row off the SVD of M12; read as weak, its V row would come from
+        # M22, where an iota piece of the other sign holds an eigenvalue
+        # within about s^2 of its own, and the frame reassembles only to about 1e-10
+        m = make_metric(len(blocks), len(blocks))
+        rng = np.random.default_rng(0)
+        for _ in range(6):
+            M = assemble_blocks(blocks, block_unitary(m, rng))
+            dec = block_decompose(M, m)
+            assert np.linalg.norm(dec.matrix() - M) <= 1e-12 * np.linalg.norm(M)
 
     @pytest.mark.parametrize("p", [1, 2, 4])
     def test_sampled_round_trips(self, p):

@@ -318,6 +318,27 @@ class TestExponentialImage:
         assert is_in_exp_image(M, m)
         assert [len(calls[k]) for k in ("svd", "eigh", "eigvalsh")] == [2, 0, 0]
 
+    @pytest.mark.parametrize("t", [0.5, 5.0])
+    def test_trace_deficit_of_an_indefinite_member_is_two(self, t):
+        # at (1, 2) the member with pieces hyp(t) and the unpaired -1 has
+        # tr M = 2 cosh t - 1 against the positive definite bound 2 cosh t + 1,
+        # and h_min = 1 is the padding coupling's; t <= 5 stays resolvable
+        m = make_metric(1, 2)
+        c, s = np.cosh(t), np.sinh(t)
+        M = np.array([[c, s, 0.0], [s, c, 0.0], [0.0, 0.0, -1.0]], dtype=complex)
+        sv = np.linalg.svd(M[:1, 1:], compute_uv=False)
+        assert pseudounitary.lie._trace_deficit(M, sv, m) == pytest.approx(2.0, abs=1e-12)
+        with pytest.raises(MembershipError, match="trace deficit 2 h_min"):
+            log_us(M, m)
+
+    @pytest.mark.parametrize("p, q", [(1, 2), (2, 2), (3, 2)])
+    def test_trace_deficit_of_an_exponential_is_zero(self, p, q):
+        m = make_metric(p, q)
+        b = np.random.default_rng(4).standard_normal((p, q)) * (1.0 + 0.5j)
+        M = exp_us(LieElement(m, b))
+        sv = np.linalg.svd(M[:p, p:], compute_uv=False)
+        assert pseudounitary.lie._trace_deficit(M, sv, m) == pytest.approx(0.0, abs=1e-12)
+
     def test_no_tuned_floor(self):
         assert not hasattr(pseudounitary, "PD_FLOOR")
         assert not hasattr(pseudounitary.lie, "PD_FLOOR")

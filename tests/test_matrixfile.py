@@ -133,6 +133,11 @@ IDENTITY_ENTRIES = [[1, 0], [0, 0], [0, 0], [-1, 0]]
 UNREADABLE = {
     "not_an_object": ("[1, 2]", "matrix file must hold a JSON object"),
     "unknown_kind": (_document(IDENTITY_ENTRIES, "other"), "unknown matrix kind 'other'"),
+    "unhashable_kind": (_document(IDENTITY_ENTRIES, ["square"]), "unknown matrix kind ['square']"),
+    # the signature is read before the kind, so its refusal comes first
+    "unknown_kind_and_signature": (
+        _document(IDENTITY_ENTRIES, "other").replace('"p": 1', '"p": -1'),
+        "p must be an integer >= 0, got -1"),
     "three_entries": (_document(IDENTITY_ENTRIES[:3]),
                       "entries must be a list of 4 [re, im] pairs"),
     "three_numbers_a_row": (_document([[1, 0, 0], [0, 0, 0], [0, 0, 0], [-1, 0, 0]]),
