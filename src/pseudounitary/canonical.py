@@ -25,7 +25,7 @@ import numpy as np
 
 from .metric import (DEFAULT_TOL, MembershipError, SignatureMetric, _block_diagonal, _blocks,
                      _checked_metric, _checked_real, _checked_sign, _fro, _gram_residual,
-                     _measured, _phase_fixed_qr, _refusals, _scaled, require_member)
+                     _measured, _phase_fixed_qr, _scaled, _validated, require_member)
 
 HYPERBOLIC = "hyperbolic"
 IOTA = "iota"
@@ -328,13 +328,15 @@ def invariant_from_blocks(blocks) -> CanonicalInvariant:
 
 
 def _require_resolvable(s: list, h: list, t: list) -> None:
-    """The resolvability rule on pieces with couplings s, h = hypot(1, s) and t = arcsinh(s).
+    """The range rule of _check_range on max(t), then the resolvability rule on
+    pieces with couplings s, h = hypot(1, s) and t = arcsinh(s).
 
     Rounding of size eps * max(s) moves t_j = arccosh(h_j) by eps * max(s) / h_j;
     a piece is refused where that is not within T_COMPARE_TOL * max(1, t_j / 20),
     a NaN included. Raises the MembershipError naming the worst piece's
     measured value, its limit and their ratio.
     """
+    _check_range(max(t))
     # h_j >= 1 and every limit is at least T_COMPARE_TOL, so no piece is
     # refused while eps * sum(s) is within it; a NaN or inf in s fails this test
     if _EPS * sum(s) <= T_COMPARE_TOL:
@@ -354,30 +356,20 @@ def _require_resolvable(s: list, h: list, t: list) -> None:
 def _invariants(matrices, metric: SignatureMetric, tol: float) -> list:
     """Canonical invariants of the given members at (p, p), in order, from one stacked pass.
 
-    Raises the MembershipError of the first refused matrix, in order, so a
-    pair is refused with the message its first refused member gets alone.
-    Every matrix is coerced and measured before any is validated, so a
-    non-finite entry anywhere raises its ValueError first; validation, one
-    matrix at a time as require_member validates it, stops at the first refusal.
-    One eigh of the M11 stack, one eigvalsh of the M22 stack and one SVD
-    serve the matrices accepted before it. The range rule of _check_range and
-    the rules of canonical_invariant run item by item on Python floats and
-    raise at their first refusal; the validation refusal is raised after
-    them. _normalized reads each invariant off plain triples.
+    Every matrix is measured, so a non-finite entry anywhere raises its
+    ValueError first, then validated in order as require_member validates
+    it: the first refusal raises, before any kernel runs. One eigh of the
+    M11 stack, one eigvalsh of the M22 stack and one SVD follow. The rules
+    of _require_resolvable and the spectra bound run item by item on Python
+    floats and raise at their first refusal. _normalized reads each
+    invariant off plain triples.
     """
     if _checked_metric(metric).p != metric.q:
         raise ValueError("the canonical invariant is defined for signature (p, p)")
     p = metric.p
     measured = [_measured(m, metric) for m in matrices]
-    refusal, norms = None, []
-    for item in measured:
-        refusal = _refusals(item, metric, tol)
-        if refusal:
-            break
-        norms.append(item[4])
-    if not norms:
-        raise MembershipError(refusal)
-    stack = np.array([item[0] for item in measured[:len(norms)]])
+    stack = np.array([_validated(item, metric, tol) for item in measured])
+    norms = [item[4] for item in measured]
     lam11, _, y, counts = _m11_reading(stack[:, :p], p)
     lam22 = np.linalg.eigvalsh(stack[:, p:, p:])
     neg = lam11 < 0
@@ -393,10 +385,8 @@ def _invariants(matrices, metric: SignatureMetric, tol: float) -> list:
         # eigenvalues and over the reversed positive ones, as s does: the
         # couplings of a side are its leading positions, the rest padding
         t0, t1 = t_all[0][k][:n], t_all[1][k][:p - n]
-        t = t0 + t1
-        _check_range(max(t))
         h = h_all[0][k][:n] + h_all[1][k][:p - n]
-        _require_resolvable(s_all[0][k][:n] + s_all[1][k][:p - n], h, t)
+        _require_resolvable(s_all[0][k][:n] + s_all[1][k][:p - n], h, t0 + t1)
         # |eig(M11)| side by side, then the p values of |eig(M22)|,
         # descending, against h = sqrt(1 + s^2)
         mag = list(map(abs, lam))
@@ -416,8 +406,6 @@ def _invariants(matrices, metric: SignatureMetric, tol: float) -> list:
             t0 = t0[:n + excess]
         out.append(_normalized([(HYPERBOLIC, x, -1) for x in t0] + [(HYPERBOLIC, x, 1) for x in t1]
                                + [(IOTA, 0.0, 1 if excess > 0 else -1)] * abs(excess)))
-    if refusal:
-        raise MembershipError(refusal)
     return out
 
 

@@ -4,8 +4,8 @@ Reports go to stdout as JSON; matrix outputs use the matrix file format so
 commands compose through pipes ("-" reads stdin). Exit codes: 0 for success
 or a positive verdict, 1 for a mathematical negative (non-member,
 inequivalent, outside the exponential image), 2 for usage or input errors.
-Diagnostics go to stderr only. Every command that tests membership takes
---tol, the one way to set its tolerance (default DEFAULT_TOL).
+Diagnostics go to stderr only. --tol, on every file command but exp, is the
+one way to set the membership tolerance (default DEFAULT_TOL).
 """
 
 from __future__ import annotations
@@ -43,6 +43,9 @@ from .metric import (
 )
 from .sampler import SampleSpec, haar_unitary, sample_upq, sample_us_lie, sample_us_pp
 from .spectral import extract_generators
+
+# Largest p + q that upq sample draws, checked before any draw: 256 MiB of complex entries.
+_SAMPLE_LIMIT = 4096
 
 
 def _read_document(path: str, kind: str = KIND_SQUARE) -> tuple[MatrixDocument, dict]:
@@ -163,6 +166,8 @@ def _cmd_log(args) -> int:
 
 def _cmd_sample(args) -> int:
     metric = make_metric(args.p, args.q)
+    if metric.n > _SAMPLE_LIMIT:
+        raise ValueError(f"sample size p + q = {metric.n} is past the limit {_SAMPLE_LIMIT}")
     if args.family == "uspp":
         spec = SampleSpec(metric=metric, seed=args.seed, t_max=args.tmax)
         m, truth = sample_us_pp(spec)
@@ -198,15 +203,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def file_cmd(name: str, handler, help_text: str, files: int = 1):
+    def file_cmd(name: str, handler, help_text: str, files: int = 1, tol: bool = True):
         cmd = sub.add_parser(name, help=help_text)
         if files == 1:
             cmd.add_argument("file", help="matrix file path, or - for stdin")
         else:
             cmd.add_argument("file1", help="first matrix file path, or - for stdin")
             cmd.add_argument("file2", help="second matrix file path")
-        cmd.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                         help=f"membership tolerance (default {DEFAULT_TOL})")
+        if tol:
+            cmd.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                             help=f"membership tolerance (default {DEFAULT_TOL})")
         cmd.set_defaults(func=handler)
         return cmd
 
@@ -216,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     file_cmd("decompose", _cmd_decompose, "canonical 2x2 block decomposition at (p, p)")
     file_cmd("invariants", _cmd_invariants, "canonical equivalence invariant at (p, p)")
     file_cmd("equiv", _cmd_equiv, "compare two members up to sign and conjugation", files=2)
-    file_cmd("exp", _cmd_exp, "exponential of a tangent block file")
+    file_cmd("exp", _cmd_exp, "exponential of a tangent block file", tol=False)
     file_cmd("log", _cmd_log, "logarithm of a positive-definite Hermitian member")
 
     samp = sub.add_parser("sample", help="seeded sample matrices")

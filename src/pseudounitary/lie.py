@@ -77,7 +77,6 @@ def _trace_deficit(a: np.ndarray, s: np.ndarray, metric: SignatureMetric) -> flo
     # svd sorts s descending, and the padding zeros go last: h[0] is h_max, h[-1] h_min
     sp = _padded(s, max(p, q))
     h, t = np.hypot(1.0, sp), np.arcsinh(sp)
-    _check_range(t[0])
     _require_resolvable(sp.tolist(), h.tolist(), t.tolist())
     # a power of two at most 1 / h_max keeps the sums finite for any member
     c = math.ldexp(1.0, -math.frexp(h[0])[1])

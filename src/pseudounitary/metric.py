@@ -235,22 +235,22 @@ def _skew_residual(b: np.ndarray, s, fro):
     return _fro(b - b.conj().T) / (s + fro)
 
 
-def _refusals(measured: tuple, metric: SignatureMetric, tol: float,
-              hermitian: bool = True) -> str | None:
-    """Validate a matrix from its _measured tuple as require_member does: the
-    MembershipError message, or None where it is accepted. A NaN residual is
-    refused; membership is not computed for a matrix that is not Hermitian."""
+def _validated(measured: tuple, metric: SignatureMetric, tol: float,
+               hermitian: bool = True) -> np.ndarray:
+    """The array of a _measured tuple, validated as require_member validates it:
+    MembershipError unless it is accepted. A NaN residual is refused; membership
+    is not computed for a matrix that is not Hermitian."""
     tol = _checked_real(tol, "tol")
-    _, b, s, fro, _ = measured
+    a, b, s, fro, _ = measured
     if hermitian:
         hr = _skew_residual(b, s, fro)
         if not hr <= tol:
-            return f"matrix is not Hermitian: residual {hr:.3e} exceeds {tol:.3e}"
+            raise MembershipError(f"matrix is not Hermitian: residual {hr:.3e} exceeds {tol:.3e}")
     r = _gram_residual(b, s, fro, metric.signs)
     if not r <= tol:
-        return (f"matrix is not in U({metric.p},{metric.q}): "
-                f"membership residual {r:.3e} exceeds {tol:.3e}")
-    return None
+        raise MembershipError(f"matrix is not in U({metric.p},{metric.q}): "
+                              f"membership residual {r:.3e} exceeds {tol:.3e}")
+    return a
 
 
 def membership_residual(M, metric: SignatureMetric) -> float:
@@ -303,11 +303,7 @@ def fast_inverse(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> np.nda
 def require_member(M, metric: SignatureMetric, tol: float = DEFAULT_TOL,
                    hermitian: bool = True) -> np.ndarray:
     """Validate membership (and optionally Hermitian symmetry), returning the array."""
-    measured = _measured(M, _checked_metric(metric))
-    refusal = _refusals(measured, metric, tol, hermitian)
-    if refusal:
-        raise MembershipError(refusal)
-    return measured[0]
+    return _validated(_measured(M, _checked_metric(metric)), metric, tol, hermitian)
 
 
 def check_compact_intersection(M, metric: SignatureMetric, tol: float = DEFAULT_TOL) -> bool:

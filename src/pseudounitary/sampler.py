@@ -89,13 +89,17 @@ def sample_us_pp(spec: SampleSpec) -> tuple[np.ndarray, BlockDecomposition]:
     return m, BlockDecomposition(q=q, blocks=tuple(blocks))
 
 
+def _tangent(rng: np.random.Generator, metric: SignatureMetric, scale) -> LieElement:
+    """A Hermitian tangent direction with independent complex Gaussian entries of the scale."""
+    shape = (metric.p, metric.q)
+    b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * (scale / np.sqrt(2.0))
+    return LieElement(metric=metric, block=b)
+
+
 def sample_us_lie(metric: SignatureMetric, seed: int, scale: float = 1.0) -> LieElement:
     """Hermitian tangent direction with independent complex Gaussian entries."""
     scale = _checked_real(scale, "scale")
-    rng = _rng(seed)
-    shape = (_checked_metric(metric).p, metric.q)
-    b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * (scale / np.sqrt(2.0))
-    return LieElement(metric=metric, block=b)
+    return _tangent(_rng(seed), _checked_metric(metric), scale)
 
 
 def sample_upq(metric: SignatureMetric, seed: int) -> np.ndarray:
@@ -105,9 +109,5 @@ def sample_upq(metric: SignatureMetric, seed: int) -> np.ndarray:
     entries have scale 1/sqrt(n), which keeps the hyperbolic angles at desk scale.
     """
     rng = _rng(seed)
-    p, q = _checked_metric(metric).p, metric.q
-    scale = 1.0 / np.sqrt(metric.n)
-    factor = _block_diagonal(_haar(rng, p)[0], _haar(rng, q)[0])
-    shape = (p, q)
-    b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * (scale / np.sqrt(2.0))
-    return factor @ exp_us(LieElement(metric=metric, block=b))
+    factor = _block_diagonal(_haar(rng, _checked_metric(metric).p)[0], _haar(rng, metric.q)[0])
+    return factor @ exp_us(_tangent(rng, metric, 1.0 / np.sqrt(metric.n)))

@@ -705,18 +705,18 @@ def _array_pieces(t_sides: tuple, excess: int) -> list:
 
 
 def array_rules_invariants(stack: np.ndarray, metric: SignatureMetric, tol: float) -> list:
-    """Invariants of the items of a stack, or the MembershipError refusing one,
-    and None after the first item validation refuses; the resolvability rule,
-    the spectra bound and the sign counts as array expressions over the stack."""
+    """Invariants of the items of a stack, or the MembershipError refusing each:
+    the refusal of array_refusals, else, over the items it accepts, the
+    resolvability rule, the spectra bound and the sign counts as array
+    expressions over the stack."""
     p = metric.p
     refusals, norms = array_refusals(stack, metric, tol)
-    out = [None] * len(refusals)
-    b = next((i for i, r in enumerate(refusals) if r), len(refusals))
-    if b < len(out):
-        out[b] = MembershipError(refusals[b])
-        stack, norms = stack[:b], norms[:b]
+    out = [None if r is None else MembershipError(r) for r in refusals]
+    accepted = [k for k, r in enumerate(refusals) if r is None]
+    b = len(accepted)
     if not b:
         return out
+    stack, norms = stack[accepted], norms[accepted]
     lam11, x = np.linalg.eigh(stack[:, :p, :p])
     lam22 = np.linalg.eigvalsh(stack[:, p:, p:])
     neg = lam11 < 0
@@ -737,18 +737,18 @@ def array_rules_invariants(stack: np.ndarray, metric: SignatureMetric, tol: floa
     n_neg = neg.sum(axis=1).tolist()
     excess = (pos.sum(axis=1) - (lam22 > 0).sum(axis=1)).tolist()
     t = t.tolist()
-    for k in range(b):
+    for k, item in enumerate(accepted):
         ts = (t[0][k][:n_neg[k]], t[1][k][:p - n_neg[k]])
         if unresolvable[k]:
             m_k, l_k = measured[:, k][real[:, k]], limit[:, k][real[:, k]]
             j = np.argmax(m_k / l_k)
-            out[k] = MembershipError(
+            out[item] = MembershipError(
                 f"hyperbolic parameters not resolvable: eps * s_max / h is {m_k[j]:.3e} "
                 f"against the limit {l_k[j]:.3e}, a ratio of {m_k[j] / l_k[j]:.3g}")
         elif inconsistent[k]:
-            out[k] = MembershipError(f"block spectra inconsistent: residual {err[k]:.3e}")
+            out[item] = MembershipError(f"block spectra inconsistent: residual {err[k]:.3e}")
         else:
-            out[k] = block_invariant(_array_pieces(ts, excess[k]))
+            out[item] = block_invariant(_array_pieces(ts, excess[k]))
     return out
 
 

@@ -926,18 +926,33 @@ def _outcome(call):
         return _bitwise(e)
 
 
-def _first_refusal_or_all(results):
-    """The outcome of the pass over matrices with these results one by one:
-    the first refusal, in order, or every invariant."""
+def _pass_outcome(refusals, results):
+    """The outcome of the pass over matrices that validation alone refuses with
+    these messages (None where it accepts) and whose results alone are these:
+    the first validation refusal, in order, else the first refusal of a rule,
+    else every invariant."""
+    first = next((r for r in refusals if r is not None), None)
+    if first is not None:
+        return MembershipError, first
     refused = [r for r in results if isinstance(r, MembershipError)]
     return _bitwise(refused[0]) if refused else [_bitwise(r) for r in results]
 
 
-def _batches(alone) -> list:
-    """Index lists of the stacks to pass: each matrix after the matrices before
-    it whose result alone is an invariant, then the whole stack."""
-    accepted = [k for k, r in enumerate(alone) if isinstance(r, CanonicalInvariant)]
-    return [[j for j in accepted if j < k] + [k] for k in range(len(alone))] + [list(range(len(alone)))]
+def _batches(count: int) -> list:
+    """Index lists of the stacks to pass: each matrix after every matrix before
+    it, the last of them the whole stack."""
+    return [list(range(k + 1)) for k in range(count)]
+
+
+def _refusal_cases(m, rng) -> dict:
+    """A sampled member at (2, 2), a Hermitian non-member near it, and a
+    member that the resolvability rule refuses, t = 40 beside an iota piece."""
+    member = sample_us_pp(SampleSpec(metric=m, seed=8))[0]
+    return {
+        "member": member,
+        "nonmember": _perturbed(member, rng),
+        "unresolvable": assemble_blocks([hyp(40.0), iota(1)], block_unitary(m, rng)),
+    }
 
 
 class TestStackedInvariants:
@@ -946,13 +961,15 @@ class TestStackedInvariants:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(mixed_stacks())
     def test_stack_is_bitwise_the_single_calls(self, case):
-        # each matrix, last in a stack or alone, bitwise its single call; the
-        # whole stack returns every invariant or raises the first refusal
+        # each matrix after the matrices before it: every invariant bitwise
+        # its single call, or the first validation refusal, else the first
+        # refusal of a rule
         m, stack = case
         alone = [_invariant_or_refusal(lambda: canonical_invariant(a, m)) for a in stack]
-        for idx in _batches(alone):
+        refusals = [_refusal(lambda: require_member(a, m)) for a in stack]
+        for idx in _batches(len(stack)):
             got = _outcome(lambda: canonical._invariants(stack[idx], m, DEFAULT_TOL))
-            assert got == _first_refusal_or_all([alone[k] for k in idx])
+            assert got == _pass_outcome([refusals[k] for k in idx], [alone[k] for k in idx])
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(block_form_specs(), st.sampled_from([1.0, -1.0]), st.floats(0.05, 0.5),
@@ -976,25 +993,35 @@ class TestStackedInvariants:
         assert are_equivalent(M, M2, m) is expected
 
     @pytest.mark.parametrize("order", ["nonmember, member", "member, nonmember",
-                                       "unresolvable, nonmember"])
+                                       "unresolvable, nonmember", "unresolvable, member",
+                                       "member, unresolvable"])
     def test_first_refused_matrix_gives_the_message(self, order):
+        # a validation refusal wins over a rule refusal of an earlier matrix
         m = make_metric(2, 2)
-        rng = np.random.default_rng(8)
-        member = sample_us_pp(SampleSpec(metric=m, seed=8))[0]
-        matrices = {
-            "member": member,
-            "nonmember": _perturbed(member, rng),
-            "unresolvable": assemble_blocks([hyp(40.0), iota(1)], block_unitary(m, rng)),
-        }
+        matrices = _refusal_cases(m, np.random.default_rng(8))
         pair = [matrices[name] for name in order.split(", ")]
-        first_refused = pair[1] if order.startswith("member") else pair[0]
+        first_refused = matrices["nonmember" if "nonmember" in order else "unresolvable"]
         with pytest.raises(MembershipError) as alone:
             canonical_invariant(first_refused, m)
         with pytest.raises(MembershipError) as both:
             are_equivalent(*pair, m)
         assert str(both.value) == str(alone.value)
-        expected = "not resolvable" if order.startswith("un") else "membership residual"
+        expected = "membership residual" if "nonmember" in order else "not resolvable"
         assert expected in str(both.value)
+
+    @pytest.mark.parametrize("order", ["nonmember, member", "member, nonmember",
+                                       "unresolvable, nonmember", "member, non-Hermitian"])
+    def test_no_kernel_runs_on_a_pair_validation_refuses(self, order, monkeypatch):
+        m = make_metric(2, 2)
+        rng = np.random.default_rng(8)
+        matrices = _refusal_cases(m, rng)
+        matrices["non-Hermitian"] = matrices["member"] + 1e-6 * rng.standard_normal((4, 4))
+        pair = [matrices[name] for name in order.split(", ")]
+        calls = {name: count_calls(monkeypatch, name, np.linalg)
+                 for name in ("eigh", "eigvalsh", "svd")}
+        with pytest.raises(MembershipError, match="^matrix is not "):
+            are_equivalent(*pair, m)
+        assert calls == {"eigh": [], "eigvalsh": [], "svd": []}
 
     def test_one_validation_and_one_call_of_each_kernel(self, monkeypatch):
         # one validation per matrix, each of one matrix; one call of each
@@ -1004,7 +1031,7 @@ class TestStackedInvariants:
         Q = block_unitary(m, np.random.default_rng(4))
         calls = {name: count_calls(monkeypatch, name, np.linalg)
                  for name in ("eigh", "eigvalsh", "svd")}
-        validations = count_calls(monkeypatch, "_refusals", canonical)
+        validations = count_calls(monkeypatch, "_validated", canonical)
         assert are_equivalent(M, Q.conj().T @ M @ Q, m)
         assert [len(calls[k]) for k in ("eigh", "eigvalsh", "svd")] == [1, 1, 1]
         assert calls["eigh"][0].shape == (2, 3, 3)
@@ -1165,20 +1192,22 @@ class TestArrayRulesOracle:
     @settings(max_examples=250, deadline=None, derandomize=True, database=None)
     @given(oracle_stacks())
     def test_pass_is_bitwise_the_array_rules(self, case):
-        # each matrix, last in a stack or alone, and the whole stack
+        # each matrix after the matrices before it, the last the whole stack
         m, stack, tol = case
-        alone = [array_rules_invariants(a[None], m, tol)[0] for a in stack]
-        for idx in _batches(alone):
+        refusals = array_refusals(stack, m, tol)[0]
+        for idx in _batches(len(stack)):
             got = _outcome(lambda: canonical._invariants(stack[idx], m, tol))
-            assert got == _first_refusal_or_all(array_rules_invariants(stack[idx], m, tol))
+            assert got == _pass_outcome([refusals[k] for k in idx],
+                                        array_rules_invariants(stack[idx], m, tol))
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(oracle_stacks())
     def test_validation_is_bitwise_the_array_residuals(self, case):
-        # validation takes one matrix; the oracle reads the whole stack
+        # validation takes one matrix and raises its refusal; the oracle
+        # reads the whole stack
         m, stack, tol = case
         measured = [metric_module._measured(a, m) for a in stack]
-        messages = [metric_module._refusals(x, m, tol) for x in measured]
+        messages = [_refusal(lambda: metric_module._validated(x, m, tol)) for x in measured]
         norms = [x[4] for x in measured]
         expected_messages, expected_norms = array_refusals(stack, m, tol)
         assert list(messages) == expected_messages

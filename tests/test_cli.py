@@ -288,6 +288,17 @@ class TestEquiv:
         code, _, err2 = run_cli(capsys, "equiv", a, b)
         assert code == 1 and err2 == err
 
+    def test_validation_refusal_wins_over_an_earlier_range_refusal(self, tmp_path, capsys):
+        # alone, the first file exits 2 by the range rule; beside a non-member
+        # the pass validates both before it reads either
+        metric = make_metric(1, 1)
+        a = write_square(tmp_path / "a.json", hyperbolic(709.9), metric)
+        b = write_square(tmp_path / "b.json", 2.0 * np.eye(2), metric)
+        code, _, err = run_cli(capsys, "invariants", a)
+        assert code == 2 and "is past the limit" in err
+        code, _, err = run_cli(capsys, "equiv", a, b)
+        assert code == 1 and "membership residual" in err
+
     def test_signature_mismatch_is_usage_error(self, tmp_path, capsys):
         a = write_square(tmp_path / "a.json", np.eye(2), make_metric(1, 1))
         b = write_square(tmp_path / "b.json", np.eye(4), make_metric(2, 2))
@@ -348,6 +359,15 @@ class TestExpLog:
         # the range rule every analysis route shares
         assert "hyperbolic parameter t = 800.0 is past the limit" in err
 
+    def test_exp_takes_no_tol(self, tmp_path, capsys):
+        # exp tests no membership, so it has no tolerance to set
+        path = tmp_path / "t.json"
+        path.write_text(dumps_matrix(np.array([[0.5]]), make_metric(1, 1), KIND_BLOCK))
+        with pytest.raises(SystemExit) as exited:
+            main(["exp", str(path), "--tol", "1e-3"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
+
     def test_exp_requires_block_kind(self, tmp_path, capsys):
         path = write_square(tmp_path / "m.json", np.eye(2), make_metric(1, 1))
         code, _, err = run_cli(capsys, "exp", str(path))
@@ -383,6 +403,18 @@ class TestSample:
             "--seed", "0")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("family", ["uspp", "lie", "upq", "haar"])
+    def test_size_past_the_limit_exits_two_before_any_draw(self, capsys, monkeypatch, family):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drawn past the size limit")
+        for name in ("sample_us_pp", "sample_us_lie", "sample_upq", "haar_unitary"):
+            monkeypatch.setattr(cli, name, refuse)
+        code, out, err = run_cli(capsys, "sample", "--family", family, "--p", "2049",
+                                 "--q", "2048", "--seed", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: sample size p + q = 4097 is past the limit 4096\n"
 
     def test_parameters_past_the_float_range_exit_two_without_warnings(self, capsys):
         with warnings.catch_warnings(record=True) as caught:
